@@ -301,17 +301,19 @@ def cantor_function(spec: CantorSpec, n: int, x: float) -> float:
     member = [False] * base
     for a in letters:
         member[a] = True
-    total = 0.0
-    weight = 1.0
-    for _ in range(n):
+    # The rank of the block reached so far is an exact integer and is
+    # divided once, so the value is the correctly rounded (rank + x) / |A|^j
+    # and rounding cannot break monotonicity.
+    rank = 0
+    for depth in range(1, n + 1):
         x *= base
         digit = min(int(x), base - 1)
         x -= digit
-        weight /= size
-        total += bisect_left(letters, digit) * weight
+        rank = rank * size + bisect_left(letters, digit)
         if not member[digit]:
-            return total
-    return total + x * weight
+            return rank / size ** depth
+    num, den = x.as_integer_ratio()
+    return (rank * den + num) / (size ** n * den)
 
 
 def shift_decomposition(spec: CantorSpec, n: int, scale: float,

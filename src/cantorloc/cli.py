@@ -3,7 +3,7 @@
 Usage examples:
 
     cantorloc eigs --base 3 --alphabet 0,2 --iterate 4 --rho 9 --kmax auto
-    cantorloc norm --base 3 --alphabet 1,2 --iterate 6 --rho 27 --start-at-inner
+    cantorloc norm --base 3 --alphabet 1,2 --iterate 6 --rho 27
     cantorloc cantor-fn --base 3 --alphabet 0,2 --iterate 1 --x 0.5
     cantorloc sweep --experiment reverse --base 3 --size 2 --nmax 10
     cantorloc sweep --experiment precise --base 3 --alphabet 0,2 --format json
@@ -259,12 +259,8 @@ def cmd_eigs(cfg: RunConfig) -> int:
 def cmd_norm(cfg: RunConfig) -> int:
     p = cfg.params
     spec = _spec_from(p)
-    if p["start_at_inner"]:
-        if not (isinstance(spec, CantorSpec) and spec.is_reverse_canonical):
-            raise ValueError("--start-at-inner requires a reverse-canonical "
-                             "alphabet {M-size, ..., M-1}")
     problem = localization_problem(spec, p["iterate"], p["rho"])
-    res = operator_norm(problem, start_at_inner=p["start_at_inner"])
+    res = operator_norm(problem)
     columns = ("value", "argmax_k", "k_truncation", "tail_bound", "value_err")
     rows = [(res.value, res.argmax_k, res.k_truncation, res.tail_bound,
              res.value_err)]
@@ -459,9 +455,6 @@ def build_parser() -> argparse.ArgumentParser:
                             help="certified operator norm")
     p_norm.add_argument("--iterate", type=int, required=True, metavar="N")
     p_norm.add_argument("--rho", type=float, required=True)
-    p_norm.add_argument("--start-at-inner", action="store_true",
-                        help="skip the scan below floor(inner rho); "
-                             "reverse-canonical alphabets only")
     p_norm.set_defaults(func=cmd_norm)
 
     p_fn = sub.add_parser("cantor-fn", parents=[common],

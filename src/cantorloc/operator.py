@@ -269,12 +269,33 @@ def inner_rho(spec: CantorSpec, n: int, rho: float) -> float:
     return float(rho) * (spec.base - spec.size) * geom
 
 
+# Scan window: outside [k - sqrt(2kT), k + T + sqrt(T^2 + 2kT)] the density
+# f_k is at most e^-T f_k(k) <= e^-T / sqrt(2 pi k).
+WINDOW_T = 40.0
+# The scan reseeds its density vector from log space every _RESEED indices.
+_RESEED = 64
+
+
+def scan_window(k_first: int, k_last: int) -> tuple[float, float]:
+    """Union of the windows of k_first .. k_last, as (low, high).
+
+    k - sqrt(2kT) is least at k = T/2 and increasing above it; the upper end
+    k + T + sqrt(T^2 + 2kT) is increasing everywhere.
+    """
+    t = WINDOW_T
+    k_low = max(float(k_first), t / 2.0)
+    return (k_low - math.sqrt(2.0 * t * k_low),
+            k_last + t + math.sqrt(t * t + 2.0 * t * k_last))
+
+
 @dataclass(frozen=True)
 class NormResult:
     """Certified operator norm: max eigenvalue over k <= k_truncation.
 
-    tail_bound = P(k_truncation + 1, rho) dominates every eigenvalue past
-    the truncation and satisfies tail_bound < max(1e-12, value * 1e-9).
+    tail_bound = P(k_truncation + 2, rho), i.e.
+    regularized_lower_gamma(k_truncation + 1, rho), dominates every
+    eigenvalue past the truncation and satisfies
+    tail_bound < max(1e-12, value * 1e-9).
     """
 
     value: float
@@ -284,50 +305,55 @@ class NormResult:
     value_err: float
 
 
-def operator_norm(problem: LocalizationProblem, *,
-                  start_at_inner: bool = False) -> NormResult:
+def operator_norm(problem: LocalizationProblem) -> NormResult:
     """Scan lambda_k upward until the remaining tail is certified negligible.
 
     The scan advances with the exact finite identity
-    P(k+1, x) = P(k, x) - x^k e^(-x) / k!.  The density vector over the
-    interval endpoints steps multiplicatively, f_{k}(x) = f_{k-1}(x) x / k,
-    and is reseeded from log space every 64 indices so rounding drift and
-    underflow cannot accumulate across the scan; the winning eigenvalue is
-    then recomputed through the full segment-mass path.  start_at_inner
-    skips ahead to floor(inner_rho), valid only for reverse-canonical
-    fixed-base problems where indices below that cannot carry the maximum.
+    P(k+1, x) = P(k, x) - x^k e^(-x) / k!, so
+    lambda_k - lambda_{k-1} = sum over blocks of f_k(lo) - f_k(hi).  The
+    endpoints are kept interleaved (lo_0, hi_0, lo_1, ...), which is sorted
+    because the blocks are merged, and the density vector carries the signs
+    +, -, +, ...; it steps multiplicatively, f_k(x) = f_{k-1}(x) x / k, and
+    the density f_k(rho) of the running tail steps the same way.  Both are
+    reseeded from log space every 64 indices so rounding drift and
+    underflow cannot accumulate across the scan.
+
+    Each reseed keeps only the endpoints inside the union of the next 64
+    windows [k - sqrt(2kT), k + T + sqrt(T^2 + 2kT)], T = WINDOW_T = 40
+    (see scan_window).  f_k is monotone on either side of its mode k and at
+    most e^-T f_k(k) <= e^-T / sqrt(2 pi k) outside the window, so the
+    skipped endpoints on each side form an alternating series bounded by
+    its largest term: each increment is off by at most
+    2 e^-T / sqrt(2 pi k), about 5.7e-16 summed over the 7,100 indices
+    of a scan at rho = 3^8.  The reduction is np.sum, not a BLAS dot, so
+    it runs on one thread.
+
+    The truncation is refreshed exactly at the stopping index, and the
+    winning eigenvalue is recomputed through the full segment-mass path.
     """
     rho = problem.rho
     ivals = problem.intervals
-    k0 = 0
-    if start_at_inner:
-        spec = problem.spec
-        if not isinstance(spec, CantorSpec) or not spec.is_reverse_canonical:
-            raise ValueError("start_at_inner requires a reverse-canonical "
-                             "fixed-base problem")
-        k0 = int(inner_rho(spec, problem.depth, rho))
     if rho == 0.0 or ivals.measure == 0.0:
-        return NormResult(0.0, k0, k0 + 1, 0.0, 0.0)
+        return NormResult(0.0, 0, 1, 0.0, 0.0)
 
-    endpoints = np.concatenate([ivals.lows, ivals.highs])
-    signs = np.concatenate([np.ones(ivals.lows.size),
-                            np.full(ivals.highs.size, -1.0)])
+    endpoints = np.column_stack([ivals.lows, ivals.highs]).ravel()
+    signs = np.tile([1.0, -1.0], ivals.lows.size)
     with np.errstate(divide="ignore"):
         log_ep = np.log(endpoints)
 
-    at_start = eigenvalue(problem, k0)
+    at_start = eigenvalue(problem, 0)
     lam = at_start.value
     best = lam
-    best_k = k0
+    best_k = 0
     # Running P(k+1, rho), updated by the same identity; the certificate is
     # refreshed exactly at the stopping index before being reported.
-    p_tail = regularized_lower_gamma(k0, rho)
+    p_tail = regularized_lower_gamma(0, rho)
     # A generous hard stop: the certificate fires within O(sqrt(rho))
     # indices past rho even at the absolute threshold.
-    k_hard = int(rho + 60.0 * math.sqrt(rho + 1.0) + 400.0) + k0
-    k = k0
-    f = None
-    k_seed = k0
+    k_hard = int(rho + 60.0 * math.sqrt(rho + 1.0) + 400.0)
+    k = 0
+    g = None
+    k_seed = 0
     while True:
         if k > rho and p_tail < max(1e-12, 1e-9 * best):
             exact_tail = regularized_lower_gamma(k + 1, rho)
@@ -340,18 +366,24 @@ def operator_norm(problem: LocalizationProblem, *,
             raise ArithmeticError(
                 f"norm scan failed to certify truncation by k={k} (rho={rho})")
         k += 1
-        if f is None or k - k_seed >= 64:
-            with np.errstate(invalid="ignore"):
-                f = np.exp(k * log_ep - endpoints - math.lgamma(k + 1))
+        if g is None or k - k_seed >= _RESEED:
+            low, high = scan_window(k, k + _RESEED - 1)
+            first = int(np.searchsorted(endpoints, low, side="left"))
+            stop = int(np.searchsorted(endpoints, high, side="right"))
+            x = endpoints[first:stop]
+            g = signs[first:stop] * np.exp(
+                k * log_ep[first:stop] - x - math.lgamma(k + 1))
+            tail_density = math.exp(log_density(k, rho))
             k_seed = k
         else:
-            f *= endpoints
-            f *= 1.0 / k
-        lam += float(np.dot(signs, f))
-        p_tail -= math.exp(log_density(k, rho))
+            g *= x
+            g *= 1.0 / k
+            tail_density *= rho / k
+        lam += float(np.sum(g))
+        p_tail -= tail_density
         if lam > best:
             best = lam
             best_k = k
-    final = at_start if best_k == k0 else eigenvalue(problem, best_k)
+    final = at_start if best_k == 0 else eigenvalue(problem, best_k)
     return NormResult(value=final.value, argmax_k=best_k, k_truncation=k_trunc,
                       tail_bound=tail, value_err=final.err)

@@ -107,17 +107,13 @@ def test_norm_reports_certificate_columns(capsys):
     assert float(row["tail_bound"]) < max(1e-12, 1e-9 * float(row["value"]))
 
 
-def test_norm_start_at_inner_requires_reverse_alphabet(capsys):
-    code, _, err = run_cli(
-        capsys, "norm", "--base", "3", "--alphabet", "0,1",
-        "--iterate", "2", "--rho", "3", "--start-at-inner")
-    assert code == 2
-    assert "error:" in err
-    code, out, _ = run_cli(
+def test_norm_start_at_inner_flag_is_removed(capsys):
+    code, out, err = run_cli(
         capsys, "norm", "--base", "3", "--alphabet", "1,2",
         "--iterate", "2", "--rho", "3", "--start-at-inner")
-    assert code == 0
-    assert float(csv_rows(out)[0]["value"]) > 0.0
+    assert code == 2
+    assert out == ""
+    assert "--start-at-inner" in err
 
 
 def test_json_output_shape(capsys):

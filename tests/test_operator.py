@@ -24,6 +24,8 @@ from cantorloc import (
     operator_norm,
     relative_area,
 )
+from cantorloc.operator import WINDOW_T, scan_window
+from cantorloc.special import log_density
 
 MID_THIRD = CantorSpec(3, (0, 2))
 
@@ -220,16 +222,56 @@ def test_norm_scan_beats_nearby_orders():
         assert eigenvalue(problem, k).value <= res.value + res.value_err + 1e-15
 
 
-def test_norm_start_at_inner_matches_full_scan():
-    spec = CantorSpec(4, (2, 3))
-    problem = localization_problem(spec, 3, 20.0)
-    full = operator_norm(problem)
-    skipped = operator_norm(problem, start_at_inner=True)
-    assert skipped.argmax_k == full.argmax_k
-    assert skipped.value == pytest.approx(full.value, rel=1e-13)
-    with pytest.raises(ValueError):
-        operator_norm(localization_problem(CantorSpec(4, (0, 1)), 2, 5.0),
-                      start_at_inner=True)
+def test_norm_argmax_is_at_least_inner_radius():
+    # Reverse-canonical iterates start at inner_rho, so the full scan never
+    # picks an index below it.
+    for spec, n, rho in ((CantorSpec(4, (2, 3)), 3, 20.0),
+                         (CantorSpec(3, (1, 2)), 10, 243.0)):
+        res = operator_norm(localization_problem(spec, n, rho))
+        assert res.argmax_k >= math.floor(inner_rho(spec, n, rho))
+
+
+# Small problems with rho large enough that the scan windows drop endpoints.
+# {2,3} base 4 has its argmax (62) late in the first 64-index block, so it
+# needs that block's window to reach past the window of k = 1.
+WINDOWED_CASES = (
+    (CantorSpec(4, (2, 3)), 2, 90.0),
+    (CantorSpec(3, (0, 2)), 4, 150.0),
+    (CantorSpec(3, (1, 2)), 5, 200.0),
+    (CantorSpec(5, (1, 3)), 3, 180.0),
+    (IndexedCantorSpec((CantorSpec(3, (0, 2)), CantorSpec(4, (1, 2)),
+                        CantorSpec(3, (1, 2)))), 3, 200.0),
+)
+
+
+@pytest.mark.parametrize("spec,n,rho", WINDOWED_CASES)
+def test_windowed_norm_matches_brute_force(spec, n, rho):
+    problem = localization_problem(spec, n, rho)
+    res = operator_norm(problem)
+    values = [eigenvalue(problem, k).value for k in range(res.k_truncation + 1)]
+    assert res.argmax_k == int(np.argmax(values))
+    assert abs(res.value - max(values)) <= res.value_err
+
+
+@pytest.mark.parametrize("spec,n,rho", WINDOWED_CASES)
+def test_windowed_increment_error_is_bounded(spec, n, rho):
+    # lambda_k - lambda_{k-1} = sum of +f_k(lo) - f_k(hi); the scan keeps
+    # only the endpoints inside the window of its 64-index block, and the
+    # terms it drops must sum to at most 2 e^-T / sqrt(2 pi k).
+    ivals = localization_problem(spec, n, rho).intervals
+    endpoints = np.column_stack([ivals.lows, ivals.highs]).ravel()
+    signs = np.tile([1.0, -1.0], ivals.lows.size)
+    dropped_any = False
+    for k in (1, 10, 40, 64, 65, 100, int(rho) // 2, int(rho), int(rho) + 50):
+        terms = signs * np.exp(log_density(k, endpoints))
+        first = 1 + 64 * ((k - 1) // 64)
+        for low, high in (scan_window(k, k), scan_window(first, first + 63)):
+            outside = (endpoints < low) | (endpoints > high)
+            dropped = math.fsum(terms[outside])
+            bound = 2.0 * math.exp(-WINDOW_T) / math.sqrt(2.0 * math.pi * k)
+            assert abs(dropped) <= bound
+            dropped_any = dropped_any or bool(np.any(outside & (terms != 0.0)))
+    assert dropped_any
 
 
 def test_inner_rho_values():

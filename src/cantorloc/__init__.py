@@ -15,13 +15,13 @@ from .cantor import (
     CantorSpec,
     CapExceededError,
     IndexedCantorSpec,
-    Interval,
     IterateIntervals,
     canonical_of,
     cantor_function,
     continuous_iterate,
     discrete_iterate,
     indexed_intervals,
+    inner_rho,
     resolve_max_intervals,
     reverse_canonical_of,
     shift_decomposition,
@@ -49,10 +49,7 @@ from .operator import (
     ball_bound,
     eigenvalue,
     eigenvalue_table,
-    eigenvalue_table_to_csv,
-    inner_rho,
     lambda0_closed_form,
-    lambda0_indexed,
     limit_relative_area,
     localization_problem,
     operator_norm,
@@ -80,7 +77,6 @@ __all__ = [
     "IndexedCantorSpec",
     "IndexedCounterexampleResult",
     "IndexedDecayResult",
-    "Interval",
     "IterateIntervals",
     "LocalizationProblem",
     "NormResult",
@@ -97,12 +93,10 @@ __all__ = [
     "discrete_iterate",
     "eigenvalue",
     "eigenvalue_table",
-    "eigenvalue_table_to_csv",
     "gamma_tail_mass",
     "indexed_intervals",
     "inner_rho",
     "lambda0_closed_form",
-    "lambda0_indexed",
     "limit_relative_area",
     "localization_problem",
     "log_density",

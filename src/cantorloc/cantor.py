@@ -17,7 +17,6 @@ the distribution function of the iterate in O(n) per evaluation.
 
 from __future__ import annotations
 
-import csv
 import math
 import os
 from bisect import bisect_left
@@ -134,23 +133,6 @@ class IndexedCantorSpec:
         return math.prod(lv.size for lv in self.levels[:n])
 
 
-class Interval(tuple):
-    """Closed interval [lo, hi]."""
-
-    __slots__ = ()
-
-    def __new__(cls, lo: float, hi: float):
-        return super().__new__(cls, (float(lo), float(hi)))
-
-    @property
-    def lo(self) -> float:
-        return self[0]
-
-    @property
-    def hi(self) -> float:
-        return self[1]
-
-
 @dataclass(frozen=True, eq=False)
 class IterateIntervals:
     """Merged closed intervals of one continuous iterate, scaled to [0, scale]."""
@@ -166,23 +148,6 @@ class IterateIntervals:
     @property
     def count(self) -> int:
         return int(self.lows.size)
-
-    @property
-    def intervals(self) -> list[Interval]:
-        return [Interval(lo, hi) for lo, hi in zip(self.lows, self.highs)]
-
-    def to_csv(self, destination) -> None:
-        """Write lo,hi rows (17 significant digits) to a path or file object."""
-        own = isinstance(destination, (str, os.PathLike))
-        fh = open(destination, "w", newline="") if own else destination
-        try:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(["lo", "hi"])
-            for lo, hi in zip(self.lows, self.highs):
-                writer.writerow([f"{lo:.17g}", f"{hi:.17g}"])
-        finally:
-            if own:
-                fh.close()
 
 
 def _levels_of(spec: Union[CantorSpec, IndexedCantorSpec], n: int) -> list[CantorSpec]:
@@ -316,21 +281,30 @@ def cantor_function(spec: CantorSpec, n: int, x: float) -> float:
     return (rank * den + num) / (size ** n * den)
 
 
+def inner_rho(spec: CantorSpec, n: int, rho: float) -> float:
+    """Radial-squared inner shift rho (M - |A|) sum_{j=1..n} M^-j.
+
+    For reverse-canonical alphabets this is where the n-th iterate starts;
+    the largest eigenvalue then has index at least floor(inner_rho).
+    """
+    if n < 0:
+        raise ValueError(f"iterate depth must be nonnegative, got {n}")
+    geom = (1.0 - float(spec.base) ** -n) / (spec.base - 1)
+    return float(rho) * (spec.base - spec.size) * geom
+
+
 def shift_decomposition(spec: CantorSpec, n: int, scale: float,
                         max_intervals: int | None = None
                         ) -> tuple[float, IterateIntervals]:
     """Reverse-canonical iterate as a rigid shift of the canonical one.
 
-    Returns (shift, canonical iterate) with
-    shift = scale (M - |A|) sum_{j=1..n} M^-j; translating the canonical
-    intervals by the shift reproduces the reverse-canonical iterate.
+    Returns (inner_rho(spec, n, scale), canonical iterate); translating the
+    canonical intervals by that shift reproduces the reverse-canonical
+    iterate.
     """
     if not spec.is_reverse_canonical:
         raise ValueError("shift decomposition applies to reverse-canonical alphabets")
     if not spec.is_proper:
         raise ValueError("shift decomposition needs a proper alphabet")
-    if n < 0:
-        raise ValueError(f"iterate depth must be nonnegative, got {n}")
-    geom = (1.0 - float(spec.base) ** -n) / (spec.base - 1)
-    shift = float(scale) * (spec.base - spec.size) * geom
+    shift = inner_rho(spec, n, scale)
     return shift, continuous_iterate(canonical_of(spec), n, scale, max_intervals)

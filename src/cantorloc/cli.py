@@ -44,15 +44,13 @@ from .experiments import (
     sweep_reverse_counterexample,
 )
 from .operator import (
+    TAIL_ABSOLUTE,
+    TAIL_RELATIVE,
     eigenvalue_table,
     localization_problem,
     operator_norm,
 )
 from .verify import SUITE_NAMES, run_suites
-
-# truncation constants of the norm certificate, echoed in output metadata
-TAIL_ABSOLUTE = 1e-12
-TAIL_RELATIVE = 1e-9
 
 
 @dataclass(frozen=True)

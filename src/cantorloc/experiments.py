@@ -30,7 +30,6 @@ from .cantor import CantorSpec, IndexedCantorSpec, canonical_of, reverse_canonic
 from .operator import (
     lambda0_canonical_levels,
     lambda0_closed_form,
-    lambda0_indexed,
     localization_problem,
     operator_norm,
 )
@@ -48,33 +47,26 @@ class HypothesisViolationError(ValueError):
 class RadiusSchedule:
     """Radius-squared schedule rho(n).
 
-    kind 'power_half': rho(n) = gamma * M^(n/2), the critical growth rate.
-    kind 'capped': rho(n) = rho_fn(n), any nondecreasing user rule; checked
-    against the bounded-ratio hypothesis cap rho(n) <= M^n like power_half.
+    kind 'power_half': rho(n) = gamma * M^(n/2), the critical growth rate,
+    checked against the bounded-ratio hypothesis cap rho(n) <= M^n.
     kind 'indexed_sqrt': rho(n) = gamma * sqrt(M_1 ... M_n) for indexed
     constructions, which satisfies its radius restriction by definition.
     """
 
     kind: str
     gamma: float = 1.0
-    rho_fn: Callable[[int], float] | None = None
 
     def __post_init__(self):
-        if self.kind not in ("power_half", "capped", "indexed_sqrt"):
+        if self.kind not in ("power_half", "indexed_sqrt"):
             raise ValueError(f"unknown schedule kind {self.kind!r}")
         if not (self.gamma > 0.0) or not math.isfinite(self.gamma):
             raise ValueError(f"gamma must be positive and finite, got {self.gamma!r}")
-        if self.kind == "capped" and self.rho_fn is None:
-            raise ValueError("capped schedules need rho_fn")
 
     def rho(self, base: int, n: int) -> float:
         """rho(n) for a fixed base, validated against the cap M^n."""
-        if self.kind == "power_half":
-            value = self.gamma * float(base) ** (0.5 * n)
-        elif self.kind == "capped":
-            value = float(self.rho_fn(n))
-        else:
+        if self.kind != "power_half":
             raise ScheduleError("indexed_sqrt schedules apply to indexed sweeps only")
+        value = self.gamma * float(base) ** (0.5 * n)
         if not (value > 0.0) or value > float(base) ** n * (1.0 + 1e-12):
             raise ScheduleError(
                 f"schedule emitted rho({n}) = {value!r} outside (0, {base}^{n}]")
@@ -239,7 +231,7 @@ def sweep_indexed_decay(params: DecayParams,
     pairs = []
     for n in range(params.n_max + 1):
         rho = schedule.rho_indexed(spec.base_product(n))
-        pairs.append((n, lambda0_indexed(spec, rho, n)))
+        pairs.append((n, lambda0_closed_form(spec, n, rho)))
     tail = pairs[-math.ceil(params.n_max / 2):]
     ns = np.array([p[0] for p in tail], dtype=float)
     logs = np.log(np.array([p[1] for p in tail], dtype=float))

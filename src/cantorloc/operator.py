@@ -25,7 +25,7 @@ from .cantor import (
     CantorSpec,
     IndexedCantorSpec,
     IterateIntervals,
-    canonical_of,
+    _levels_of,
     continuous_iterate,
     indexed_intervals,
 )
@@ -99,100 +99,68 @@ def eigenvalue_table(problem: LocalizationProblem, k_max: int) -> list[Eigenvalu
     return [eigenvalue(problem, k) for k in range(k_max + 1)]
 
 
-def eigenvalue_table_to_csv(rows: Sequence[EigenvalueResult], destination) -> None:
-    """Write k,lambda,err rows (17 significant digits) to a path or file."""
-    import csv
-    import os
-
-    own = isinstance(destination, (str, os.PathLike))
-    fh = open(destination, "w", newline="") if own else destination
-    try:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["k", "lambda", "err"])
-        for row in rows:
-            writer.writerow([row.k, f"{row.value:.17g}", f"{row.err:.17g}"])
-    finally:
-        if own:
-            fh.close()
-
-
 # ----------------------------------------------------------------------
 # First eigenvalue in closed form
 # ----------------------------------------------------------------------
 
-def _level_sum(level: CantorSpec, t: float) -> float:
-    """sum_{a in alphabet} e^(-a t); geometric form for canonical alphabets."""
-    if t <= 0.0:
-        return float(level.size)
-    if level.is_canonical:
-        if t > 745.0:
-            return 1.0
-        # (1 - e^(-|A| t)) / (1 - e^(-t)) without forming huge alphabets.
-        return math.expm1(-level.size * t) / math.expm1(-t)
-    return math.fsum(math.exp(-a * t) for a in level.alphabet)
+def _lambda0(levels, rho: float) -> float:
+    """Level product for lambda_0; each level is (base, size, letters), with
+    letters None for a canonical alphabet {0, ..., size-1}.
 
-
-def _lambda0_levels(levels: Sequence[CantorSpec], rho: float) -> float:
+    A level's factor is sum_{a in A} e^(-a t), t = rho / (M_1 ... M_j); a
+    canonical alphabet uses (1 - e^(-|A| t)) / (1 - e^(-t)), so alphabets
+    too large to enumerate stay cheap, and its factor is 1.0 to double
+    precision once t > 745.
+    """
     if rho < 0.0 or not math.isfinite(rho):
         raise ValueError(f"rho must be finite and nonnegative, got {rho!r}")
     if rho == 0.0:
         return 0.0
     prod = 1.0
     value = 1.0
-    for level in levels:
-        prod *= level.base
-        value *= _level_sum(level, rho / prod)
+    for base, size, letters in levels:
+        prod *= base
+        t = rho / prod
+        if t <= 0.0:
+            value *= size
+        elif letters is not None:
+            value *= math.fsum(math.exp(-a * t) for a in letters)
+        elif t <= 745.0:
+            value *= math.expm1(-size * t) / math.expm1(-t)
     return value * -math.expm1(-rho / prod)
 
 
-def lambda0_closed_form(spec: CantorSpec, n: int, rho: float) -> float:
+def lambda0_closed_form(spec: AnySpec, n: int, rho: float) -> float:
     """lambda_0 of the n-th iterate at scale rho:
 
-    (1 - e^(-rho M^-n)) * prod_{j=1..n} sum_{a in A} e^(-a rho M^-j).
+    (1 - e^(-rho M^-n)) * prod_{j=1..n} sum_{a in A} e^(-a rho M^-j),
+
+    with level j's base and alphabet in place of M and A for an indexed
+    spec, whose first n stored levels are used.
     """
     if n < 0:
         raise ValueError("iterate depth must be nonnegative")
-    return _lambda0_levels([spec] * n, rho)
-
-
-def lambda0_indexed(spec: IndexedCantorSpec, rho: float, n: int | None = None) -> float:
-    """lambda_0 for per-level bases/alphabets, using the first n levels."""
-    if n is None:
-        n = spec.depth
-    if n < 0 or n > spec.depth:
-        raise ValueError(f"depth {n} outside the stored {spec.depth} levels")
-    return _lambda0_levels(spec.levels[:n], rho)
+    return _lambda0([(lv.base, lv.size, None if lv.is_canonical else lv.alphabet)
+                     for lv in _levels_of(spec, n)], rho)
 
 
 def lambda0_canonical_levels(bases: Sequence[int], sizes: Sequence[int],
                              rho: float) -> float:
     """lambda_0 for canonical per-level alphabets given as (base, size) pairs.
 
-    Uses the geometric form of every level factor, so alphabets too large to
-    enumerate (the doubly-exponential constructions) stay cheap.
+    For the doubly-exponential constructions, whose alphabets are too large
+    to store as letter tuples.
     """
     if len(bases) != len(sizes):
         raise ValueError("bases and sizes must have equal length")
-    if rho < 0.0 or not math.isfinite(rho):
-        raise ValueError(f"rho must be finite and nonnegative, got {rho!r}")
-    if rho == 0.0:
-        return 0.0
-    prod = 1.0
-    value = 1.0
+    levels = []
     for b, a in zip(bases, sizes):
         b = int(b)
         a = int(a)
         if b < 2 or not (1 <= a <= b):
             raise ValueError(f"invalid canonical level (base={b}, size={a})")
-        prod *= b
-        t = rho / prod
-        if t <= 0.0:
-            value *= a
-        elif t > 745.0:
-            value *= 1.0
-        else:
-            value *= math.expm1(-a * t) / math.expm1(-t)
-    return value * -math.expm1(-rho / prod)
+        levels.append((b, a, None))
+    return _lambda0(levels, rho)
 
 
 # ----------------------------------------------------------------------
@@ -257,18 +225,10 @@ def limit_relative_area(theta: float, a: float, T: float) -> float:
 # Operator norm
 # ----------------------------------------------------------------------
 
-def inner_rho(spec: CantorSpec, n: int, rho: float) -> float:
-    """Radial-squared inner shift rho (M - |A|) sum_{j=1..n} M^-j.
-
-    For reverse-canonical alphabets this is where the n-th iterate starts;
-    the largest eigenvalue then has index at least floor(inner_rho).
-    """
-    if n < 0:
-        raise ValueError("iterate depth must be nonnegative")
-    geom = (1.0 - float(spec.base) ** -n) / (spec.base - 1)
-    return float(rho) * (spec.base - spec.size) * geom
-
-
+# Truncation policy of the norm scan: it stops at the first k > rho whose
+# tail P(k+2, rho) is below max(TAIL_ABSOLUTE, TAIL_RELATIVE * best so far).
+TAIL_ABSOLUTE = 1e-12
+TAIL_RELATIVE = 1e-9
 # Scan window: outside [k - sqrt(2kT), k + T + sqrt(T^2 + 2kT)] the density
 # f_k is at most e^-T f_k(k) <= e^-T / sqrt(2 pi k).
 WINDOW_T = 40.0
@@ -295,7 +255,7 @@ class NormResult:
     tail_bound = P(k_truncation + 2, rho), i.e.
     regularized_lower_gamma(k_truncation + 1, rho), dominates every
     eigenvalue past the truncation and satisfies
-    tail_bound < max(1e-12, value * 1e-9).
+    tail_bound < max(TAIL_ABSOLUTE, TAIL_RELATIVE * value).
     """
 
     value: float
@@ -355,9 +315,9 @@ def operator_norm(problem: LocalizationProblem) -> NormResult:
     g = None
     k_seed = 0
     while True:
-        if k > rho and p_tail < max(1e-12, 1e-9 * best):
+        if k > rho and p_tail < max(TAIL_ABSOLUTE, TAIL_RELATIVE * best):
             exact_tail = regularized_lower_gamma(k + 1, rho)
-            if exact_tail < max(1e-12, 1e-9 * best):
+            if exact_tail < max(TAIL_ABSOLUTE, TAIL_RELATIVE * best):
                 k_trunc = k
                 tail = exact_tail
                 break

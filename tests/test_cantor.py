@@ -1,7 +1,6 @@
 """Set-construction tests: digit enumeration, merged intervals, the
 distribution function, sibling alphabets, and the enumeration cap."""
 
-import io
 import math
 
 import numpy as np
@@ -69,7 +68,7 @@ def test_continuous_iterate_mid_third_first_step():
     assert it.lows.tolist() == [0.0, 2.0 / 3.0]
     assert it.highs.tolist() == [1.0 / 3.0, 1.0]
     assert it.count == 2
-    assert it.intervals[1].lo == 2.0 / 3.0
+    assert it.lows[1] == 2.0 / 3.0
 
 
 def test_continuous_iterate_depth_zero_is_whole_interval():
@@ -116,21 +115,6 @@ def test_measure_is_exact_at_depth():
     # comes from one exact integer count times the block quantum.
     it = continuous_iterate(MID_THIRD, 20, 1.0)
     assert it.measure == pytest.approx((2.0 / 3.0) ** 20, rel=1e-14)
-
-
-def test_interval_csv_round_trip(tmp_path):
-    it = continuous_iterate(MID_THIRD, 3, 1.0)
-    buf = io.StringIO()
-    it.to_csv(buf)
-    lines = buf.getvalue().splitlines()
-    assert lines[0] == "lo,hi"
-    assert len(lines) == it.count + 1
-    lo0, hi0 = lines[1].split(",")
-    assert float(lo0) == it.lows[0]
-    assert float(hi0) == it.highs[0]
-    path = tmp_path / "it.csv"
-    it.to_csv(path)
-    assert path.read_text().splitlines() == lines
 
 
 def test_cantor_function_boundary_values():

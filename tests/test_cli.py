@@ -5,6 +5,7 @@ import csv
 import io
 import json
 import math
+from pathlib import Path
 
 import pytest
 
@@ -256,6 +257,31 @@ def test_reruns_are_byte_identical(capsys):
     code2, out2, _ = run_cli(capsys, *argv)
     assert code1 == code2 == 0
     assert out1 == out2
+
+
+# Exact stdout of sweeps and norms that the benchmark does not run; between
+# them they reach every first-eigenvalue entry point and the metadata that
+# echoes the norm's truncation thresholds.
+GOLDEN = Path(__file__).parent / "golden"
+
+
+@pytest.mark.parametrize("argv, golden", [
+    ("sweep --experiment precise --base 3 --alphabet 0,2 --nmax 6 --format json",
+     "sweep_precise_base3.json"),
+    ("sweep --experiment indexed-decay --nmax 8 --seed 1 --format json",
+     "sweep_indexed_decay_seed1.json"),
+    ("sweep --experiment indexed-counterexample --base 4 --size 2 --nmax 5",
+     "sweep_indexed_counterexample.csv"),
+    ("sweep --experiment positive-measure --levels 8 --rho 1.0",
+     "sweep_positive_measure.csv"),
+    ("norm --base 3 --alphabet 1,2 --iterate 6 --rho 27 --format json",
+     "norm_reverse_base3.json"),
+])
+def test_golden_stdout(capsys, monkeypatch, argv, golden):
+    monkeypatch.delenv("CTFL_MAX_INTERVALS", raising=False)
+    code, out, err = run_cli(capsys, *argv.split())
+    assert (code, err) == (0, "")
+    assert out == (GOLDEN / golden).read_text(encoding="utf-8")
 
 
 def test_verify_report_is_deterministic(capsys):

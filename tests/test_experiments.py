@@ -52,18 +52,6 @@ def test_schedule_validation():
         RadiusSchedule(kind="capped")
 
 
-def test_schedule_cap_enforcement():
-    runaway = RadiusSchedule(kind="capped", rho_fn=lambda n: 4.0**n)
-    assert runaway.rho(3, 0) == 1.0
-    with pytest.raises(ScheduleError):
-        runaway.rho(3, 1)
-    inside = RadiusSchedule(kind="capped", rho_fn=lambda n: 2.0**n)
-    assert inside.rho(3, 5) == 32.0
-    vanishing = RadiusSchedule(kind="capped", rho_fn=lambda n: 0.0)
-    with pytest.raises(ScheduleError):
-        vanishing.rho(3, 1)
-
-
 def test_schedule_indexed_kind_is_exclusive():
     indexed = RadiusSchedule(kind="indexed_sqrt", gamma=3.0)
     assert indexed.rho_indexed(16) == pytest.approx(12.0)

@@ -1,7 +1,6 @@
 """Operator tests: eigenvalues against the closed form and brute-force
 block sums, relative areas, and the certified norm scan."""
 
-import io
 import math
 
 import numpy as np
@@ -15,10 +14,8 @@ from cantorloc import (
     ball_bound,
     eigenvalue,
     eigenvalue_table,
-    eigenvalue_table_to_csv,
     inner_rho,
     lambda0_closed_form,
-    lambda0_indexed,
     limit_relative_area,
     localization_problem,
     operator_norm,
@@ -69,7 +66,7 @@ def test_indexed_single_level_reduces_to_closed_form():
     spec = CantorSpec(6, (1, 4))
     levels = IndexedCantorSpec((spec,))
     for rho in (0.7, 5.0):
-        assert lambda0_indexed(levels, rho) == pytest.approx(
+        assert lambda0_closed_form(levels, 1, rho) == pytest.approx(
             lambda0_closed_form(spec, 1, rho), rel=1e-14)
 
 
@@ -82,15 +79,16 @@ def test_indexed_two_levels_match_brute_force():
         for a2 in (1, 3):
             lo = (a1 * 4 + a2) * width
             masses.append(-math.expm1(-width) * math.exp(-lo))
-    assert lambda0_indexed(levels, rho) == pytest.approx(math.fsum(masses), rel=1e-10)
+    assert lambda0_closed_form(levels, 2, rho) == pytest.approx(
+        math.fsum(masses), rel=1e-10)
 
 
 def test_indexed_prefix_depth():
     levels = IndexedCantorSpec((CantorSpec(3, (0, 1)), CantorSpec(5, (0, 1, 2))))
-    assert lambda0_indexed(levels, 2.0, n=1) == pytest.approx(
+    assert lambda0_closed_form(levels, 1, 2.0) == pytest.approx(
         lambda0_closed_form(CantorSpec(3, (0, 1)), 1, 2.0), rel=1e-14)
     with pytest.raises(ValueError):
-        lambda0_indexed(levels, 2.0, n=3)
+        lambda0_closed_form(levels, 3, 2.0)
 
 
 def test_eigenvalues_decrease_for_canonical_alphabets():
@@ -99,23 +97,6 @@ def test_eigenvalues_decrease_for_canonical_alphabets():
     values = [r.value for r in rows]
     assert all(a >= b for a, b in zip(values, values[1:]))
     assert [r.k for r in rows] == list(range(9))
-
-
-def test_eigenvalue_table_csv_round_trip(tmp_path):
-    problem = localization_problem(MID_THIRD, 2, 4.0)
-    rows = eigenvalue_table(problem, 5)
-    buf = io.StringIO()
-    eigenvalue_table_to_csv(rows, buf)
-    lines = buf.getvalue().splitlines()
-    assert lines[0] == "k,lambda,err"
-    assert len(lines) == 7
-    k, lam, err = lines[3].split(",")
-    assert int(k) == rows[2].k
-    assert float(lam) == rows[2].value
-    assert float(err) == rows[2].err
-    path = tmp_path / "eigs.csv"
-    eigenvalue_table_to_csv(rows, path)
-    assert path.read_text().splitlines() == lines
 
 
 def test_ball_bound_dominates_eigenvalues():

@@ -226,9 +226,11 @@ def _merged_intervals(levels: Sequence[CantorSpec], n: int, scale: float,
                             lows=lows, highs=highs)
 
 
-def continuous_iterate(spec: CantorSpec, n: int, scale: float,
+def continuous_iterate(spec: Union[CantorSpec, IndexedCantorSpec], n: int,
+                       scale: float,
                        max_intervals: int | None = None) -> IterateIntervals:
-    """Merged closed intervals of the n-th iterate scaled to [0, scale]."""
+    """Merged closed intervals of the n-th iterate scaled to [0, scale]; an
+    indexed spec uses its first n levels."""
     if n < 0:
         raise ValueError(f"iterate depth must be nonnegative, got {n}")
     cap = resolve_max_intervals(max_intervals)
@@ -238,10 +240,7 @@ def continuous_iterate(spec: CantorSpec, n: int, scale: float,
 def indexed_intervals(spec: IndexedCantorSpec, n: int, scale: float,
                       max_intervals: int | None = None) -> IterateIntervals:
     """continuous_iterate for per-level bases and alphabets."""
-    if n < 0:
-        raise ValueError(f"iterate depth must be nonnegative, got {n}")
-    cap = resolve_max_intervals(max_intervals)
-    return _merged_intervals(_levels_of(spec, n), n, scale, cap)
+    return continuous_iterate(spec, n, scale, max_intervals)
 
 
 def cantor_function(spec: CantorSpec, n: int, x: float) -> float:

@@ -27,13 +27,11 @@ from .cantor import (
     IterateIntervals,
     _levels_of,
     continuous_iterate,
-    indexed_intervals,
 )
 from .special import (
     log_density,
     log_segment_mass,
     regularized_lower_gamma,
-    segment_mass,
     segment_mass_batch,
 )
 
@@ -70,10 +68,7 @@ class LocalizationProblem:
 def localization_problem(spec: AnySpec, n: int, rho: float,
                          max_intervals: int | None = None) -> LocalizationProblem:
     """Problem whose set is the n-th iterate of *spec* scaled to [0, rho]."""
-    if isinstance(spec, IndexedCantorSpec):
-        ivals = indexed_intervals(spec, n, rho, max_intervals)
-    else:
-        ivals = continuous_iterate(spec, n, rho, max_intervals)
+    ivals = continuous_iterate(spec, n, rho, max_intervals)
     return LocalizationProblem(rho=float(rho), intervals=ivals, spec=spec, depth=n)
 
 
@@ -181,12 +176,11 @@ def relative_area(spec: CantorSpec, k: int, s: float, T: float) -> float:
     if s < 0.0:
         raise ValueError(f"segment start must be nonnegative, got {s!r}")
     M = spec.base
-    den = segment_mass(k, s, s + T)
-    if den.value > 1e-250:
-        num = math.fsum(
-            segment_mass(k, s + a * T / M, s + (a + 1) * T / M).value
-            for a in spec.alphabet)
-        return min(num / den.value, 1.0)
+    lows = [s] + [s + a * T / M for a in spec.alphabet]
+    highs = [s + T] + [s + (a + 1) * T / M for a in spec.alphabet]
+    masses, _ = segment_mass_batch(k, np.array(lows), np.array(highs))
+    if masses[0] > 1e-250:
+        return min(math.fsum(masses[1:]) / float(masses[0]), 1.0)
     log_den, _ = log_segment_mass(k, s, s + T)
     if log_den == -math.inf:
         raise DegenerateMassError(

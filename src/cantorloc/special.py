@@ -11,17 +11,19 @@ has the finite closed form
     Q(k+1, x) = e^(-x) * sum_{n=0..k} x^n / n!,
 
 which this module evaluates in log space so it survives x far beyond the
-range where e^(-x) is representable.  P uses the classic lower series below
-the crossover x = k + 1 and a Lentz-style continued fraction above it.
+range where e^(-x) is representable.  One engine, lower_tail_batch, takes
+an array of x at fixed k and computes each entry on the side where it is
+small: the lower series for P below the crossover x = k + 1, the Poisson
+sum for Q above it, and the other one as the complement.
 
-Segment masses over [a, b] are formed from whichever cumulative difference
-(lower masses or tail masses) cancels less; when both routes would cancel
-away more than ~40 bits the mass is integrated directly by adaptive
-Gauss-Legendre panels on the scaled integrand exp(log f_k(r) - max log f_k),
+Segment masses over [a, b] (segment_mass_batch) are formed from whichever
+cumulative difference (lower masses or tail masses) cancels less; when both
+routes would cancel away more than ~40 bits the mass is integrated directly
+by Gauss-Legendre panels on the scaled integrand exp(log f_k(r) - max log f_k),
 so thin segments anywhere on the axis keep close to full precision.
 
-Scalar functions carry the public contract; the *_batch variants are the
-vectorized engines used by the operator scans.
+The scalar functions regularized_lower_gamma, gamma_tail_mass and
+segment_mass are one-element calls of these batch engines.
 """
 
 from __future__ import annotations
@@ -36,10 +38,17 @@ _LOG_SQRT_2PI = 0.9189385332046727
 # Cancellation guard for cumulative differences: below this ratio of the
 # larger operand the difference has lost ~41 bits and quadrature takes over.
 _CANCEL_SWITCH = 2.0 ** -12
-# Series / continued-fraction iteration guard; generous because convergence
-# near x ~ k needs O(sqrt(k)) terms.
+# Series iteration guard; generous because convergence near x ~ k needs
+# O(sqrt(k)) terms.
 _MAX_ITER = 2_000_000
 _TINY = 1e-300
+# The engine loops test convergence once per this many terms.  Terms keep
+# shrinking past convergence and each is below half an ulp of its running
+# total (1e-17 * total for the series, 1e-18 against a total >= 1 for the
+# Poisson sum), so the extra terms leave every element unchanged.
+_CHECK_EVERY = 16
+# Offsets 0 .. 15 as a column: one division gives the factors of 16 terms.
+_STEPS = np.arange(float(_CHECK_EVERY))[:, None]
 
 
 def _validate_k(k) -> int:
@@ -66,18 +75,20 @@ def _phi(d):
     out = np.empty_like(d)
     near = np.abs(d) < 0.5
     dn = d[near]
+    # The m-th term is (-dn)^m / m and the sum exceeds dn^2 / 3.  From the
+    # first m with t^(m-2) / m <= 1e-19, t = max |dn|, on, every term is
+    # below 1e-18 of its sum, under a quarter ulp, so the terms left out
+    # could not change it.
+    t = float(np.max(np.abs(dn), initial=0.0))
+    m_stop = 3
+    while m_stop < 200 and t ** (m_stop - 2) > 1e-19 * m_stop:
+        m_stop += 1
+    neg = -dn
     term = dn * dn
     acc = term / 2.0
-    m = 3.0
-    while True:
-        term = term * -dn
-        step = term / m
-        acc += step
-        m += 1.0
-        if not np.any(np.abs(step) > 1e-18 * np.maximum(acc, 1e-30)):
-            break
-        if m > 200.0:
-            break
+    for m in range(3, m_stop + 1):
+        term = term * neg
+        acc += term / m
     out[near] = acc
     df = d[~near]
     # df = -1 (subnormal r / large mode) wants the +inf limit, not a warning.
@@ -115,108 +126,21 @@ def log_density(k: int, r):
     return out
 
 
-def _log_prefactor(a: int, x: float) -> float:
-    """log of x^a e^(-x) / Gamma(a) for integer a >= 1, x > 0."""
-    return log_density(a - 1, x) + math.log(x)
-
-
-def _lower_series(a: int, x: float) -> float:
-    """P(a, x) by the lower series; reliable for 0 < x < a."""
-    total = 1.0 / a
-    term = total
-    ap = float(a)
-    for _ in range(_MAX_ITER):
-        ap += 1.0
-        term *= x / ap
-        total += term
-        if term < total * 1e-17:
-            return total * math.exp(_log_prefactor(a, x))
-    raise ArithmeticError(f"lower gamma series stalled at a={a}, x={x}")
-
-
-def _upper_cf(a: int, x: float) -> float:
-    """Q(a, x) by the Lentz continued fraction; reliable for x >= a."""
-    b = x + 1.0 - a
-    c = 1.0 / _TINY
-    d = 1.0 / b
-    h = d
-    for i in range(1, _MAX_ITER):
-        an = -i * (i - a)
-        b += 2.0
-        d = an * d + b
-        if abs(d) < _TINY:
-            d = _TINY
-        c = b + an / c
-        if abs(c) < _TINY:
-            c = _TINY
-        d = 1.0 / d
-        delta = d * c
-        h *= delta
-        if abs(delta - 1.0) < 1e-16:
-            return h * math.exp(_log_prefactor(a, x))
-    raise ArithmeticError(f"upper gamma continued fraction stalled at a={a}, x={x}")
+def _point(x, which: str) -> np.ndarray:
+    x = float(x)
+    if not math.isfinite(x) or x < 0.0:
+        raise ValueError(f"{which} limit must be finite and nonnegative, got {x!r}")
+    return np.array([x])
 
 
 def regularized_lower_gamma(k: int, x: float) -> float:
-    """P(k+1, x): mass of f_k on [0, x].
-
-    Lower series below the crossover x = k + 1, continued fraction above it,
-    both scaled through the log-space prefactor.
-    """
-    k = _validate_k(k)
-    x = float(x)
-    if not math.isfinite(x) or x < 0.0:
-        raise ValueError(f"upper limit must be finite and nonnegative, got {x!r}")
-    if x == 0.0:
-        return 0.0
-    if x < k + 1.0:
-        return min(_lower_series(k + 1, x), 1.0)
-    return min(max(1.0 - _upper_cf(k + 1, x), 0.0), 1.0)
+    """P(k+1, x): mass of f_k on [0, x]; one element of lower_tail_batch."""
+    return float(lower_tail_batch(k, _point(x, "upper"))[0][0])
 
 
 def gamma_tail_mass(k: int, x: float) -> float:
-    """Q(k+1, x): mass of f_k on [x, inf), via the finite Poisson sum.
-
-    The sum is normalized by its largest term and accumulated with Kahan
-    compensation, so the result underflows gracefully instead of degrading.
-    """
-    k = _validate_k(k)
-    x = float(x)
-    if not math.isfinite(x) or x < 0.0:
-        raise ValueError(f"lower limit must be finite and nonnegative, got {x!r}")
-    if x == 0.0:
-        return 1.0
-    peak = min(k, int(x))
-    total = 1.0
-    comp = 0.0
-
-    def add(t: float):
-        nonlocal total, comp
-        y = t - comp
-        s = total + y
-        comp = (s - total) - y
-        total = s
-
-    term = 1.0
-    n = peak
-    while n > 0:
-        term *= n / x
-        if term < 1e-18:
-            break
-        add(term)
-        n -= 1
-    term = 1.0
-    n = peak
-    while n < k:
-        term *= x / (n + 1)
-        if term < 1e-18:
-            break
-        add(term)
-        n += 1
-    log_q = log_density(peak, x) + math.log(total)
-    if log_q >= 0.0:
-        return 1.0
-    return math.exp(log_q)
+    """Q(k+1, x): mass of f_k on [x, inf); one element of lower_tail_batch."""
+    return float(lower_tail_batch(k, _point(x, "lower"))[1][0])
 
 
 # ----------------------------------------------------------------------
@@ -300,33 +224,14 @@ def _mass_by_quadrature(k: int, a: float, b: float) -> SegmentMass:
 
 
 def segment_mass(k: int, a: float, b: float) -> SegmentMass:
-    """Mass of f_k on [a, b] with a certified relative error bound.
-
-    Forms the difference of cumulative masses through whichever of the two
-    complementary routes cancels less; if the surviving ratio is below the
-    cancellation switch the segment is integrated directly instead.
-    """
-    k = _validate_k(k)
+    """Mass of f_k on [a, b] with a relative error bound; one element of
+    segment_mass_batch."""
     a = float(a)
     b = float(b)
     if not (0.0 <= a <= b) or not math.isfinite(b):
         raise ValueError(f"segment must satisfy 0 <= a <= b, got [{a!r}, {b!r}]")
-    if a == b:
-        return SegmentMass(0.0, 0.0)
-    p_hi = regularized_lower_gamma(k, b)
-    q_lo = gamma_tail_mass(k, a)
-    d_p = p_hi - regularized_lower_gamma(k, a)
-    d_q = q_lo - gamma_tail_mass(k, b)
-    # Larger relative difference = fewer cancelled bits.
-    ratio_p = d_p / p_hi if p_hi > 0.0 else 0.0
-    ratio_q = d_q / q_lo if q_lo > 0.0 else 0.0
-    if ratio_q > ratio_p:
-        value, ratio = d_q, ratio_q
-    else:
-        value, ratio = d_p, ratio_p
-    if ratio < _CANCEL_SWITCH or not value > 0.0:
-        return _mass_by_quadrature(k, a, b)
-    return SegmentMass(value, max(8.0 * _EPS / ratio, 1e-15))
+    value, rel = segment_mass_batch(k, np.array([a]), np.array([b]))
+    return SegmentMass(float(value[0]), float(rel[0]))
 
 
 # ----------------------------------------------------------------------
@@ -353,11 +258,10 @@ def lower_tail_batch(k: int, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         xs = x[low]
         total = np.full_like(xs, 1.0 / a)
         term = total.copy()
-        ap = a
-        for _ in range(_MAX_ITER):
-            ap += 1.0
-            term = term * (xs / ap)
-            total += term
+        for first in range(k + 2, k + 2 + _MAX_ITER, _CHECK_EVERY):
+            for factor in xs / (first + _STEPS):
+                term = term * factor
+                total = total + term
             if not np.any(term > total * 1e-17):
                 break
         else:
@@ -372,13 +276,12 @@ def lower_tail_batch(k: int, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         # x >= k+1 puts the largest Poisson term at n = k; recurse downward.
         total = np.ones_like(xt)
         term = np.ones_like(xt)
-        n = k
-        while n > 0:
-            term = term * (n / xt)
+        for n in range(k, 0, -_CHECK_EVERY):
+            for factor in (n - _STEPS[:n]) / xt:
+                term = term * factor
+                total = total + term
             if not np.any(term > 1e-18):
                 break
-            total += term
-            n -= 1
         log_q = log_density(k, xt) + np.log(total)
         qv = np.exp(np.minimum(log_q, 0.0))
         q[high] = qv
@@ -431,8 +334,7 @@ def segment_mass_batch(k: int, lo: np.ndarray, hi: np.ndarray
         raise ValueError("segment bound arrays must have matching shapes")
     if np.any(lo < 0.0) or np.any(hi < lo):
         raise ValueError("segments must satisfy 0 <= lo <= hi")
-    p_lo, q_lo = lower_tail_batch(k, lo)
-    p_hi, q_hi = lower_tail_batch(k, hi)
+    (p_lo, p_hi), (q_lo, q_hi) = lower_tail_batch(k, np.stack((lo, hi)))
     d_p = p_hi - p_lo
     d_q = q_lo - q_hi
     use_q = d_q * p_hi > d_p * q_lo

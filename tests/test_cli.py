@@ -276,6 +276,13 @@ GOLDEN = Path(__file__).parent / "golden"
      "sweep_positive_measure.csv"),
     ("norm --base 3 --alphabet 1,2 --iterate 6 --rho 27 --format json",
      "norm_reverse_base3.json"),
+    # Eigenvalue table: 153 segments are flagged as cancelling and then
+    # proved to carry no representable mass.
+    ("eigs --base 3 --alphabet 0,2 --iterate 8 --rho 81 --kmax auto",
+     "eigs_mid_third_n8.csv"),
+    # Argmax 1967: 34 segments fall back to scalar adaptive quadrature.
+    ("norm --base 3 --alphabet 1,2 --iterate 15 --rho 3856.1790282438915",
+     "norm_reverse_n15.csv"),
 ])
 def test_golden_stdout(capsys, monkeypatch, argv, golden):
     monkeypatch.delenv("CTFL_MAX_INTERVALS", raising=False)

@@ -18,6 +18,7 @@ from cantorloc import (
     segment_mass,
     segment_mass_batch,
 )
+from cantorloc.special import _phi
 
 # mpmath at 40 significant digits, rounded to nearest double.
 FROZEN_LOWER = [
@@ -198,15 +199,15 @@ def test_lower_gamma_monotone_property(k, x1, x2):
 
 
 def test_batch_lower_tail_matches_scalar():
+    # Each element is independent of the batch around it, so the scalar
+    # one-element calls reproduce the batch bit for bit.
     rng = np.random.default_rng(11)
     for k in (0, 1, 19, 400, 9000):
         x = rng.uniform(0.0, 3.0 * (k + 1), size=64)
         p, q = lower_tail_batch(k, x)
         for i, xi in enumerate(x):
-            ps = regularized_lower_gamma(k, float(xi))
-            qs = gamma_tail_mass(k, float(xi))
-            assert p[i] == pytest.approx(ps, rel=2e-14, abs=1e-305)
-            assert q[i] == pytest.approx(qs, rel=2e-14, abs=1e-305)
+            assert regularized_lower_gamma(k, float(xi)) == p[i]
+            assert gamma_tail_mass(k, float(xi)) == q[i]
 
 
 def test_batch_segment_mass_matches_scalar():
@@ -219,3 +220,34 @@ def test_batch_segment_mass_matches_scalar():
             m = segment_mass(k, float(lo[i]), float(hi[i]))
             tol = (errs[i] + m.rel_err_bound) * max(m.value, 1e-300)
             assert abs(values[i] - m.value) <= tol + 1e-13 * m.value + 1e-300
+
+
+def _phi_reference(d):
+    """Series of phi(1 + d), |d| < 0.5, testing convergence after each term."""
+    term = d * d
+    acc = term / 2.0
+    m = 3.0
+    while True:
+        term = term * -d
+        step = term / m
+        acc += step
+        m += 1.0
+        if not np.any(np.abs(step) > 1e-18 * np.maximum(acc, 1e-30)) or m > 200.0:
+            return acc
+
+
+def test_phi_series_length_matches_checked_loop():
+    # _phi fixes the series length from max |d| in advance; it must give the
+    # same floats as a loop that tests every term.
+    rng = np.random.default_rng(13)
+    for size in (1, 2, 40):
+        for _ in range(80):
+            sign = rng.choice([-1.0, 1.0], size)
+            d = np.concatenate([
+                sign * rng.uniform(0.0, 0.5, size),
+                sign * (0.5 - 10.0 ** rng.uniform(-16.0, -1.0, size)),
+                sign * 10.0 ** rng.uniform(-40.0, -0.4, size),
+            ])
+            assert np.all(np.abs(d) < 0.5)
+            for part in (d[:size], d[size:2 * size], d[2 * size:], d):
+                assert np.array_equal(_phi(part), _phi_reference(part))

@@ -144,6 +144,9 @@ class IterateIntervals:
     measure: float
     lows: np.ndarray = field(repr=False)
     highs: np.ndarray = field(repr=False)
+    # Block count times block quantum for each interval; highs - lows loses
+    # the width to the rounding of both endpoints.  None means highs - lows.
+    widths: np.ndarray | None = field(default=None, repr=False)
 
     @property
     def count(self) -> int:
@@ -211,6 +214,7 @@ def _merged_intervals(levels: Sequence[CantorSpec], n: int, scale: float,
         ends = np.concatenate((gaps, [len(pts) - 1]))
         lows = pts[starts].astype(float) * width
         highs = (pts[ends].astype(float) + 1.0) * width
+        counts = (ends - starts + 1).astype(float)
     else:
         lows_list = [pts[0]]
         highs_list = []
@@ -221,9 +225,10 @@ def _merged_intervals(levels: Sequence[CantorSpec], n: int, scale: float,
         highs_list.append(pts[-1] + 1)
         lows = np.array([float(p) * width for p in lows_list])
         highs = np.array([float(p) * width for p in highs_list])
+        counts = np.array([float(h - lo) for lo, h in zip(lows_list, highs_list)])
     measure = width * float(math.prod(lv.size for lv in levels))
     return IterateIntervals(depth=n, scale=scale, measure=measure,
-                            lows=lows, highs=highs)
+                            lows=lows, highs=highs, widths=counts * width)
 
 
 def continuous_iterate(spec: Union[CantorSpec, IndexedCantorSpec], n: int,

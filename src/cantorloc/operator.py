@@ -81,7 +81,8 @@ class EigenvalueResult:
 
 def eigenvalue(problem: LocalizationProblem, k: int) -> EigenvalueResult:
     """lambda_k: summed segment masses with an accumulated error bound."""
-    vals, rels = segment_mass_batch(k, problem.intervals.lows, problem.intervals.highs)
+    ivals = problem.intervals
+    vals, rels = segment_mass_batch(k, ivals.lows, ivals.highs, ivals.widths)
     value = float(np.sum(vals))
     err = float(np.sum(vals * rels)) + 1e-300
     return EigenvalueResult(k=int(k), value=value, err=err)

@@ -14,16 +14,20 @@ which this module evaluates in log space so it survives x far beyond the
 range where e^(-x) is representable.  One engine, lower_tail_batch, takes
 an array of x at fixed k and computes each entry on the side where it is
 small: the lower series for P below the crossover x = k + 1, the Poisson
-sum for Q above it, and the other one as the complement.
+sum for Q above it, and the other one as the complement.  The scalar
+functions regularized_lower_gamma, gamma_tail_mass and segment_mass are
+one-element calls of the batch engines.
 
 Segment masses over [a, b] (segment_mass_batch) are formed from whichever
-cumulative difference (lower masses or tail masses) cancels less; when both
-routes would cancel away more than ~40 bits the mass is integrated directly
-by Gauss-Legendre panels on the scaled integrand exp(log f_k(r) - max log f_k),
-so thin segments anywhere on the axis keep close to full precision.
-
-The scalar functions regularized_lower_gamma, gamma_tail_mass and
-segment_mass are one-element calls of these batch engines.
+cumulative difference (lower masses or tail masses) cancels less.  Where
+both would lose more than ~40 bits, 32-point Gauss-Legendre panels work in
+offsets from s = clip(k, a, b): the node r = s + d carries f_k(r) / f_k(s)
+= exp(k log1p(d / s) - d), exact to about eps relative, and the prefactor
+f_k(s) is applied once per segment.  (A difference of two log-densities
+would carry their rounding, eps |log f_k|, and the node's, |k/r - 1|
+ulp(r).)  An exact width, if given, replaces the rounded b - a; adaptive
+bisection of the same panels takes what one refinement cannot certify.
+Both routes' bounds count the rounding of the log-space prefactors.
 """
 
 from __future__ import annotations
@@ -117,13 +121,27 @@ def log_density(k: int, r):
         # ~eps * lgamma(k+1).
         m = k + 1.0
         u = rp / m
-        out[pos] = (-k * _phi(u - 1.0) + (1.0 - u)
+        phi = _phi(u - 1.0)
+        # Below u = 1/2, 1 + (u - 1) would cost k eps / u; log u does not.
+        far = u < 0.5
+        with np.errstate(divide="ignore"):
+            phi[far] = (u[far] - 1.0) - np.log(u[far])
+        out[pos] = (-k * phi + (1.0 - u)
                     - 0.5 * math.log(m) - _LOG_SQRT_2PI - _stirling_corr(m))
     if k == 0:
         out[~pos] = 0.0
     if scalar:
         return float(out[0])
     return out
+
+
+def _prefactor_error(k: int, r, log_f):
+    """Relative error bound of exp(log_f), log_f = log_density(k, r): eps
+    times the terms log_f is summed from, and |r - k - 1| eps / 2 from the
+    rounding of u = r / (k+1) in the recentered form."""
+    m = k + 1.0
+    terms = 2.0 * (r + math.lgamma(m)) if k <= 20 else np.abs(r - m) + 2.0 * math.log(m)
+    return _EPS * (2.0 + 4.0 * np.abs(log_f) + terms)
 
 
 def _point(x, which: str) -> np.ndarray:
@@ -144,32 +162,41 @@ def gamma_tail_mass(k: int, x: float) -> float:
 
 
 # ----------------------------------------------------------------------
-# Adaptive Gauss-Legendre quadrature of the scaled density
+# Gauss-Legendre panels of the density in offsets from a reference point
 # ----------------------------------------------------------------------
 
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(32)
+# Node positions as fractions of a panel's width.
+_GL_FRACTIONS = 0.5 * (1.0 + _GL_NODES)
 
 
-def _panel(k: int, shift: float, lo: float, hi: float) -> float:
-    """32-point panel of exp(log f_k - shift) over [lo, hi]."""
-    half = 0.5 * (hi - lo)
-    mid = 0.5 * (hi + lo)
-    r = mid + half * _GL_NODES
-    g = np.exp(log_density(k, r) - shift)
-    return half * float(_GL_WEIGHTS @ g)
+def _panels(k: int, s, start: np.ndarray, width: np.ndarray) -> np.ndarray:
+    """32-point panels of f_k(r) / f_k(s) over r in [s + start, s + start +
+    width], one per element of start and width (and of s, if an array)."""
+    d = start[:, None] + width[:, None] * _GL_FRACTIONS
+    if k:
+        g = np.log1p(d / np.reshape(s, (-1, 1)))
+        g *= k
+        g -= d
+    else:
+        g = np.negative(d, out=d)
+    np.exp(g, out=g)
+    return (g @ _GL_WEIGHTS) * (0.5 * width)
 
 
-def _adaptive(k: int, shift: float, lo: float, hi: float,
+def _adaptive(k: int, s: float, start: float, width: float,
               tol: float, whole: float, depth: int) -> tuple[float, float]:
-    mid = 0.5 * (lo + hi)
-    left = _panel(k, shift, lo, mid)
-    right = _panel(k, shift, mid, hi)
+    """Bisect the panel over [s + start, s + start + width] until its halves
+    agree with the whole: (mass / f_k(s), error estimate)."""
+    half = 0.5 * width
+    left, right = _panels(k, s, np.array([start, start + half]),
+                          np.array([half, half])).tolist()
     refined = left + right
     err = abs(whole - refined)
     if err <= tol * abs(refined) + _TINY or depth >= 48:
         return refined, err
-    lv, le = _adaptive(k, shift, lo, mid, tol, left, depth + 1)
-    rv, re = _adaptive(k, shift, mid, hi, tol, right, depth + 1)
+    lv, le = _adaptive(k, s, start, half, tol, left, depth + 1)
+    rv, re = _adaptive(k, s, start + half, half, tol, right, depth + 1)
     return lv + rv, le + re
 
 
@@ -177,8 +204,9 @@ def log_segment_mass(k: int, a: float, b: float,
                      rel_tol: float = 1e-13) -> tuple[float, float]:
     """(log of integral of f_k over [a, b], relative error estimate).
 
-    Pure quadrature in scaled log space; valid for masses far below the
-    smallest normal double, where the plain value would flush to zero.
+    Adaptive panel quadrature scaled by f_k(clip(k, a, b)); valid for masses
+    far below the smallest normal double, where the plain value would flush
+    to zero.
     """
     k = _validate_k(k)
     a = float(a)
@@ -187,20 +215,11 @@ def log_segment_mass(k: int, a: float, b: float,
         raise ValueError(f"segment must satisfy 0 <= a <= b, got [{a!r}, {b!r}]")
     if a == b:
         return -math.inf, 0.0
-    shift = log_density(k, min(max(float(k), a), b))
-    pieces = [(a, b)]
-    if a < k < b:
-        pieces = [(a, float(k)), (float(k), b)]
-    total = 0.0
-    err = 0.0
-    for lo, hi in pieces:
-        whole = _panel(k, shift, lo, hi)
-        v, e = _adaptive(k, shift, lo, hi, rel_tol, whole, 0)
-        total += v
-        err += e
-    if total <= 0.0:
-        return -math.inf, 0.0
-    return shift + math.log(total), err / total
+    s = min(max(float(k), a), b)
+    shift = log_density(k, s)
+    whole = float(_panels(k, s, np.array([a - s]), np.array([b - a]))[0])
+    v, rel = _mass_by_quadrature(k, s, shift, a - s, b - a, whole, rel_tol)
+    return (shift + math.log(v), rel) if v > 0.0 else (-math.inf, 0.0)
 
 
 @dataclass(frozen=True)
@@ -211,16 +230,14 @@ class SegmentMass:
     rel_err_bound: float
 
 
-def _mass_by_quadrature(k: int, a: float, b: float) -> SegmentMass:
-    # max f_k on [a, b] times the width bounds the mass; below the double
-    # range the correctly rounded answer is an exact zero, no quadrature.
-    if log_density(k, min(max(float(k), a), b)) + math.log(b - a) < -708.0:
-        return SegmentMass(0.0, 0.0)
-    log_v, rel = log_segment_mass(k, a, b, rel_tol=1e-13)
-    if log_v == -math.inf:
-        return SegmentMass(0.0, 0.0)
-    value = math.exp(log_v) if log_v > -708.0 else 0.0
-    return SegmentMass(value, max(rel, 1e-15))
+def _mass_by_quadrature(k: int, s: float, shift: float, start: float,
+                        width: float, whole: float, tol: float = 1e-13
+                        ) -> tuple[float, float]:
+    """Adaptive bisection of one segment [s + start, s + start + width],
+    shift = log_density(k, s): (mass / f_k(s), relative error bound)."""
+    v, e = _adaptive(k, s, start, width, tol, whole, 0)
+    return v, (e / v if v > 0.0 else 0.0) + 4.0 * _EPS + float(
+        _prefactor_error(k, s, shift))
 
 
 def segment_mass(k: int, a: float, b: float) -> SegmentMass:
@@ -289,52 +306,47 @@ def lower_tail_batch(k: int, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return p, q
 
 
-def _quadrature_flagged(k: int, lo: np.ndarray, hi: np.ndarray
-                        ) -> tuple[np.ndarray, np.ndarray]:
-    """One vectorized panel + refinement for many segments; scalar adaptive
-    quadrature mops up any segment the single refinement cannot certify."""
-    mode = np.clip(float(k), lo, hi)
-    shift = log_density(k, mode)
-
-    def panels(los, his):
-        half = 0.5 * (his - los)[:, None]
-        mid = 0.5 * (his + los)[:, None]
-        r = mid + half * _GL_NODES[None, :]
-        # Same recentered exponent as the shift, so the scale error is
-        # common to all nodes and cancels in the difference.
-        g = np.exp(log_density(k, r) - shift[:, None])
-        return (g @ _GL_WEIGHTS) * half[:, 0]
-
-    whole = panels(lo, hi)
-    mid = 0.5 * (lo + hi)
-    refined = panels(lo, mid) + panels(mid, hi)
-    err = np.abs(whole - refined)
-    scale = np.exp(np.minimum(shift, 0.0))
-    values = refined * scale
+def _quadrature_flagged(k: int, lo: np.ndarray, hi: np.ndarray,
+                        width: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Masses over [lo, lo + width] from one panel and its two halves per
+    segment; adaptive bisection takes any segment they do not certify."""
+    values, rel = np.zeros((2, lo.size))
+    s = np.clip(float(k), lo, hi)
+    shift = log_density(k, s)
+    # Max f_k times the width below the double range: the mass is an exact 0.
+    live = np.nonzero(shift + np.log(width) >= -708.0)[0]
+    s, shift, width = s[live], shift[live], width[live]
+    start = lo[live] - s
+    whole = _panels(k, s, start, width)
+    half = 0.5 * width
+    refined = _panels(k, s, start, half) + _panels(k, s, start + half, half)
     with np.errstate(divide="ignore", invalid="ignore"):
-        rel = np.where(refined > 0.0, err / np.abs(refined), 0.0)
-    rel = np.maximum(rel, 1e-15)
-    rough = rel > 1e-13
-    if np.any(rough):
-        idx = np.nonzero(rough)[0]
-        for i in idx:
-            m = _mass_by_quadrature(k, float(lo[i]), float(hi[i]))
-            values[i] = m.value
-            rel[i] = m.rel_err_bound
+        quad = np.where(refined > 0.0, np.abs(whole - refined) / refined, 0.0)
+    # Segments come here only when thin against the density's scale, so the
+    # panel exponents stay O(1) and add a few eps, like the weighted sum.
+    rel[live] = quad + 4.0 * _EPS + _prefactor_error(k, s, shift)
+    for j in np.nonzero(quad > 1e-13)[0]:
+        refined[j], rel[live[j]] = _mass_by_quadrature(
+            k, s[j], shift[j], start[j], width[j], whole[j])
+    values[live] = refined * np.exp(np.minimum(shift, 0.0))
     return values, rel
 
 
-def segment_mass_batch(k: int, lo: np.ndarray, hi: np.ndarray
+def segment_mass_batch(k: int, lo: np.ndarray, hi: np.ndarray,
+                       width: np.ndarray | None = None
                        ) -> tuple[np.ndarray, np.ndarray]:
-    """Masses of f_k over many segments: (values, relative error bounds)."""
+    """Masses of f_k over many segments: (values, relative error bounds).
+    Exact widths, if given, replace hi - lo on the quadrature route."""
     k = _validate_k(k)
     lo = np.asarray(lo, dtype=float)
     hi = np.asarray(hi, dtype=float)
-    if lo.shape != hi.shape:
+    width = hi - lo if width is None else np.asarray(width, dtype=float)
+    if lo.shape != hi.shape or width.shape != lo.shape:
         raise ValueError("segment bound arrays must have matching shapes")
     if np.any(lo < 0.0) or np.any(hi < lo):
         raise ValueError("segments must satisfy 0 <= lo <= hi")
-    (p_lo, p_hi), (q_lo, q_hi) = lower_tail_batch(k, np.stack((lo, hi)))
+    x = np.stack((lo, hi))
+    (p_lo, p_hi), (q_lo, q_hi) = lower_tail_batch(k, x)
     d_p = p_hi - p_lo
     d_q = q_lo - q_hi
     use_q = d_q * p_hi > d_p * q_lo
@@ -342,29 +354,16 @@ def segment_mass_batch(k: int, lo: np.ndarray, hi: np.ndarray
     ref = np.where(use_q, q_lo, p_hi)
     with np.errstate(divide="ignore", invalid="ignore"):
         ratio = np.where(ref > 0.0, value / ref, 0.0)
-    rel = np.maximum(8.0 * _EPS / np.maximum(ratio, 1e-30), 1e-15)
-    degenerate = hi == lo
-    flagged = ((ratio < _CANCEL_SWITCH) | (value <= 0.0)) & ~degenerate
+        # Each endpoint's P or Q carries 4 eps from its sum and the rounding
+        # of its prefactor; at x = 0 both are exact.
+        log_f = k * np.log(x) - x - math.lgamma(k + 1) if k else -x
+        ends = np.where(use_q, (q_lo, q_hi), (p_lo, p_hi))
+        err = np.where(x > 0.0, 4.0 * _EPS + _prefactor_error(k, x, log_f), 0.0) * ends
+        rel = np.where(value > 0.0, (err[0] + err[1]) / value, 0.0)
+    # A degenerate segment (hi == lo) has value 0 from identical endpoints.
+    flagged = ((ratio < _CANCEL_SWITCH) | (value <= 0.0)) & (hi > lo)
     if np.any(flagged):
-        # Drop segments whose mass provably sits below the double range:
-        # max f_k times the width already rounds to an exact zero.
-        fl, fh = lo[flagged], hi[flagged]
-        mode = np.clip(float(k), fl, fh)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            log_peak = k * np.log(mode) - mode - math.lgamma(k + 1)
-        if k == 0:
-            log_peak = -mode
-        log_cap = log_peak + np.log(fh - fl)
-        dead = np.zeros_like(flagged)
-        dead[flagged] = log_cap < -708.0
-        value = value.copy()
-        value[dead] = 0.0
-        rel[dead] = 0.0
-        flagged &= ~dead
-    if np.any(flagged):
-        fv, fe = _quadrature_flagged(k, lo[flagged], hi[flagged])
+        fv, fe = _quadrature_flagged(k, lo[flagged], hi[flagged], width[flagged])
         value[flagged] = fv
         rel[flagged] = fe
-    value = np.where(degenerate, 0.0, value)
-    rel = np.where(degenerate, 0.0, rel)
     return value, rel

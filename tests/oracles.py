@@ -2,15 +2,17 @@
 
 Nothing here calls into cantorloc's own series, continued fractions, or
 merged-interval enumeration: gamma tails come from scipy, segment masses
-from scipy adaptive quadrature on a peak-shifted integrand, Cantor
-iterates from direct recursive subdivision in plain floats, and the first
-eigenvalue from exponential sums over those blocks.
+from scipy adaptive quadrature on a peak-shifted integrand or from mpmath's
+incomplete gamma function, Cantor iterates from direct recursive
+subdivision in plain floats, and the first eigenvalue from exponential sums
+over those blocks.
 """
 
 from __future__ import annotations
 
 import math
 
+import mpmath
 import numpy as np
 from scipy import integrate, special
 
@@ -53,6 +55,23 @@ def segment_mass_quad(k: int, a: float, b: float) -> float:
     val, _ = integrate.quad(f, a, b, limit=500, points=points,
                             epsabs=1e-290, epsrel=1e-12)
     return val * math.exp(shift)
+
+
+def segment_mass_mp(k: int, a: float, b: float, dps: int = 60) -> float:
+    """Integral of r^k e^-r / k! over [a, b] from mpmath's regularized
+    incomplete gamma function at dps digits, with a and b taken as the exact
+    binary values they hold.  Thin segments cancel in the difference of the
+    two tails; 60 digits leave well over 30 after a width of 1e-8 relative."""
+    with mpmath.workdps(dps):
+        return float(mpmath.gammainc(k + 1, mpmath.mpf(a), mpmath.mpf(b),
+                                     regularized=True))
+
+
+def log_density_mp(k: int, r: float, dps: int = 50) -> float:
+    """k ln r - r - lgamma(k+1) at dps digits, r taken as its exact value."""
+    with mpmath.workdps(dps):
+        r = mpmath.mpf(r)
+        return float(k * mpmath.log(r) - r - mpmath.loggamma(k + 1))
 
 
 # ----------------------------------------------------------------------

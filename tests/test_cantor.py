@@ -88,6 +88,19 @@ def test_continuous_iterate_merges_touching_blocks():
     assert it.highs == pytest.approx([2.0 / 9.0, 5.0 / 9.0], abs=0.0)
 
 
+def test_continuous_iterate_widths_count_whole_blocks():
+    # Merged runs of one, two and more blocks, through the int64 and the
+    # exact-int enumerations; highs - lows only approximates these.
+    for spec, n, scale in ((CantorSpec(3, (0, 1)), 2, 1.0),
+                           (CantorSpec(3, (1, 2)), 6, 27.0),
+                           (CantorSpec(2 ** 40, (0, 1, 5)), 2, 3.0)):
+        it = continuous_iterate(spec, n, scale)
+        quantum = scale / spec.base ** n
+        counts = np.rint((it.highs - it.lows) / quantum)
+        assert counts.sum() == spec.size ** n
+        assert np.array_equal(it.widths, counts * quantum)
+
+
 def test_iterate_matches_block_oracle():
     rng = np.random.default_rng(3)
     for _ in range(40):

@@ -280,7 +280,7 @@ GOLDEN = Path(__file__).parent / "golden"
     # proved to carry no representable mass.
     ("eigs --base 3 --alphabet 0,2 --iterate 8 --rho 81 --kmax auto",
      "eigs_mid_third_n8.csv"),
-    # Argmax 1967: 34 segments fall back to scalar adaptive quadrature.
+    # Argmax 1967: thin segments near the mode, all on the panel route.
     ("norm --base 3 --alphabet 1,2 --iterate 15 --rho 3856.1790282438915",
      "norm_reverse_n15.csv"),
 ])

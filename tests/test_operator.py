@@ -177,6 +177,17 @@ def test_norm_zero_radius():
     assert res.tail_bound == 0.0
 
 
+def test_depth_sixteen_matches_exact_moment_references():
+    # 40-digit references from the exact-moment method.  Near r = 6,500 the
+    # blocks are 1.5e-4 wide and the float width hi - lo is off by ~6e-9,
+    # which once put lambda_6561 6.2e-11 off against a claimed 2.3e-15.
+    lam = eigenvalue(localization_problem(MID_THIRD, 16, 3.0 ** 8), 6561)
+    assert abs(lam.value - 0.0027585743301103166) <= lam.err
+    res = operator_norm(localization_problem(CantorSpec(3, (1, 2)), 16, 3.0 ** 8))
+    assert res.argmax_k == 3341
+    assert abs(res.value - 0.0066523927252484441) <= res.value_err
+
+
 def test_norm_certificate_invariants():
     rng = np.random.default_rng(31)
     for _ in range(12):

@@ -10,15 +10,19 @@ from hypothesis import strategies as st
 
 import oracles
 from cantorloc import (
+    CantorSpec,
+    eigenvalue,
     gamma_tail_mass,
+    localization_problem,
     log_density,
     log_segment_mass,
     lower_tail_batch,
     regularized_lower_gamma,
     segment_mass,
     segment_mass_batch,
+    special,
 )
-from cantorloc.special import _phi
+from cantorloc.special import _phi, _prefactor_error
 
 # mpmath at 40 significant digits, rounded to nearest double.
 FROZEN_LOWER = [
@@ -133,6 +137,69 @@ def test_log_density_batch_matches_scalar():
     batch = log_density(7, r)
     for i, ri in enumerate(r):
         assert batch[i] == log_density(7, float(ri))
+
+
+def test_log_density_matches_mpmath_within_its_bound():
+    # Far below the mode, 1 + (u - 1) must not stand in for u = r / (k+1):
+    # at (40, 1.78e-5) that cost 4.6e-9 and at (1000, 1.0) 3.4e-11.
+    points = [(40, 1.78e-5), (1000, 1.0), (21, 1e-3), (25, 3.0), (10, 0.3),
+              (5000, 1200.0), (5000, 5000.0), (5000, 9000.0)]
+    rng = np.random.default_rng(17)
+    for _ in range(200):
+        k = int(10.0 ** rng.uniform(0.0, 5.0))
+        points.append((k, (k + 1) * 10.0 ** rng.uniform(-6.0, 0.5)))
+    for k, r in points:
+        ld = log_density(k, r)
+        assert abs(ld - oracles.log_density_mp(k, r)) <= _prefactor_error(k, r, ld)
+
+
+@pytest.mark.parametrize("seed, k_min, k_max", [(7, 10.0, 2.0e4), (8, 0.5, 20.0)])
+def test_segment_bound_holds_against_mpmath(seed, k_min, k_max):
+    # lo within a few standard deviations of the mode, widths 1e-8 to 1; at
+    # seed 7, 61 segments take a cumulative difference and 139 the panels.
+    rng = np.random.default_rng(seed)
+    for _ in range(200):
+        k = int(round(10.0 ** rng.uniform(math.log10(k_min), math.log10(k_max))))
+        a = max(0.0, k + rng.normal(0.0, 4.0 * math.sqrt(k)))
+        b = a + 10.0 ** rng.uniform(-8.0, 0.0)
+        m = segment_mass(k, a, b)
+        ref = oracles.segment_mass_mp(k, a, b)
+        assert abs(m.value - ref) <= m.value * m.rel_err_bound
+
+
+def _count_fallbacks(monkeypatch):
+    calls = []
+    real = special._mass_by_quadrature
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(special, "_mass_by_quadrature", counted)
+    return calls
+
+
+@pytest.mark.parametrize("rho, k", [(3856.1790282438915, 1967),
+                                    (3674.3552626685405, 1875)])
+def test_reverse_argmax_needs_no_adaptive_fallback(monkeypatch, rho, k):
+    # k is the argmax of `norm --base 3 --alphabet 1,2 --iterate 15 --rho
+    # <rho>`.  Offsets from the reference point certify every thin segment
+    # in one panel refinement; differences of log-densities sent 34 and
+    # 1,909 segments to adaptive bisection.
+    calls = _count_fallbacks(monkeypatch)
+    eigenvalue(localization_problem(CantorSpec(3, (1, 2)), 15, rho), k)
+    assert calls == []
+
+
+def test_thin_segments_below_mode_need_no_fallback(monkeypatch):
+    # Masses near 1e-240: the log-density rounding (~1e-13) once sent these
+    # to seconds of bisection on noise.
+    calls = _count_fallbacks(monkeypatch)
+    for a in (0.1753561, 0.18284164):
+        m = segment_mass(100, a, a + 1e-8)
+        ref = oracles.segment_mass_mp(100, a, a + 1e-8)
+        assert abs(m.value - ref) <= m.value * m.rel_err_bound
+    assert calls == []
 
 
 def test_validation_rejects_bad_orders_and_arguments():

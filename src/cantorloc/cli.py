@@ -23,7 +23,6 @@ import csv
 import io
 import math
 import sys
-from dataclasses import dataclass
 
 from . import __version__
 from .cantor import (
@@ -51,18 +50,6 @@ from .operator import (
     operator_norm,
 )
 from .verify import SUITE_NAMES, run_suites
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """One parsed invocation: subcommand, output routing, common knobs."""
-
-    command: str
-    out: str | None
-    format: str
-    seed: int
-    tol: float | None
-    params: dict
 
 
 # ----------------------------------------------------------------------
@@ -166,18 +153,18 @@ def _spec_info(spec) -> dict:
     return {"alphabet": list(spec.alphabet), "base": spec.base}
 
 
-def _metadata(cfg: RunConfig, spec=None, schedule=None, gamma=None,
+def _metadata(args: argparse.Namespace, spec=None, schedule=None, gamma=None,
               h_equivalent=None, extra=None) -> dict:
     md = {
         "cap": resolve_max_intervals(),
         "gamma": gamma,
         "h_equivalent": h_equivalent,
         "schedule": schedule,
-        "seed": cfg.seed,
+        "seed": args.seed,
         "spec": None if spec is None else _spec_info(spec),
         "tolerances": {"tail_absolute": TAIL_ABSOLUTE,
                        "tail_relative": TAIL_RELATIVE,
-                       "tol_override": cfg.tol},
+                       "tol_override": args.tol},
         "version": __version__,
     }
     if extra:
@@ -185,8 +172,8 @@ def _metadata(cfg: RunConfig, spec=None, schedule=None, gamma=None,
     return md
 
 
-def _table(cfg: RunConfig, columns, rows, metadata) -> str:
-    if cfg.format == "csv":
+def _table(args: argparse.Namespace, columns, rows, metadata) -> str:
+    if args.fmt == "csv":
         return render_csv(columns, rows)
     return render_json({"columns": list(columns),
                         "metadata": metadata,
@@ -216,15 +203,15 @@ def parse_levels_file(path: str) -> IndexedCantorSpec:
     return IndexedCantorSpec(tuple(levels))
 
 
-def _spec_from(p: dict):
-    if p.get("levels_file"):
-        if p.get("base") is not None or p.get("alphabet") is not None:
+def _spec_from(args: argparse.Namespace):
+    if args.levels_file:
+        if args.base is not None or args.alphabet is not None:
             raise ValueError("--levels-file excludes --base/--alphabet")
-        return parse_levels_file(p["levels_file"])
-    if p.get("base") is None or p.get("alphabet") is None:
+        return parse_levels_file(args.levels_file)
+    if args.base is None or args.alphabet is None:
         raise ValueError("--base and --alphabet are required "
                          "(or pass --levels-file)")
-    return CantorSpec(p["base"], p["alphabet"])
+    return CantorSpec(args.base, args.alphabet)
 
 
 def _h_equivalent(spec, n: int) -> float:
@@ -237,96 +224,92 @@ def _h_equivalent(spec, n: int) -> float:
 # Subcommands
 # ----------------------------------------------------------------------
 
-def cmd_eigs(cfg: RunConfig) -> int:
-    p = cfg.params
-    spec = _spec_from(p)
-    problem = localization_problem(spec, p["iterate"], p["rho"])
-    if p["kmax"] == "auto":
+def cmd_eigs(args: argparse.Namespace) -> int:
+    spec = _spec_from(args)
+    problem = localization_problem(spec, args.iterate, args.rho)
+    if args.kmax == "auto":
         k_hi = operator_norm(problem).k_truncation
     else:
-        k_hi = p["kmax"]
+        k_hi = args.kmax
     table = eigenvalue_table(problem, k_hi)
     rows = [(r.k, r.value, r.err) for r in table]
-    md = _metadata(cfg, spec=spec,
-                   h_equivalent=_h_equivalent(spec, p["iterate"]),
-                   extra={"iterate": p["iterate"], "rho": p["rho"]})
-    _emit(_table(cfg, ("k", "lambda", "err"), rows, md), cfg.out)
+    md = _metadata(args, spec=spec,
+                   h_equivalent=_h_equivalent(spec, args.iterate),
+                   extra={"iterate": args.iterate, "rho": args.rho})
+    _emit(_table(args, ("k", "lambda", "err"), rows, md), args.out)
     return 0
 
 
-def cmd_norm(cfg: RunConfig) -> int:
-    p = cfg.params
-    spec = _spec_from(p)
-    problem = localization_problem(spec, p["iterate"], p["rho"])
+def cmd_norm(args: argparse.Namespace) -> int:
+    spec = _spec_from(args)
+    problem = localization_problem(spec, args.iterate, args.rho)
     res = operator_norm(problem)
     columns = ("value", "argmax_k", "k_truncation", "tail_bound", "value_err")
     rows = [(res.value, res.argmax_k, res.k_truncation, res.tail_bound,
              res.value_err)]
-    md = _metadata(cfg, spec=spec,
-                   h_equivalent=_h_equivalent(spec, p["iterate"]),
-                   extra={"iterate": p["iterate"], "rho": p["rho"]})
-    _emit(_table(cfg, columns, rows, md), cfg.out)
+    md = _metadata(args, spec=spec,
+                   h_equivalent=_h_equivalent(spec, args.iterate),
+                   extra={"iterate": args.iterate, "rho": args.rho})
+    _emit(_table(args, columns, rows, md), args.out)
     return 0
 
 
-def cmd_cantor_fn(cfg: RunConfig) -> int:
-    p = cfg.params
-    spec = CantorSpec(p["base"], p["alphabet"])
-    value = cantor_function(spec, p["iterate"], p["x"])
-    md = _metadata(cfg, spec=spec,
-                   h_equivalent=_h_equivalent(spec, p["iterate"]),
-                   extra={"iterate": p["iterate"]})
-    _emit(_table(cfg, ("x", "value"), [(p["x"], value)], md), cfg.out)
+def cmd_cantor_fn(args: argparse.Namespace) -> int:
+    spec = CantorSpec(args.base, args.alphabet)
+    value = cantor_function(spec, args.iterate, args.x)
+    md = _metadata(args, spec=spec,
+                   h_equivalent=_h_equivalent(spec, args.iterate),
+                   extra={"iterate": args.iterate})
+    _emit(_table(args, ("x", "value"), [(args.x, value)], md), args.out)
     return 0
 
 
-def _sweep_nmax(p: dict, default: int) -> int:
-    return default if p["nmax"] is None else p["nmax"]
+def _sweep_nmax(args: argparse.Namespace, default: int) -> int:
+    return default if args.nmax is None else args.nmax
 
 
-def _reject_fixed_spec_flags(p: dict, experiment: str) -> None:
-    if p.get("alphabet") is not None or p.get("levels_file"):
+def _reject_fixed_spec_flags(args: argparse.Namespace, experiment: str) -> None:
+    if args.alphabet is not None or args.levels_file:
         raise ValueError(f"{experiment} sweeps take --base and --size, "
                          "not --alphabet/--levels-file")
 
 
-def cmd_sweep(cfg: RunConfig) -> int:
-    p = cfg.params
-    exp = p["experiment"]
-    gamma = p["gamma"]
+def cmd_sweep(args: argparse.Namespace) -> int:
+    exp = args.experiment
+    gamma = args.gamma
 
     if exp == "precise":
-        if p.get("levels_file"):
+        if args.levels_file:
             raise ValueError("precise sweeps take --base/--alphabet")
-        spec = _spec_from(p)
-        n_max = _sweep_nmax(p, 8)
+        spec = _spec_from(args)
+        n_max = _sweep_nmax(args, 8)
         schedule = RadiusSchedule("power_half", gamma)
         rows = [(r.n, r.rho, r.norm, r.lambda0_canonical, r.scaled_norm,
                  r.thm32_ratio) for r in sweep_fixed(spec, schedule, n_max)]
         columns = SWEEP_COLUMNS
-        md = _metadata(cfg, spec=spec, schedule="power_half", gamma=gamma,
+        md = _metadata(args, spec=spec, schedule="power_half", gamma=gamma,
                        h_equivalent=_h_equivalent(spec, n_max))
 
     elif exp == "reverse":
-        _reject_fixed_spec_flags(p, "reverse")
-        base, size = p["base"] or 3, p["size"] or 2
-        n_max = _sweep_nmax(p, 10)
+        _reject_fixed_spec_flags(args, "reverse")
+        base, size = args.base or 3, args.size or 2
+        n_max = _sweep_nmax(args, 10)
         schedule = RadiusSchedule("power_half", gamma)
         rows = sweep_reverse_counterexample(base, size, schedule, n_max)
         columns = ("n", "ratio")
-        md = _metadata(cfg, schedule="power_half", gamma=gamma,
+        md = _metadata(args, schedule="power_half", gamma=gamma,
                        h_equivalent=float(base) ** -n_max,
                        extra={"params": {"base": base, "size": size}})
 
     elif exp == "indexed-decay":
-        _reject_fixed_spec_flags(p, "indexed-decay")
-        n_max = _sweep_nmax(p, 20)
-        params = DecayParams(M=p["base"] or 3, delta=p["delta"],
-                             epsilon=p["epsilon"], gamma=gamma, n_max=n_max)
-        result = sweep_indexed_decay(params, seed=cfg.seed)
+        _reject_fixed_spec_flags(args, "indexed-decay")
+        n_max = _sweep_nmax(args, 20)
+        params = DecayParams(M=args.base or 3, delta=args.delta,
+                             epsilon=args.epsilon, gamma=gamma, n_max=n_max)
+        result = sweep_indexed_decay(params, seed=args.seed)
         rows = result.rows
         columns = ("n", "lambda0", "fitted_beta")
-        md = _metadata(cfg, spec=result.levels, schedule="indexed_sqrt",
+        md = _metadata(args, spec=result.levels, schedule="indexed_sqrt",
                        gamma=gamma,
                        h_equivalent=1.0 / float(result.levels.base_product(n_max)),
                        extra={"fitted_beta": result.fitted_beta,
@@ -334,41 +317,40 @@ def cmd_sweep(cfg: RunConfig) -> int:
                                          "epsilon": params.epsilon}})
 
     elif exp == "indexed-counterexample":
-        _reject_fixed_spec_flags(p, "indexed-counterexample")
-        base, size = p["base"] or 4, p["size"] or 2
-        n_max = _sweep_nmax(p, 5)
+        _reject_fixed_spec_flags(args, "indexed-counterexample")
+        base, size = args.base or 4, args.size or 2
+        n_max = _sweep_nmax(args, 5)
         result = sweep_indexed_counterexample(base, size, gamma=gamma,
                                               n_max=n_max)
         rows = result.rows
         columns = ("n", "lambda0", "lower_bound_product")
         log_h = -math.fsum(math.log(b) for b in result.bases)
-        md = _metadata(cfg, schedule="indexed_sqrt", gamma=gamma,
+        md = _metadata(args, schedule="indexed_sqrt", gamma=gamma,
                        h_equivalent=math.exp(log_h),
                        extra={"lower_bound_product": result.lower_bound_product,
                               "params": {"base": base, "size": size}})
 
     else:  # positive-measure
-        if p.get("levels_file"):
-            levels = list(parse_levels_file(p["levels_file"]).levels)
+        if args.levels_file:
+            levels = list(parse_levels_file(args.levels_file).levels)
         else:
-            levels = p["levels"]
-        result = positive_measure_demo(levels, p["rho"])
+            levels = args.levels
+        result = positive_measure_demo(levels, args.rho)
         rows = result.rows
         columns = ("n", "measure", "lambda0", "norm_lower_bound")
         md = _metadata(
-            cfg, gamma=gamma,
+            args, gamma=gamma,
             extra={"measure_limit_estimate": result.measure_limit_estimate,
                    "norm_lower_bound": result.norm_lower_bound,
                    "rho": result.rho})
 
-    _emit(_table(cfg, columns, rows, md), cfg.out)
+    _emit(_table(args, columns, rows, md), args.out)
     return 0
 
 
-def cmd_verify(cfg: RunConfig) -> int:
-    p = cfg.params
-    checks = run_suites(names=(p["suite"],), seed=cfg.seed,
-                        samples=p["samples"], tol=cfg.tol)
+def cmd_verify(args: argparse.Namespace) -> int:
+    checks = run_suites(names=(args.suite,), seed=args.seed,
+                        samples=args.samples, tol=args.tol)
     lines = []
     for c in checks:
         status = "PASS" if c.passed else "FAIL"
@@ -381,13 +363,13 @@ def cmd_verify(cfg: RunConfig) -> int:
     lines.append(f"{n_pass}/{len(checks)} properties passed")
     sys.stdout.write("\n".join(lines) + "\n")
 
-    if cfg.out is not None:
+    if args.out is not None:
         columns = ("suite", "name", "passed", "worst", "tol", "samples", "note")
         rows = [(c.suite, c.name, c.passed, c.worst, c.tol, c.samples, c.note)
                 for c in checks]
-        md = _metadata(cfg, extra={"samples": p["samples"],
-                                   "suite": p["suite"]})
-        _emit(_table(cfg, columns, rows, md), cfg.out)
+        md = _metadata(args, extra={"samples": args.samples,
+                                   "suite": args.suite})
+        _emit(_table(args, columns, rows, md), args.out)
     return 0 if n_pass == len(checks) else 1
 
 
@@ -499,13 +481,8 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
-    ns = vars(args)
-    cfg = RunConfig(command=ns.pop("command"), out=ns.pop("out"),
-                    format=ns.pop("fmt"), seed=ns.pop("seed"),
-                    tol=ns.pop("tol"), params=ns)
-    func = ns.pop("func")
     try:
-        return func(cfg)
+        return args.func(args)
     except CapExceededError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3

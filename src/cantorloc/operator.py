@@ -55,8 +55,6 @@ class LocalizationProblem:
 
     rho: float
     intervals: IterateIntervals
-    spec: AnySpec | None = None
-    depth: int = 0
 
     def __post_init__(self):
         if not (self.rho >= 0.0) or not math.isfinite(self.rho):
@@ -69,7 +67,7 @@ def localization_problem(spec: AnySpec, n: int, rho: float,
                          max_intervals: int | None = None) -> LocalizationProblem:
     """Problem whose set is the n-th iterate of *spec* scaled to [0, rho]."""
     ivals = continuous_iterate(spec, n, rho, max_intervals)
-    return LocalizationProblem(rho=float(rho), intervals=ivals, spec=spec, depth=n)
+    return LocalizationProblem(rho=float(rho), intervals=ivals)
 
 
 @dataclass(frozen=True)

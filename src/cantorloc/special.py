@@ -46,6 +46,8 @@ _CANCEL_SWITCH = 2.0 ** -12
 # O(sqrt(k)) terms.
 _MAX_ITER = 2_000_000
 _TINY = 1e-300
+# A panel is accepted once it and its two halves agree to this relative gap.
+_PANEL_TOL = 1e-13
 # The engine loops test convergence once per this many terms.  Terms keep
 # shrinking past convergence and each is below half an ulp of its running
 # total (1e-17 * total for the series, 1e-18 against a total >= 1 for the
@@ -185,7 +187,7 @@ def _panels(k: int, s, start: np.ndarray, width: np.ndarray) -> np.ndarray:
 
 
 def _adaptive(k: int, s: float, start: float, width: float,
-              tol: float, whole: float, depth: int) -> tuple[float, float]:
+              whole: float, depth: int) -> tuple[float, float]:
     """Bisect the panel over [s + start, s + start + width] until its halves
     agree with the whole: (mass / f_k(s), error estimate)."""
     half = 0.5 * width
@@ -193,15 +195,14 @@ def _adaptive(k: int, s: float, start: float, width: float,
                           np.array([half, half])).tolist()
     refined = left + right
     err = abs(whole - refined)
-    if err <= tol * abs(refined) + _TINY or depth >= 48:
+    if err <= _PANEL_TOL * abs(refined) + _TINY or depth >= 48:
         return refined, err
-    lv, le = _adaptive(k, s, start, half, tol, left, depth + 1)
-    rv, re = _adaptive(k, s, start + half, half, tol, right, depth + 1)
+    lv, le = _adaptive(k, s, start, half, left, depth + 1)
+    rv, re = _adaptive(k, s, start + half, half, right, depth + 1)
     return lv + rv, le + re
 
 
-def log_segment_mass(k: int, a: float, b: float,
-                     rel_tol: float = 1e-13) -> tuple[float, float]:
+def log_segment_mass(k: int, a: float, b: float) -> tuple[float, float]:
     """(log of integral of f_k over [a, b], relative error estimate).
 
     Adaptive panel quadrature scaled by f_k(clip(k, a, b)); valid for masses
@@ -218,7 +219,7 @@ def log_segment_mass(k: int, a: float, b: float,
     s = min(max(float(k), a), b)
     shift = log_density(k, s)
     whole = float(_panels(k, s, np.array([a - s]), np.array([b - a]))[0])
-    v, rel = _mass_by_quadrature(k, s, shift, a - s, b - a, whole, rel_tol)
+    v, rel = _mass_by_quadrature(k, s, shift, a - s, b - a, whole)
     return (shift + math.log(v), rel) if v > 0.0 else (-math.inf, 0.0)
 
 
@@ -231,11 +232,10 @@ class SegmentMass:
 
 
 def _mass_by_quadrature(k: int, s: float, shift: float, start: float,
-                        width: float, whole: float, tol: float = 1e-13
-                        ) -> tuple[float, float]:
+                        width: float, whole: float) -> tuple[float, float]:
     """Adaptive bisection of one segment [s + start, s + start + width],
     shift = log_density(k, s): (mass / f_k(s), relative error bound)."""
-    v, e = _adaptive(k, s, start, width, tol, whole, 0)
+    v, e = _adaptive(k, s, start, width, whole, 0)
     return v, (e / v if v > 0.0 else 0.0) + 4.0 * _EPS + float(
         _prefactor_error(k, s, shift))
 
@@ -325,7 +325,7 @@ def _quadrature_flagged(k: int, lo: np.ndarray, hi: np.ndarray,
     # Segments come here only when thin against the density's scale, so the
     # panel exponents stay O(1) and add a few eps, like the weighted sum.
     rel[live] = quad + 4.0 * _EPS + _prefactor_error(k, s, shift)
-    for j in np.nonzero(quad > 1e-13)[0]:
+    for j in np.nonzero(quad > _PANEL_TOL)[0]:
         refined[j], rel[live[j]] = _mass_by_quadrature(
             k, s[j], shift[j], start[j], width[j], whole[j])
     values[live] = refined * np.exp(np.minimum(shift, 0.0))

@@ -208,10 +208,11 @@ def cantor_suite(seed: int, samples: int, tol: float | None = None
         can = canonical_of(spec)
         for _ in range(per_spec):
             n = int(rng.integers(0, 9))
-            x, y = np.sort(rng.uniform(0.0, 1.0, size=2))
-            lhs = cantor_function(spec, n, float(y)) - cantor_function(spec, n, float(x))
-            rhs = cantor_function(can, n, float(y - x))
-            worst = max(worst, lhs - rhs)
+            # x reaches past both ends of [0, 1], where F is constant
+            x = float(rng.uniform(-0.2, 1.2))
+            y = float(rng.uniform(0.0, 1.0))
+            lhs = cantor_function(spec, n, x + y) - cantor_function(spec, n, x)
+            worst = max(worst, lhs - cantor_function(can, n, y))
     out.append(PropertyCheck("cantor", "weak_subadditivity",
                              worst <= eps, worst, eps, len(specs) * per_spec))
 
@@ -230,23 +231,22 @@ def cantor_suite(seed: int, samples: int, tol: float | None = None
     # Equality of the canonical Cantor function with the per-digit sum cut
     # where the digit walk stops.  The uncut clamped sum keeps adding
     # lower-scale terms after a clamped digit, so it is only an upper
-    # bound; that direction is the next property and is what the
+    # bound, checked on the same lengths; that direction is what the
     # subadditivity argument consumes.
     worst = 0.0
     for _ in range(samples):
         can = _random_canonical(rng)
-        n = int(rng.integers(1, 9))
-        digits = [int(rng.integers(0, can.base)) for _ in range(n - 1)]
-        # interior remainder keeps the digit walk away from block boundaries
-        a = float(rng.uniform(0.05, 0.95)) * float(can.base) ** (1 - n)
-        t = a + sum(m * float(can.base) ** (j - n)
-                    for j, m in enumerate(digits, start=1))
-        direct = cantor_function(can, n, t)
-        formula = _stopped_length_formula(can.base, can.size, n, digits, a)
-        worst = max(worst, abs(direct - formula))
+        n = int(rng.integers(0, 9))
+        t = float(rng.uniform(0.0, 1.0))
+        digits, a = _length_digits(can.base, n, t)
+        walk = cantor_function(can, n, t)
+        stopped = _stopped_length_formula(can.base, can.size, n, digits, a)
+        clamped = _canonical_length_formula(can.base, can.size, n, digits, a)
+        worst = max(worst, abs(walk - stopped), walk - clamped)
     out.append(PropertyCheck("cantor", "explicit_canonical_formula",
                              worst <= eps, worst, eps, samples,
-                             note="sum stopped after the first clamped digit"))
+                             note="stopped sum equals the walk, clamped sum "
+                                  "bounds it"))
 
     worst = 0.0
     for _ in range(samples):
@@ -303,8 +303,8 @@ def operator_suite(seed: int, samples: int, tol: float | None = None
     worst = 0.0
     for _ in range(samples):
         can = _random_canonical(rng)
-        k = int(rng.integers(0, 64))
-        s = float(rng.uniform(0.0, k + 8.0))
+        k = int(rng.integers(0, 65))
+        s = float(rng.uniform(0.0, k + 10.0))
         T = float(rng.uniform(0.05, 6.0))
         worst = max(worst, relative_area(can, k + 1, s, T)
                     - relative_area(can, k, s, T))
@@ -415,10 +415,13 @@ def experiments_suite(seed: int, samples: int, tol: float | None = None
     out.append(PropertyCheck("experiments", "norm_vs_twice_lambda0",
                              worst <= eps, worst, eps, rows_total))
 
-    rows = sweep_fixed(CantorSpec(5, (0, 1, 2)), schedule, 8)
-    ratios = [row.thm32_ratio for row in rows if row.thm32_ratio is not None]
-    finite = all(math.isfinite(r) and r >= 0.0 for r in ratios)
-    band = max(ratios) / min(ratios) if min(ratios) > 0.0 else math.inf
+    # Every row to n = 10 has a finite positive ratio, mid-third included;
+    # the band is taken over the canonical set.
+    canonical, mid = ([row.thm32_ratio for row in sweep_fixed(spec, schedule, 10)]
+                      for spec in (CantorSpec(5, (0, 1, 2)), CantorSpec(3, (0, 2))))
+    ratios = canonical + mid
+    finite = all(r is not None and math.isfinite(r) and r > 0.0 for r in ratios)
+    band = max(canonical) / min(canonical) if finite else math.inf
     out.append(PropertyCheck("experiments", "bounded_ratio_band",
                              finite and band <= 10.0, band, 10.0, len(ratios),
                              note="canonical max/min of thm32_ratio"))
@@ -514,7 +517,10 @@ def cli_suite(seed: int, samples: int, tol: float | None = None
     with contextlib.redirect_stderr(io.StringIO()):
         bad = _cli.main(["eigs", "--base", "3", "--alphabet", "0,3",
                          "--iterate", "1", "--rho", "1"])
-    env = dict(os.environ, CTFL_MAX_INTERVALS="4")
+    # The child finds this package from a checkout that was not installed.
+    path = os.pathsep.join(filter(None, (os.path.dirname(os.path.dirname(__file__)),
+                                         os.environ.get("PYTHONPATH"))))
+    env = dict(os.environ, CTFL_MAX_INTERVALS="4", PYTHONPATH=path)
     capped = subprocess.run(
         [sys.executable, "-m", "cantorloc.cli", "eigs", "--base", "3",
          "--alphabet", "0,2", "--iterate", "12", "--rho", "1"],

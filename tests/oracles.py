@@ -1,8 +1,8 @@
 """Independent reference implementations backing the test suite.
 
-Nothing here calls into cantorloc's own series, continued fractions, or
-merged-interval enumeration: gamma tails come from scipy, segment masses
-from scipy adaptive quadrature on a peak-shifted integrand or from mpmath's
+Nothing here calls into cantorloc's own series or merged-interval
+enumeration: gamma tails come from scipy, segment masses from scipy
+adaptive quadrature on a peak-shifted integrand or from mpmath's
 incomplete gamma function, Cantor iterates from direct recursive
 subdivision in plain floats, and the first eigenvalue from exponential sums
 over those blocks.
@@ -123,48 +123,6 @@ def cantor_cdf(base: int, alphabet, n: int, xs: np.ndarray) -> np.ndarray:
                       np.clip(xs - lows[np.maximum(idx - 1, 0)], 0.0, width),
                       0.0)
     return (full + inside) / total
-
-
-# ----------------------------------------------------------------------
-# Decomposed-length digit sums
-# ----------------------------------------------------------------------
-
-def length_digits(base: int, n: int, length: float) -> tuple[list[int], float]:
-    """length = a + sum_{j=1}^{n-1} m_j M^(j-n), 0 <= m_j < M,
-    0 <= a <= M^(1-n); digits returned lowest scale first."""
-    digits = [0] * max(n - 1, 0)
-    rem = length
-    for j in range(n - 1, 0, -1):
-        unit = float(base) ** (j - n)
-        m = min(int(rem / unit), base - 1)
-        digits[j - 1] = m
-        rem -= m * unit
-    return digits, max(rem, 0.0)
-
-
-def clamped_length_sum(base: int, size: int, n: int,
-                       digits, a: float) -> float:
-    """min(1, min(a M^n, size) size^-n + sum_j min(m_j, size) size^(j-n))"""
-    total = min(a * float(base) ** n, float(size)) * float(size) ** -n
-    for j, m in enumerate(digits, start=1):
-        total += min(m, size) * float(size) ** (j - n)
-    return min(1.0, total)
-
-
-def stopped_length_sum(base: int, size: int, n: int,
-                       digits, a: float) -> float:
-    """The clamped sum cut where the canonical digit walk stops: terms
-    min(m_j, size) size^(j-n) from the top scale down, ending after the
-    first digit m_j >= size; the remainder min(a M^n, size) size^-n only
-    when no digit clamped.  Equals cantor_function of the length."""
-    total = 0.0
-    for j in range(len(digits), 0, -1):
-        m = digits[j - 1]
-        total += min(m, size) * float(size) ** (j - n)
-        if m >= size:
-            return min(1.0, total)
-    total += min(a * float(base) ** n, float(size)) * float(size) ** -n
-    return min(1.0, total)
 
 
 # ----------------------------------------------------------------------

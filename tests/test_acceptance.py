@@ -20,7 +20,6 @@ from cantorloc import (
     eigenvalue,
     gamma_tail_mass,
     lambda0_closed_form,
-    limit_relative_area,
     localization_problem,
     operator_norm,
     positive_measure_demo,
@@ -43,7 +42,6 @@ def problem_grid():
     return tuple(oracles.seeded_problem_grid(GRID_SEED, 200))
 
 
-@functools.lru_cache(maxsize=None)
 def fixed_sweep(base, letters):
     return sweep_fixed(CantorSpec(base, letters), POWER_HALF, 10)
 
@@ -53,11 +51,9 @@ def reverse_sweep(base):
     return dict(sweep_reverse_counterexample(base, 2, POWER_HALF, 10))
 
 
-def _draw_spec(rng, canonical=False, max_base=7):
-    base = int(rng.integers(2, max_base + 1))
+def _draw_spec(rng):
+    base = int(rng.integers(2, 8))
     size = int(rng.integers(1, base))
-    if canonical:
-        return CantorSpec(base, tuple(range(size)))
     letters = tuple(sorted(rng.choice(base, size=size, replace=False).tolist()))
     return CantorSpec(base, letters)
 
@@ -142,22 +138,6 @@ def test_canonical_norm_identity_and_sibling_bound():
                 f"at {(base, alphabet, n, rho)}")
 
 
-def test_norm_ratio_statistic_stays_bounded():
-    # Mid-third and the base-5 size-3 canonical set under rho = M^(n/2):
-    # the normalized ratio column is finite for n = 0..10 and the
-    # canonical band spans less than a factor of 10.
-    mid = fixed_sweep(3, (0, 2))
-    can5 = fixed_sweep(5, (0, 1, 2))
-    for rows in (mid, can5):
-        ratios = [r.thm32_ratio for r in rows]
-        assert len(ratios) == 11
-        assert all(v is not None and math.isfinite(v) and v > 0.0 for v in ratios), (
-            f"non-finite ratio in {ratios}")
-    can_ratios = [r.thm32_ratio for r in can5]
-    band = max(can_ratios) / min(can_ratios)
-    assert band <= 10.0, f"canonical ratio band {band:.3f}"
-
-
 def test_scaled_norm_band_is_tight():
     # Scaled norms for canonical alphabets stay inside a factor-10 band
     # over n = 2..10; the mid-third scaled norm stays inside a bounded
@@ -197,12 +177,9 @@ def test_reverse_alphabet_norm_ratio_decays():
 
 
 def test_distribution_function_identities():
-    # Digit walk vs interval oracle within 1e-12 on 10^4 queries; weak
-    # subadditivity against the canonical sibling within 1e-12 on 10^4
-    # triples across 20 specs; on 10^3 decomposed lengths the stopped-digit
-    # closed form matches the walk within 1e-12, and the clamped-digit sum,
-    # which keeps adding lower-scale terms after the walk has stopped,
-    # bounds it from above within 1e-12.
+    # Digit walk vs interval oracle within 1e-12 on 10^4 queries.  Weak
+    # subadditivity and the stopped and clamped digit sums are sampled by
+    # the cantor verify suite (tests/test_verify.py).
     rng = np.random.default_rng(SAMPLER_SEED)
     worst_walk = 0.0
     for _ in range(20):
@@ -214,68 +191,13 @@ def test_distribution_function_identities():
             worst_walk = max(worst_walk, abs(cantor_function(spec, n, float(x)) - r))
     assert worst_walk <= 1e-12, f"worst walk gap {worst_walk:.3e}"
 
-    worst_sub = 0.0
-    for _ in range(20):
-        spec = _draw_spec(rng)
-        can = canonical_of(spec)
-        n = int(rng.integers(0, 9))
-        for _ in range(500):
-            x = float(rng.uniform(-0.2, 1.2))
-            y = float(rng.uniform(0.0, 1.0))
-            lhs = cantor_function(spec, n, x + y)
-            rhs = cantor_function(spec, n, x) + cantor_function(can, n, y)
-            worst_sub = max(worst_sub, lhs - rhs)
-    assert worst_sub <= 1e-12, f"worst subadditivity violation {worst_sub:.3e}"
 
-    worst_formula = 0.0
-    worst_case = None
-    worst_bound = 0.0
-    bound_case = None
-    for _ in range(1000):
-        spec = _draw_spec(rng, canonical=True)
-        n = int(rng.integers(0, 9))
-        t = float(rng.uniform(0.0, 1.0))
-        digits, frac = oracles.length_digits(spec.base, n, t)
-        walk = cantor_function(spec, n, t)
-        stopped = oracles.stopped_length_sum(spec.base, spec.size, n, digits, frac)
-        clamped = oracles.clamped_length_sum(spec.base, spec.size, n, digits, frac)
-        diff = abs(walk - stopped)
-        if diff > worst_formula:
-            worst_formula, worst_case = diff, (spec.base, spec.size, n, t)
-        if walk - clamped > worst_bound:
-            worst_bound, bound_case = walk - clamped, (spec.base, spec.size, n, t)
-    assert worst_formula <= 1e-12, (
-        f"stopped-digit sum deviates from the walk by {worst_formula:.3e} at "
-        f"(base, size, n, t) = {worst_case}")
-    assert worst_bound <= 1e-12, (
-        f"clamped-digit sum falls below the walk by {worst_bound:.3e} at "
-        f"(base, size, n, t) = {bound_case}")
-
-
-def test_relative_area_orderings():
-    # Four sampled order properties of the refinement-share statistic,
-    # 10^3 seeded samples each.
+def test_order_zero_area_ignores_start_point():
+    # At order zero the refinement share does not depend on where the
+    # window starts, within 1e-13 on 10^3 seeded samples.  The orderings in
+    # k and T and the limit as infimum are sampled by the operator verify
+    # suite (tests/test_verify.py).
     rng = np.random.default_rng(SAMPLER_SEED)
-
-    worst = 0.0
-    for _ in range(1000):
-        spec = _draw_spec(rng, canonical=True)
-        k = int(rng.integers(0, 65))
-        s = float(rng.uniform(0.0, k + 10.0))
-        T = float(rng.uniform(0.05, 4.0))
-        worst = max(worst,
-                    relative_area(spec, k + 1, s, T) - relative_area(spec, k, s, T))
-    assert worst <= 1e-12, f"order-k ordering violated by {worst:.3e}"
-
-    worst = 0.0
-    for _ in range(1000):
-        spec = _draw_spec(rng, canonical=True)
-        t1 = float(rng.uniform(0.05, 4.0))
-        t2 = t1 + float(rng.uniform(0.0, 3.0))
-        worst = max(worst,
-                    relative_area(spec, 0, 0.0, t1) - relative_area(spec, 0, 0.0, t2))
-    assert worst <= 1e-12, f"length monotonicity violated by {worst:.3e}"
-
     worst = 0.0
     for _ in range(1000):
         spec = _draw_spec(rng)
@@ -285,17 +207,6 @@ def test_relative_area_orderings():
         worst = max(worst,
                     abs(relative_area(spec, 0, s1, T) - relative_area(spec, 0, s2, T)))
     assert worst <= 1e-13, f"start-point dependence at order zero: {worst:.3e}"
-
-    worst = 0.0
-    for _ in range(1000):
-        spec = _draw_spec(rng, canonical=True)
-        theta = spec.size / spec.base
-        k = int(rng.integers(1, 257))
-        a = float(rng.uniform(1.0, 4.0))
-        T = float(rng.uniform(0.1, 3.0))
-        lim = limit_relative_area(theta, a, T)
-        worst = max(worst, lim - relative_area(spec, k, a * k, T))
-    assert worst <= 1e-9, f"limit fails as infimum by {worst:.3e}"
 
 
 def test_indexed_decay_and_lower_bound():

@@ -1,0 +1,29 @@
+"""The seeded `verify` suites, run at a fixed seed.
+
+The suites hold the only copy of each sampled property; every suite here
+draws at least as many samples as the pytest loops it took over.
+"""
+
+import pytest
+
+from cantorloc.verify import SUITE_NAMES, cli_suite, run_suites
+
+SEED = 20240818
+SAMPLES = {"special_fn": 1000, "cantor": 10_000, "operator": 1000,
+           "experiments": 300, "cli": 300}
+
+
+@pytest.mark.parametrize("suite", SUITE_NAMES)
+def test_suite_passes(suite):
+    checks = run_suites((suite,), seed=SEED, samples=SAMPLES[suite])
+    failed = [f"{c.suite}.{c.name} worst={c.worst:.3e} tol={c.tol:.3e}"
+              for c in checks if not c.passed]
+    assert not failed, "; ".join(failed)
+
+
+def test_cli_exit_codes_without_pythonpath(monkeypatch):
+    # The capped run is a child process; it must find the package from a
+    # checkout that was never installed.
+    monkeypatch.delenv("PYTHONPATH", raising=False)
+    check = {c.name: c for c in cli_suite(seed=0, samples=50)}["exit_codes"]
+    assert check.passed, check.note

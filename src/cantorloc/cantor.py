@@ -145,8 +145,8 @@ class IterateIntervals:
     lows: np.ndarray = field(repr=False)
     highs: np.ndarray = field(repr=False)
     # Block count times block quantum for each interval; highs - lows loses
-    # the width to the rounding of both endpoints.  None means highs - lows.
-    widths: np.ndarray | None = field(default=None, repr=False)
+    # the width to the rounding of both endpoints.
+    widths: np.ndarray = field(repr=False)
 
     @property
     def count(self) -> int:
@@ -161,24 +161,19 @@ def _levels_of(spec: Union[CantorSpec, IndexedCantorSpec], n: int) -> list[Canto
     return [spec] * n
 
 
-def _enumerate_points(levels: Sequence[CantorSpec], cap: int):
-    """Sorted discrete points of the iterate; int64 array when the base
-    product fits, exact Python ints otherwise."""
+def _enumerate_points(levels: Sequence[CantorSpec], cap: int) -> np.ndarray:
+    """Sorted discrete points of the iterate: int64 when the base product
+    fits, exact Python ints in an object array otherwise."""
     total = math.prod(lv.size for lv in levels)
     if total > cap:
         raise CapExceededError(
             f"iterate would enumerate {total} intervals, above the cap of {cap} "
             f"(override with {MAX_INTERVALS_ENV} or max_intervals)")
-    base_product = math.prod(lv.base for lv in levels)
-    if base_product <= 2 ** 62:
-        pts = np.zeros(1, dtype=np.int64)
-        for lv in levels:
-            letters = np.asarray(lv.alphabet, dtype=np.int64)
-            pts = (pts[:, None] * lv.base + letters[None, :]).reshape(-1)
-        return pts
-    pts = [0]
+    dtype = np.int64 if math.prod(lv.base for lv in levels) <= 2 ** 62 else object
+    pts = np.zeros(1, dtype=dtype)
     for lv in levels:
-        pts = [p * lv.base + a for p in pts for a in lv.alphabet]
+        letters = np.asarray(lv.alphabet, dtype=dtype)
+        pts = (pts[:, None] * lv.base + letters[None, :]).reshape(-1)
     return pts
 
 
@@ -187,11 +182,7 @@ def discrete_iterate(spec: CantorSpec, n: int,
     """Sorted integer points sum_j a_j M^j of the n-th discrete iterate."""
     if n < 0:
         raise ValueError(f"iterate depth must be nonnegative, got {n}")
-    cap = resolve_max_intervals(max_intervals)
-    pts = _enumerate_points(_levels_of(spec, n), cap)
-    if isinstance(pts, np.ndarray):
-        return pts
-    return np.asarray(pts, dtype=object)
+    return _enumerate_points(_levels_of(spec, n), resolve_max_intervals(max_intervals))
 
 
 def _merged_intervals(levels: Sequence[CantorSpec], n: int, scale: float,
@@ -205,27 +196,14 @@ def _merged_intervals(levels: Sequence[CantorSpec], n: int, scale: float,
         raise ValueError("iterate blocks are narrower than the smallest "
                          "representable double; reduce the depth")
     pts = _enumerate_points(levels, cap)
-    if len(pts) == 0:
-        raise AssertionError("iterate enumeration produced no points")
     width = scale / base_product
-    if isinstance(pts, np.ndarray):
-        gaps = np.nonzero(np.diff(pts) > 1)[0]
-        starts = np.concatenate(([0], gaps + 1))
-        ends = np.concatenate((gaps, [len(pts) - 1]))
-        lows = pts[starts].astype(float) * width
-        highs = (pts[ends].astype(float) + 1.0) * width
-        counts = (ends - starts + 1).astype(float)
-    else:
-        lows_list = [pts[0]]
-        highs_list = []
-        for prev, cur in zip(pts, pts[1:]):
-            if cur > prev + 1:
-                highs_list.append(prev + 1)
-                lows_list.append(cur)
-        highs_list.append(pts[-1] + 1)
-        lows = np.array([float(p) * width for p in lows_list])
-        highs = np.array([float(p) * width for p in highs_list])
-        counts = np.array([float(h - lo) for lo, h in zip(lows_list, highs_list)])
+    gaps = np.nonzero(np.diff(pts) > 1)[0]
+    starts = np.concatenate(([0], gaps + 1))
+    ends = np.concatenate((gaps, [pts.size - 1]))
+    lows = pts[starts].astype(float) * width
+    # The exact integer endpoint, rounded once.
+    highs = (pts[ends] + 1).astype(float) * width
+    counts = (ends - starts + 1).astype(float)
     measure = width * float(math.prod(lv.size for lv in levels))
     return IterateIntervals(depth=n, scale=scale, measure=measure,
                             lows=lows, highs=highs, widths=counts * width)
@@ -270,18 +248,17 @@ def cantor_function(spec: CantorSpec, n: int, x: float) -> float:
     member = [False] * base
     for a in letters:
         member[a] = True
-    # The rank of the block reached so far is an exact integer and is
-    # divided once, so the value is the correctly rounded (rank + x) / |A|^j
-    # and rounding cannot break monotonicity.
+    # The walk steps through the exact ratio num / den = x, so the rank of
+    # the block reached and the remainder are exact and the value is divided
+    # once: it is the correctly rounded (rank + remainder) / |A|^j, and
+    # rounding cannot break monotonicity.
+    num, den = x.as_integer_ratio()
     rank = 0
     for depth in range(1, n + 1):
-        x *= base
-        digit = min(int(x), base - 1)
-        x -= digit
+        digit, num = divmod(num * base, den)
         rank = rank * size + bisect_left(letters, digit)
         if not member[digit]:
             return rank / size ** depth
-    num, den = x.as_integer_ratio()
     return (rank * den + num) / (size ** n * den)
 
 

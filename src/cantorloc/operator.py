@@ -29,8 +29,8 @@ from .cantor import (
     continuous_iterate,
 )
 from .special import (
+    _quadrature,
     log_density,
-    log_segment_mass,
     regularized_lower_gamma,
     segment_mass_batch,
 )
@@ -166,35 +166,26 @@ def relative_area(spec: CantorSpec, k: int, s: float, T: float) -> float:
 
     sum_{a in A} mass over [s + aT/M, s + (a+1)T/M]  /  mass over [s, s+T].
 
-    Far-tail segments whose masses underflow the double range are handled
-    in log space; a denominator with no representable mass at all raises
-    DegenerateMassError.
+    Far-tail segments whose masses underflow the double range are weighed
+    relative to f_k at the densest point of [s, s+T]; a denominator with no
+    representable mass even then raises DegenerateMassError.
     """
     if T <= 0.0 or not math.isfinite(T):
         raise ValueError(f"segment length T must be positive, got {T!r}")
     if s < 0.0:
         raise ValueError(f"segment start must be nonnegative, got {s!r}")
     M = spec.base
-    lows = [s] + [s + a * T / M for a in spec.alphabet]
-    highs = [s + T] + [s + (a + 1) * T / M for a in spec.alphabet]
-    masses, _ = segment_mass_batch(k, np.array(lows), np.array(highs))
-    if masses[0] > 1e-250:
-        return min(math.fsum(masses[1:]) / float(masses[0]), 1.0)
-    log_den, _ = log_segment_mass(k, s, s + T)
-    if log_den == -math.inf:
-        raise DegenerateMassError(
-            f"segment [s, s+T] = [{s}, {s + T}] carries no representable mass "
-            f"for k={k}")
-    parts = []
-    for a in spec.alphabet:
-        lv, _ = log_segment_mass(k, s + a * T / M, s + (a + 1) * T / M)
-        if lv != -math.inf:
-            parts.append(lv)
-    if not parts:
-        return 0.0
-    top = max(parts)
-    log_num = top + math.log(math.fsum(math.exp(p - top) for p in parts))
-    return min(math.exp(log_num - log_den), 1.0)
+    lows = np.array([s] + [s + a * T / M for a in spec.alphabet])
+    highs = np.array([s + T] + [s + (a + 1) * T / M for a in spec.alphabet])
+    masses, _ = segment_mass_batch(k, lows, highs)
+    if masses[0] <= 1e-250:
+        ref = np.full(lows.size, min(max(float(k), s), s + T))
+        masses, _ = _quadrature(k, ref, log_density(k, ref), lows - ref, highs - lows)
+        if masses[0] == 0.0:
+            raise DegenerateMassError(
+                f"segment [s, s+T] = [{s}, {s + T}] carries no representable mass "
+                f"for k={k}")
+    return min(math.fsum(masses[1:]) / float(masses[0]), 1.0)
 
 
 def limit_relative_area(theta: float, a: float, T: float) -> float:

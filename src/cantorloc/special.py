@@ -25,9 +25,11 @@ offsets from s = clip(k, a, b): the node r = s + d carries f_k(r) / f_k(s)
 = exp(k log1p(d / s) - d), exact to about eps relative, and the prefactor
 f_k(s) is applied once per segment.  (A difference of two log-densities
 would carry their rounding, eps |log f_k|, and the node's, |k/r - 1|
-ulp(r).)  An exact width, if given, replaces the rounded b - a; adaptive
-bisection of the same panels takes what one refinement cannot certify.
-Both routes' bounds count the rounding of the log-space prefactors.
+ulp(r).)  An exact width, if given, replaces the rounded b - a.  One batch
+engine, _quadrature, checks every segment's panel against its two halves
+and bisects all the panels this does not certify together; it also serves
+log_segment_mass (one element) and the far tail of relative_area.  Both
+routes' bounds count the rounding of the log-space prefactors.
 """
 
 from __future__ import annotations
@@ -45,9 +47,10 @@ _CANCEL_SWITCH = 2.0 ** -12
 # Series iteration guard; generous because convergence near x ~ k needs
 # O(sqrt(k)) terms.
 _MAX_ITER = 2_000_000
-_TINY = 1e-300
 # A panel is accepted once it and its two halves agree to this relative gap.
 _PANEL_TOL = 1e-13
+# Bisection stops at panels 2^-49 of their segment's width.
+_MAX_DEPTH = 48
 # The engine loops test convergence once per this many terms.  Terms keep
 # shrinking past convergence and each is below half an ulp of its running
 # total (1e-17 * total for the series, 1e-18 against a total >= 1 for the
@@ -186,28 +189,47 @@ def _panels(k: int, s, start: np.ndarray, width: np.ndarray) -> np.ndarray:
     return (g @ _GL_WEIGHTS) * (0.5 * width)
 
 
-def _adaptive(k: int, s: float, start: float, width: float,
-              whole: float, depth: int) -> tuple[float, float]:
-    """Bisect the panel over [s + start, s + start + width] until its halves
-    agree with the whole: (mass / f_k(s), error estimate)."""
-    half = 0.5 * width
-    left, right = _panels(k, s, np.array([start, start + half]),
-                          np.array([half, half])).tolist()
-    refined = left + right
-    err = abs(whole - refined)
-    if err <= _PANEL_TOL * abs(refined) + _TINY or depth >= 48:
-        return refined, err
-    lv, le = _adaptive(k, s, start, half, left, depth + 1)
-    rv, re = _adaptive(k, s, start + half, half, right, depth + 1)
-    return lv + rv, le + re
+def _quadrature(k: int, s: np.ndarray, shift: np.ndarray, start: np.ndarray,
+                width: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Masses of f_k / f_k(s) over [s + start, s + start + width], one per
+    element, shift = log_density(k, s): (scaled masses, relative error
+    bounds).  A panel is accepted once its two halves agree with it; the
+    panels that do not are bisected together, to at most 2^-49 of their
+    segment's width, and each segment sums its accepted halves."""
+    n = start.size
+    mass, gap = np.zeros((2, n))
+    node = np.arange(n)
+    ref, half, whole = s, width, _panels(k, s, start, width)
+    for depth in range(_MAX_DEPTH + 1):
+        half = 0.5 * half
+        left = _panels(k, ref, start, half)
+        right = _panels(k, ref, start + half, half)
+        refined = left + right
+        err = np.abs(whole - refined)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            split = (refined > 0.0) & (err / refined > _PANEL_TOL) & (depth < _MAX_DEPTH)
+        done = ~split
+        mass += np.bincount(node[done], refined[done], minlength=n)
+        gap += np.bincount(node[done], err[done], minlength=n)
+        if not split.any():
+            break
+        start, half = start[split], half[split]
+        start = np.concatenate((start, start + half))
+        node, ref, half = (np.tile(v, 2) for v in (node[split], ref[split], half))
+        whole = np.concatenate((left[split], right[split]))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        quad = np.where(mass > 0.0, gap / mass, 0.0)
+    # The 4 eps for the panel exponents assume a segment thin against the
+    # density's scale; on wide ones the bound is an estimate.
+    return mass, quad + 4.0 * _EPS + _prefactor_error(k, s, shift)
 
 
 def log_segment_mass(k: int, a: float, b: float) -> tuple[float, float]:
     """(log of integral of f_k over [a, b], relative error estimate).
 
-    Adaptive panel quadrature scaled by f_k(clip(k, a, b)); valid for masses
-    far below the smallest normal double, where the plain value would flush
-    to zero.
+    Panel quadrature scaled by f_k(clip(k, a, b)); valid for masses far
+    below the smallest normal double, where the plain value would flush to
+    zero.  One element of the batch quadrature.
     """
     k = _validate_k(k)
     a = float(a)
@@ -216,11 +238,12 @@ def log_segment_mass(k: int, a: float, b: float) -> tuple[float, float]:
         raise ValueError(f"segment must satisfy 0 <= a <= b, got [{a!r}, {b!r}]")
     if a == b:
         return -math.inf, 0.0
-    s = min(max(float(k), a), b)
+    s = np.array([min(max(float(k), a), b)])
     shift = log_density(k, s)
-    whole = float(_panels(k, s, np.array([a - s]), np.array([b - a]))[0])
-    v, rel = _mass_by_quadrature(k, s, shift, a - s, b - a, whole)
-    return (shift + math.log(v), rel) if v > 0.0 else (-math.inf, 0.0)
+    v, rel = _quadrature(k, s, shift, a - s, np.array([b - a]))
+    if v[0] <= 0.0:
+        return -math.inf, 0.0
+    return float(shift[0]) + math.log(v[0]), float(rel[0])
 
 
 @dataclass(frozen=True)
@@ -229,15 +252,6 @@ class SegmentMass:
 
     value: float
     rel_err_bound: float
-
-
-def _mass_by_quadrature(k: int, s: float, shift: float, start: float,
-                        width: float, whole: float) -> tuple[float, float]:
-    """Adaptive bisection of one segment [s + start, s + start + width],
-    shift = log_density(k, s): (mass / f_k(s), relative error bound)."""
-    v, e = _adaptive(k, s, start, width, whole, 0)
-    return v, (e / v if v > 0.0 else 0.0) + 4.0 * _EPS + float(
-        _prefactor_error(k, s, shift))
 
 
 def segment_mass(k: int, a: float, b: float) -> SegmentMass:
@@ -306,32 +320,6 @@ def lower_tail_batch(k: int, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return p, q
 
 
-def _quadrature_flagged(k: int, lo: np.ndarray, hi: np.ndarray,
-                        width: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Masses over [lo, lo + width] from one panel and its two halves per
-    segment; adaptive bisection takes any segment they do not certify."""
-    values, rel = np.zeros((2, lo.size))
-    s = np.clip(float(k), lo, hi)
-    shift = log_density(k, s)
-    # Max f_k times the width below the double range: the mass is an exact 0.
-    live = np.nonzero(shift + np.log(width) >= -708.0)[0]
-    s, shift, width = s[live], shift[live], width[live]
-    start = lo[live] - s
-    whole = _panels(k, s, start, width)
-    half = 0.5 * width
-    refined = _panels(k, s, start, half) + _panels(k, s, start + half, half)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        quad = np.where(refined > 0.0, np.abs(whole - refined) / refined, 0.0)
-    # Segments come here only when thin against the density's scale, so the
-    # panel exponents stay O(1) and add a few eps, like the weighted sum.
-    rel[live] = quad + 4.0 * _EPS + _prefactor_error(k, s, shift)
-    for j in np.nonzero(quad > _PANEL_TOL)[0]:
-        refined[j], rel[live[j]] = _mass_by_quadrature(
-            k, s[j], shift[j], start[j], width[j], whole[j])
-    values[live] = refined * np.exp(np.minimum(shift, 0.0))
-    return values, rel
-
-
 def segment_mass_batch(k: int, lo: np.ndarray, hi: np.ndarray,
                        width: np.ndarray | None = None
                        ) -> tuple[np.ndarray, np.ndarray]:
@@ -361,9 +349,14 @@ def segment_mass_batch(k: int, lo: np.ndarray, hi: np.ndarray,
         err = np.where(x > 0.0, 4.0 * _EPS + _prefactor_error(k, x, log_f), 0.0) * ends
         rel = np.where(value > 0.0, (err[0] + err[1]) / value, 0.0)
     # A degenerate segment (hi == lo) has value 0 from identical endpoints.
-    flagged = ((ratio < _CANCEL_SWITCH) | (value <= 0.0)) & (hi > lo)
-    if np.any(flagged):
-        fv, fe = _quadrature_flagged(k, lo[flagged], hi[flagged], width[flagged])
-        value[flagged] = fv
-        rel[flagged] = fe
+    quad = np.nonzero(((ratio < _CANCEL_SWITCH) | (value <= 0.0)) & (hi > lo))[0]
+    if quad.size:
+        s = np.clip(float(k), lo[quad], hi[quad])
+        shift = log_density(k, s)
+        value[quad] = rel[quad] = 0.0
+        # Max f_k times the width below the double range: the mass is an exact 0.
+        live = shift + np.log(width[quad]) >= -708.0
+        s, shift, quad = s[live], shift[live], quad[live]
+        scaled, rel[quad] = _quadrature(k, s, shift, lo[quad] - s, width[quad])
+        value[quad] = scaled * np.exp(np.minimum(shift, 0.0))
     return value, rel

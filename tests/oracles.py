@@ -4,13 +4,15 @@ Nothing here calls into cantorloc's own series or merged-interval
 enumeration: gamma tails come from scipy, segment masses from scipy
 adaptive quadrature on a peak-shifted integrand or from mpmath's
 incomplete gamma function, Cantor iterates from direct recursive
-subdivision in plain floats, and the first eigenvalue from exponential sums
-over those blocks.
+subdivision in plain floats, the distribution function from a digit walk
+in rational arithmetic, and the first eigenvalue from exponential sums over
+those blocks.
 """
 
 from __future__ import annotations
 
 import math
+from fractions import Fraction
 
 import mpmath
 import numpy as np
@@ -67,6 +69,20 @@ def segment_mass_mp(k: int, a: float, b: float, dps: int = 60) -> float:
                                      regularized=True))
 
 
+def relative_area_mp(k: int, s: float, T: float, base: int, alphabet,
+                     dps: int = 60) -> float:
+    """Sum over a in alphabet of the mass over [s + aT/M, s + (a+1)T/M],
+    over the mass over [s, s+T], at dps digits; the endpoints are the
+    doubles that float arithmetic forms from s, T and M."""
+    with mpmath.workdps(dps):
+        def mass(a: float, b: float):
+            return mpmath.gammainc(k + 1, mpmath.mpf(a), mpmath.mpf(b),
+                                   regularized=True)
+
+        parts = [mass(s + a * T / base, s + (a + 1) * T / base) for a in alphabet]
+        return float(mpmath.fsum(parts) / mass(s, s + T))
+
+
 def log_density_mp(k: int, r: float, dps: int = 50) -> float:
     """k ln r - r - lgamma(k+1) at dps digits, r taken as its exact value."""
     with mpmath.workdps(dps):
@@ -109,6 +125,27 @@ def eigenvalue_blocks(k: int, lows: np.ndarray, highs: np.ndarray) -> float:
     """Integral of r^k e^-r / k! over the blocks via scipy tails."""
     terms = special.gammainc(k + 1, highs) - special.gammainc(k + 1, lows)
     return float(math.fsum(terms.tolist()))
+
+
+def cantor_function_exact(base: int, alphabet, n: int, x: float) -> Fraction:
+    """Distribution function of the n-th unit iterate at the exact binary
+    value of x: a digit walk in rational arithmetic that adds each level's
+    share of the letters below the digit."""
+    t = Fraction(x)
+    if t <= 0:
+        return Fraction(0)
+    if t >= 1:
+        return Fraction(1)
+    size = len(alphabet)
+    value = Fraction(0)
+    for depth in range(1, n + 1):
+        t *= base
+        digit = math.floor(t)
+        t -= digit
+        value += Fraction(sum(1 for a in alphabet if a < digit), size ** depth)
+        if digit not in alphabet:
+            return value
+    return value + t / size ** n
 
 
 def cantor_cdf(base: int, alphabet, n: int, xs: np.ndarray) -> np.ndarray:

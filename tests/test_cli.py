@@ -5,6 +5,9 @@ import csv
 import io
 import json
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -320,3 +323,23 @@ def test_verify_exit_reflects_failures(capsys):
 def test_verify_unknown_suite_exits_two(capsys):
     code, _, err = run_cli(capsys, "verify", "--suite", "nonsense")
     assert code == 2
+
+
+def test_cli_runs_without_scipy():
+    # numpy is the only runtime dependency: eigenvalues, a norm scan and a
+    # sweep, quadrature included, leave scipy unimported.
+    src = str(Path(cli.__file__).resolve().parent.parent)
+    script = (
+        "import sys\n"
+        "from cantorloc import cli\n"
+        "for argv in (['eigs', '--base', '3', '--alphabet', '0,2', '--iterate', '6',\n"
+        "              '--rho', '27', '--kmax', 'auto'],\n"
+        "             ['norm', '--base', '3', '--alphabet', '1,2', '--iterate', '8',\n"
+        "              '--rho', '81'],\n"
+        "             ['sweep', '--experiment', 'precise', '--base', '3',\n"
+        "              '--alphabet', '0,2', '--nmax', '6']):\n"
+        "    assert cli.main(argv) == 0\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n")
+    run = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                         env=dict(os.environ, PYTHONPATH=src), check=True)
+    assert run.stdout.splitlines()[-1] == "[]"

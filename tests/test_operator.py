@@ -171,7 +171,8 @@ def test_norm_zero_radius():
     with pytest.raises(ValueError):
         localization_problem(MID_THIRD, 1, 0.0)
     empty = IterateIntervals(depth=0, scale=0.0, measure=0.0,
-                             lows=np.zeros(1), highs=np.zeros(1))
+                             lows=np.zeros(1), highs=np.zeros(1),
+                             widths=np.zeros(1))
     res = operator_norm(LocalizationProblem(rho=0.0, intervals=empty))
     assert res.value == 0.0
     assert res.tail_bound == 0.0

@@ -18,6 +18,7 @@ from cantorloc import (
     log_segment_mass,
     lower_tail_batch,
     regularized_lower_gamma,
+    relative_area,
     segment_mass,
     segment_mass_batch,
     special,
@@ -167,16 +168,19 @@ def test_segment_bound_holds_against_mpmath(seed, k_min, k_max):
         assert abs(m.value - ref) <= m.value * m.rel_err_bound
 
 
-def _count_fallbacks(monkeypatch):
-    calls = []
-    real = special._mass_by_quadrature
+def _count_panels(monkeypatch):
+    # Segment counts of the panel evaluations.  The quadrature engine
+    # evaluates one panel and its two halves per call, and two more panels
+    # per round of bisection.
+    sizes = []
+    real = special._panels
 
-    def counted(*args):
-        calls.append(args)
-        return real(*args)
+    def counted(k, s, start, width):
+        sizes.append(start.size)
+        return real(k, s, start, width)
 
-    monkeypatch.setattr(special, "_mass_by_quadrature", counted)
-    return calls
+    monkeypatch.setattr(special, "_panels", counted)
+    return sizes
 
 
 @pytest.mark.parametrize("rho, k", [(3856.1790282438915, 1967),
@@ -185,21 +189,47 @@ def test_reverse_argmax_needs_no_adaptive_fallback(monkeypatch, rho, k):
     # k is the argmax of `norm --base 3 --alphabet 1,2 --iterate 15 --rho
     # <rho>`.  Offsets from the reference point certify every thin segment
     # in one panel refinement; differences of log-densities sent 34 and
-    # 1,909 segments to adaptive bisection.
-    calls = _count_fallbacks(monkeypatch)
+    # 1,909 segments to bisection.
+    sizes = _count_panels(monkeypatch)
     eigenvalue(localization_problem(CantorSpec(3, (1, 2)), 15, rho), k)
-    assert calls == []
+    assert len(sizes) == 3 and sizes[0] > 0
 
 
 def test_thin_segments_below_mode_need_no_fallback(monkeypatch):
     # Masses near 1e-240: the log-density rounding (~1e-13) once sent these
     # to seconds of bisection on noise.
-    calls = _count_fallbacks(monkeypatch)
+    sizes = _count_panels(monkeypatch)
     for a in (0.1753561, 0.18284164):
         m = segment_mass(100, a, a + 1e-8)
         ref = oracles.segment_mass_mp(100, a, a + 1e-8)
         assert abs(m.value - ref) <= m.value * m.rel_err_bound
-    assert calls == []
+    assert sizes == [1] * 6
+
+
+@pytest.mark.parametrize("k, a, b", [(5000, 0.0, 1.0e4), (2000, 1500.0, 2600.0)])
+def test_wide_segments_bisect_to_mpmath(monkeypatch, k, a, b):
+    # One 32-point panel cannot resolve the density's peak on these; the
+    # engine must bisect (more than the 3 panels of one unsplit call).
+    sizes = _count_panels(monkeypatch)
+    log_v, rel = log_segment_mass(k, a, b)
+    assert len(sizes) > 3
+    ref = oracles.segment_mass_mp(k, a, b)
+    assert abs(math.expm1(log_v - math.log(ref))) <= rel
+
+
+@pytest.mark.parametrize("k, s, T, base, alphabet", [
+    (300, 2000.0, 300.0, 5, (1, 3)),
+    (10, 1000.0, 2000.0, 3, (0, 2)),
+])
+def test_far_tail_relative_area_bisects_to_mpmath(monkeypatch, k, s, T, base,
+                                                  alphabet):
+    # Every mass here is below 1e-250, so the areas come from the engine,
+    # scaled by f_k at s; the panels over [s, s+T] need bisection.
+    sizes = _count_panels(monkeypatch)
+    area = relative_area(CantorSpec(base, alphabet), k, s, T)
+    assert sum(1 for n in sizes if n) > 3
+    ref = oracles.relative_area_mp(k, s, T, base, alphabet)
+    assert abs(area - ref) <= 1e-13 * ref
 
 
 def test_validation_rejects_bad_orders_and_arguments():

@@ -17,6 +17,7 @@ the distribution function of the iterate in O(n) per evaluation.
 
 from __future__ import annotations
 
+import functools
 import math
 import os
 from bisect import bisect_left
@@ -26,6 +27,8 @@ from typing import Sequence, Union
 import numpy as np
 
 DEFAULT_MAX_INTERVALS = 10_000_000
+# Unit roundoff of a double.
+_UNIT = 2.0 ** -53
 MAX_INTERVALS_ENV = "CTFL_MAX_INTERVALS"
 
 
@@ -161,19 +164,31 @@ def _levels_of(spec: Union[CantorSpec, IndexedCantorSpec], n: int) -> list[Canto
     return [spec] * n
 
 
+def _root_prefix(levels: Sequence[CantorSpec]) -> np.ndarray:
+    """The empty digit prefix: int64 when the base product fits, exact
+    Python ints in an object array otherwise."""
+    dtype = np.int64 if math.prod(lv.base for lv in levels) <= 2 ** 62 else object
+    return np.zeros(1, dtype=dtype)
+
+
+def _child_prefixes(level: CantorSpec, prefixes: np.ndarray) -> np.ndarray:
+    """Digit prefixes one level down, N M + a for a in the level's
+    alphabet, in order."""
+    letters = np.asarray(level.alphabet, dtype=prefixes.dtype)
+    return (prefixes[:, None] * level.base + letters[None, :]).reshape(-1)
+
+
 def _enumerate_points(levels: Sequence[CantorSpec], cap: int) -> np.ndarray:
-    """Sorted discrete points of the iterate: int64 when the base product
-    fits, exact Python ints in an object array otherwise."""
+    """Sorted discrete points of the iterate, the digit prefixes of its
+    last level."""
     total = math.prod(lv.size for lv in levels)
     if total > cap:
         raise CapExceededError(
             f"iterate would enumerate {total} intervals, above the cap of {cap} "
             f"(override with {MAX_INTERVALS_ENV} or max_intervals)")
-    dtype = np.int64 if math.prod(lv.base for lv in levels) <= 2 ** 62 else object
-    pts = np.zeros(1, dtype=dtype)
+    pts = _root_prefix(levels)
     for lv in levels:
-        letters = np.asarray(lv.alphabet, dtype=dtype)
-        pts = (pts[:, None] * lv.base + letters[None, :]).reshape(-1)
+        pts = _child_prefixes(lv, pts)
     return pts
 
 
@@ -185,16 +200,25 @@ def discrete_iterate(spec: CantorSpec, n: int,
     return _enumerate_points(_levels_of(spec, n), resolve_max_intervals(max_intervals))
 
 
-def _merged_intervals(levels: Sequence[CantorSpec], n: int, scale: float,
-                      cap: int) -> IterateIntervals:
+def check_scale(levels: Sequence[CantorSpec], scale: float) -> float:
+    """scale as a float, checked to be positive and finite with blocks of
+    the iterate of these levels still representable."""
     scale = float(scale)
     if not (scale > 0.0) or not math.isfinite(scale):
         raise ValueError(f"scale must be positive and finite, got {scale!r}")
-    base_product = math.prod(lv.base for lv in levels)
-    log_width = math.log(scale) - math.log(base_product) if n else math.log(scale)
+    log_width = math.log(scale)
+    if levels:
+        log_width -= math.log(math.prod(lv.base for lv in levels))
     if log_width < -708.0:
         raise ValueError("iterate blocks are narrower than the smallest "
                          "representable double; reduce the depth")
+    return scale
+
+
+def _merged_intervals(levels: Sequence[CantorSpec], n: int, scale: float,
+                      cap: int) -> IterateIntervals:
+    scale = check_scale(levels, scale)
+    base_product = math.prod(lv.base for lv in levels)
     pts = _enumerate_points(levels, cap)
     width = scale / base_product
     gaps = np.nonzero(np.diff(pts) > 1)[0]
@@ -224,6 +248,107 @@ def indexed_intervals(spec: IndexedCantorSpec, n: int, scale: float,
                       max_intervals: int | None = None) -> IterateIntervals:
     """continuous_iterate for per-level bases and alphabets."""
     return continuous_iterate(spec, n, scale, max_intervals)
+
+
+@dataclass(frozen=True, eq=False)
+class BlockTree:
+    """The n-th iterate scaled to [0, scale] as a tree of self-similar blocks.
+
+    A depth-m block is N W_m + W_m S_m: N = sum_{j<=m} a_j M_{j+1}...M_m is
+    its digit prefix, W_m = scale / (M_1...M_m) its width, and S_m the unit
+    iterate of levels m+1..n, the same set for every block of the depth.
+    moments[m, p] is the centred moment mu_p = integral over S_m of
+    (y - 1/2)^p dy, and moment_err[m, p] bounds its rounding.
+    """
+
+    levels: tuple[CantorSpec, ...]
+    widths: np.ndarray = field(repr=False)
+    moments: np.ndarray = field(repr=False)
+    moment_err: np.ndarray = field(repr=False)
+
+    @property
+    def depth(self) -> int:
+        return len(self.levels)
+
+    def root(self) -> np.ndarray:
+        """Digit prefix of the one depth-0 block."""
+        return _root_prefix(self.levels)
+
+    def children(self, m: int, prefixes: np.ndarray) -> np.ndarray:
+        """Digit prefixes of the depth-(m+1) blocks inside the given depth-m
+        blocks, in order."""
+        return _child_prefixes(self.levels[m], prefixes)
+
+    def centres(self, m: int, prefixes: np.ndarray) -> np.ndarray:
+        """(N + 1/2) W_m for each digit prefix N."""
+        return (2 * prefixes + 1).astype(float) * (0.5 * self.widths[m])
+
+
+@functools.lru_cache(maxsize=64)
+def _level_step(level: CantorSpec, order: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """One level of the moment recursion: S = union over a in A of
+    (a + S') / M gives mu_p(S) = sum_i C(p, i) s_{p-i} M^(-i-1) mu_i(S'),
+    with s_q = sum_a c_a^q and c_a = (2a + 1 - M) / (2M) the letter's
+    offset from the centre.  Returns that matrix and two bounds, the same
+    recursion in |c_a| widened by the rounding of its entries (1 + gamma)
+    and the rounding alone (gamma)."""
+    p = np.arange(order + 1)
+    lag = p[:, None] - p[None, :]
+    lower = lag >= 0
+    lag = np.where(lower, lag, 0)
+    binom = np.zeros((order + 1, order + 1))
+    binom[:, 0] = 1.0
+    for i in range(1, order + 1):
+        binom[i, 1:] = binom[i - 1, 1:] + binom[i - 1, :-1]
+    letters = np.asarray(level.alphabet, dtype=float)
+    offsets = (2.0 * letters + 1.0 - level.base) / (2.0 * level.base)
+    powers = offsets[None, :] ** p[:, None]
+    shrink = float(level.base) ** -(p + 1.0)
+    step = np.where(lower, binom * powers.sum(axis=1)[lag] * shrink[None, :], 0.0)
+    bound = np.where(lower, binom * np.abs(powers).sum(axis=1)[lag] * shrink[None, :], 0.0)
+    # Entry (p, i) carries q + |A| + 3 roundings (q = p - i) from the powers,
+    # the letter sum and the scaling; row p's sum p more.
+    gamma = (lag + p[:, None] + level.size + 3) * _UNIT
+    return step, bound * (1.0 + gamma), bound * gamma
+
+
+@functools.lru_cache(maxsize=64)
+def _block_moments(levels: tuple[CantorSpec, ...], order: int
+                   ) -> tuple[np.ndarray, np.ndarray]:
+    """Centred moments of the unit iterates of levels m+1..n for m = 0..n,
+    with rounding bounds, from the bottom level up (_level_step); each
+    level's bound also carries the error of the level below."""
+    p = np.arange(order + 1)
+    # Integral of (y - 1/2)^p over [0, 1].
+    mu = np.where(p % 2 == 0, 0.5 ** p / (p + 1.0), 0.0)
+    err = np.zeros(order + 1)
+    rows = [(mu, err)]
+    for lv in reversed(levels):
+        step, carry, rounding = _level_step(lv, order)
+        mu, err = step @ mu, carry @ err + rounding @ np.abs(mu)
+        rows.append((mu, err))
+    moments = np.array([r[0] for r in reversed(rows)])
+    moment_err = np.array([r[1] for r in reversed(rows)])
+    moments.flags.writeable = False
+    moment_err.flags.writeable = False
+    return moments, moment_err
+
+
+def block_tree(spec: Union[CantorSpec, IndexedCantorSpec], n: int, scale: float,
+               order: int) -> BlockTree:
+    """Block tree of the n-th iterate scaled to [0, scale], with centred
+    moments to the given order; nothing is enumerated."""
+    if n < 0:
+        raise ValueError(f"iterate depth must be nonnegative, got {n}")
+    levels = tuple(_levels_of(spec, n))
+    scale = check_scale(levels, scale)
+    products = [1]
+    for lv in levels:
+        products.append(products[-1] * lv.base)
+    widths = np.array([scale / b for b in products])
+    moments, moment_err = _block_moments(levels, order)
+    return BlockTree(levels=levels, widths=widths, moments=moments,
+                     moment_err=moment_err)
 
 
 def cantor_function(spec: CantorSpec, n: int, x: float) -> float:

@@ -5,8 +5,9 @@ enumeration: gamma tails come from scipy, segment masses from scipy
 adaptive quadrature on a peak-shifted integrand or from mpmath's
 incomplete gamma function, Cantor iterates from direct recursive
 subdivision in plain floats, the distribution function from a digit walk
-in rational arithmetic, and the first eigenvalue from exponential sums over
-those blocks.
+in rational arithmetic, the first eigenvalue from exponential sums over
+those blocks, and any eigenvalue from mpmath's incomplete gamma function
+over the exact blocks around the mode.
 """
 
 from __future__ import annotations
@@ -88,6 +89,37 @@ def log_density_mp(k: int, r: float, dps: int = 50) -> float:
     with mpmath.workdps(dps):
         r = mpmath.mpf(r)
         return float(k * mpmath.log(r) - r - mpmath.loggamma(k + 1))
+
+
+def eigenvalue_mp(levels, k: int, rho: float, depth: float = 50.0,
+                  dps: int = 40) -> tuple[float, float]:
+    """lambda_k over the exact iterate: (sum of mpmath gammainc(k + 1, a, b)
+    over the depth-n blocks [a, b] that meet the window around the mode,
+    bound on the mass of the iterate left out).
+
+    levels is a list of (base, alphabet) pairs, top level first.  Block ends
+    are N rho / B and (N + 1) rho / B for the digit prefix N and B the base
+    product, at dps digits, with rho taken as its exact binary value.  The
+    window [k - sqrt(2 k T), k + T + sqrt(T^2 + 2 k T)], T = depth, is where
+    f_k exceeds e^-T f_k(k); the mass left out is at most P(k+1, low) plus
+    Q(k+1, high) - Q(k+1, rho)."""
+    low = max(k - math.sqrt(2.0 * k * depth), 0.0)
+    high = k + depth + math.sqrt(depth * depth + 2.0 * k * depth)
+    base_product = math.prod(b for b, _ in levels)
+    prefixes = [0]
+    for b, letters in levels:
+        prefixes = [p * b + a for p in prefixes for a in letters]
+    with mpmath.workdps(dps):
+        scale = mpmath.mpf(rho) / base_product
+        inside = []
+        for p in prefixes:
+            a, b = p * scale, (p + 1) * scale
+            if b >= low and a <= high:
+                inside.append(mpmath.gammainc(k + 1, a, b, regularized=True))
+        left_out = mpmath.gammainc(k + 1, 0, low, regularized=True)
+        if high < rho:
+            left_out += mpmath.gammainc(k + 1, high, rho, regularized=True)
+        return float(mpmath.fsum(inside)), float(left_out)
 
 
 # ----------------------------------------------------------------------

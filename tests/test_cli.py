@@ -78,6 +78,22 @@ def test_enumeration_cap_exits_three(capsys, monkeypatch):
     assert "error:" in err
 
 
+def test_eigs_past_the_cap_needs_no_enumeration(capsys, monkeypatch):
+    # An explicit --kmax builds the table from the block tree; --kmax auto
+    # and norm scan the merged intervals and stop at the cap.
+    monkeypatch.delenv("CTFL_MAX_INTERVALS", raising=False)
+    deep = ("--base", "3", "--alphabet", "0,2", "--iterate", "32", "--rho", "43046721")
+    code, out, err = run_cli(capsys, "eigs", *deep, "--kmax", "2")
+    assert (code, err) == (0, "")
+    rows = csv_rows(out)
+    assert [r["k"] for r in rows] == ["0", "1", "2"]
+    assert all(0.0 < float(r["err"]) < 1e-12 * float(r["lambda"]) for r in rows)
+    for command in (("eigs", *deep), ("norm", *deep)):
+        code, _, err = run_cli(capsys, *command)
+        assert code == 3
+        assert "error:" in err
+
+
 def test_cantor_fn_mid_third_midpoint(capsys):
     code, out, _ = run_cli(
         capsys, "cantor-fn", "--base", "3", "--alphabet", "0,2",
@@ -279,11 +295,12 @@ GOLDEN = Path(__file__).parent / "golden"
      "sweep_positive_measure.csv"),
     ("norm --base 3 --alphabet 1,2 --iterate 6 --rho 27 --format json",
      "norm_reverse_base3.json"),
-    # Eigenvalue table: 153 segments are flagged as cancelling and then
-    # proved to carry no representable mass.
+    # Eigenvalue table from the block tree; rows 1 to 7 reach the depth-8
+    # interval at the origin.
     ("eigs --base 3 --alphabet 0,2 --iterate 8 --rho 81 --kmax auto",
      "eigs_mid_third_n8.csv"),
-    # Argmax 1967: thin segments near the mode, all on the panel route.
+    # Argmax 1967: a scan over 32,768 merged intervals, the value from the
+    # block tree.
     ("norm --base 3 --alphabet 1,2 --iterate 15 --rho 3856.1790282438915",
      "norm_reverse_n15.csv"),
 ])

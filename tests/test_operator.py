@@ -164,16 +164,13 @@ def test_norm_ball_case():
 
 
 def test_norm_zero_radius():
-    # Iterate construction refuses scale zero, so the guard is only
-    # reachable through a hand-built degenerate problem.
-    from cantorloc import IterateIntervals, LocalizationProblem
+    # localization_problem refuses scale zero, so the guard is only
+    # reachable through a hand-built problem, which enumerates nothing.
+    from cantorloc import LocalizationProblem
 
     with pytest.raises(ValueError):
         localization_problem(MID_THIRD, 1, 0.0)
-    empty = IterateIntervals(depth=0, scale=0.0, measure=0.0,
-                             lows=np.zeros(1), highs=np.zeros(1),
-                             widths=np.zeros(1))
-    res = operator_norm(LocalizationProblem(rho=0.0, intervals=empty))
+    res = operator_norm(LocalizationProblem(spec=MID_THIRD, n=1, rho=0.0))
     assert res.value == 0.0
     assert res.tail_bound == 0.0
 
@@ -187,6 +184,60 @@ def test_depth_sixteen_matches_exact_moment_references():
     res = operator_norm(localization_problem(CantorSpec(3, (1, 2)), 16, 3.0 ** 8))
     assert res.argmax_k == 3341
     assert abs(res.value - 0.0066523927252484441) <= res.value_err
+
+
+# Eigenvalues near the mode, and the last row of the eigs-auto table
+# (k = 506), which the cumulative difference of tails put 5.7e-12 off.
+EXACT_CASES = [
+    ([(3, (0, 2))] * 10, 3.0 ** 5, 243),
+    ([(3, (1, 2))] * 10, 3.0 ** 5, 133),
+    ([(5, (1, 3))] * 10, 5.0 ** 5, 810),
+    ([(3, (0, 2)), (4, (1, 3))] * 5, 12.0 ** 2.5, 50),
+    ([(3, (0, 2))] * 11, 3.0 ** 5.5, 506),
+]
+
+
+@pytest.mark.parametrize("levels, rho, k", EXACT_CASES)
+def test_eigenvalue_error_within_claim_against_mpmath(levels, rho, k):
+    # Canonical, reverse, interior and indexed sets; the 40-digit reference
+    # sums mpmath gammainc over the exact blocks around the mode.
+    specs = tuple(CantorSpec(b, a) for b, a in levels)
+    spec = specs[0] if len(set(specs)) == 1 else IndexedCantorSpec(specs)
+    lam = eigenvalue(localization_problem(spec, len(levels), rho), k)
+    ref, left_out = oracles.eigenvalue_mp(levels, k, rho)
+    assert left_out <= 1e-20 * ref
+    assert abs(lam.value - ref) <= lam.err
+    assert lam.err <= 2e-13 * ref
+
+
+def test_eigenvalues_past_the_enumeration_cap():
+    # 2^32 intervals: the block tree needs none of them, the scan does.
+    from cantorloc import CapExceededError
+
+    problem = localization_problem(MID_THIRD, 32, 3.0 ** 16)
+    for k in (1, 3 ** 16):
+        lam = eigenvalue(problem, k)
+        assert 0.0 < lam.value and 0.0 < lam.err <= 1e-11 * lam.value
+    lam0 = eigenvalue(problem, 0)
+    assert abs(lam0.value - lambda0_closed_form(MID_THIRD, 32, 3.0 ** 16)) <= lam0.err
+    with pytest.raises(CapExceededError):
+        problem.intervals
+
+
+@pytest.mark.parametrize("spec, n, rho, k_max", [
+    (CantorSpec(3, (1, 2)), 9, 140.0, 200),
+    # One block per index at the root, expanded at once.
+    (CantorSpec(3, (0, 2)), 1, 0.5, 20),
+    (CantorSpec(3, (0, 2)), 1, 7.0, 30),
+    (CantorSpec(4, (0, 1, 3)), 6, 60.0, 100),
+    (IndexedCantorSpec((CantorSpec(3, (0, 2)), CantorSpec(5, (1, 3))) * 2), 4, 100.0, 150),
+])
+def test_table_rows_equal_single_eigenvalues(spec, n, rho, k_max):
+    # Which blocks an index uses depends on that index alone, and its sums
+    # run over its own blocks, so the other rows of a batch change nothing.
+    problem = localization_problem(spec, n, rho)
+    table = eigenvalue_table(problem, k_max)
+    assert table == [eigenvalue(problem, k) for k in range(k_max + 1)]
 
 
 def test_norm_certificate_invariants():

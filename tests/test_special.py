@@ -3,6 +3,7 @@ batch/scalar agreement, and hypothesis invariants."""
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -11,7 +12,6 @@ from hypothesis import strategies as st
 import oracles
 from cantorloc import (
     CantorSpec,
-    eigenvalue,
     gamma_tail_mass,
     localization_problem,
     log_density,
@@ -140,6 +140,22 @@ def test_log_density_batch_matches_scalar():
         assert batch[i] == log_density(7, float(ri))
 
 
+def test_log_density_over_an_array_of_orders():
+    # A batch over k rounds each element as the one-element call does.
+    rng = np.random.default_rng(19)
+    k = np.concatenate([np.arange(30), (10.0 ** rng.uniform(1.0, 8.0, 70)).round()])
+    r = (k + 1.0) * 10.0 ** rng.uniform(-3.0, 0.4, k.size)
+    batch = log_density(k[:, None], np.stack([r, 0.5 * r], axis=1))
+    for i in range(k.size):
+        for j, x in enumerate((r[i], 0.5 * r[i])):
+            assert batch[i, j] == log_density(int(k[i]), float(x))
+    assert np.array_equal(_prefactor_error(k, r, batch[:, 0]),
+                          [_prefactor_error(int(ki), ri, li)
+                           for ki, ri, li in zip(k, r, batch[:, 0])])
+    with pytest.raises(ValueError):
+        log_density(np.array([1.0, 2.5]), 1.0)
+
+
 def test_log_density_matches_mpmath_within_its_bound():
     # Far below the mode, 1 + (u - 1) must not stand in for u = r / (k+1):
     # at (40, 1.78e-5) that cost 4.6e-9 and at (1000, 1.0) 3.4e-11.
@@ -187,11 +203,13 @@ def _count_panels(monkeypatch):
                                     (3674.3552626685405, 1875)])
 def test_reverse_argmax_needs_no_adaptive_fallback(monkeypatch, rho, k):
     # k is the argmax of `norm --base 3 --alphabet 1,2 --iterate 15 --rho
-    # <rho>`.  Offsets from the reference point certify every thin segment
-    # in one panel refinement; differences of log-densities sent 34 and
-    # 1,909 segments to bisection.
+    # <rho>`, and the segments are that iterate's merged intervals.
+    # Offsets from the reference point certify every thin segment in one
+    # panel refinement; differences of log-densities sent 34 and 1,909
+    # segments to bisection.
+    ivals = localization_problem(CantorSpec(3, (1, 2)), 15, rho).intervals
     sizes = _count_panels(monkeypatch)
-    eigenvalue(localization_problem(CantorSpec(3, (1, 2)), 15, rho), k)
+    segment_mass_batch(k, ivals.lows, ivals.highs, ivals.widths)
     assert len(sizes) == 3 and sizes[0] > 0
 
 
@@ -217,6 +235,26 @@ def test_wide_segments_bisect_to_mpmath(monkeypatch, k, a, b):
     assert abs(math.expm1(log_v - math.log(ref))) <= rel
 
 
+def test_negligible_panels_are_not_bisected(monkeypatch):
+    # Panels whose error is below 1e-13 of the segment's first estimate are
+    # accepted, so the far tails of f_5000 on [0, 1e4] stop being split: a
+    # few rounds, where a test against each panel's own mass took 23.
+    sizes = _count_panels(monkeypatch)
+    log_segment_mass(5000, 0.0, 1.0e4)
+    rounds = (len(sizes) - 1) // 2
+    assert 1 <= rounds <= 6
+
+
+@pytest.mark.parametrize("b", [40.0, 800.0])
+def test_wide_segment_bound_holds_at_order_zero(b):
+    # The panel exponents -d reach -b; a flat 4 eps per panel claimed 5.3e-15
+    # on [0, 40] and 8.9e-15 on [0, 800] against actual errors of 6.4e-15
+    # and 1.24e-14.
+    log_v, rel = log_segment_mass(0, 0.0, b)
+    ref = oracles.segment_mass_mp(0, 0.0, b)
+    assert abs(math.expm1(log_v - math.log(ref))) <= rel
+
+
 @pytest.mark.parametrize("k, s, T, base, alphabet", [
     (300, 2000.0, 300.0, 5, (1, 3)),
     (10, 1000.0, 2000.0, 3, (0, 2)),
@@ -230,6 +268,44 @@ def test_far_tail_relative_area_bisects_to_mpmath(monkeypatch, k, s, T, base,
     assert sum(1 for n in sizes if n) > 3
     ref = oracles.relative_area_mp(k, s, T, base, alphabet)
     assert abs(area - ref) <= 1e-13 * ref
+
+
+def _log_coefficients_mp(k, c, w, order):
+    """Taylor coefficients of f_k(c + w u) / f_k(c) at 40 digits from those
+    of its log: g_1 = (k/c - 1) w, g_p = k (-1)^(p+1) (w/c)^p / p, and
+    p a_p = sum_j j g_j a_(p-j)."""
+    with mpmath.workdps(40):
+        c, w = mpmath.mpf(c), mpmath.mpf(w)
+        g = [0, (k / c - 1) * w] + [k * (-1) ** (p + 1) * (w / c) ** p / p
+                                    for p in range(2, order + 1)]
+        a = [mpmath.mpf(1)]
+        for p in range(1, order + 1):
+            a.append(mpmath.fsum(j * g[j] * a[p - j] for j in range(1, p + 1)) / p)
+        return a
+
+
+@pytest.mark.parametrize("k, c, w", [(0, 3.0, 9.0), (5, 1.5, 0.7), (506, 480.0, 47.0),
+                                     (6561, 6800.0, 243.0), (40, 300.0, 30.0)])
+def test_expansion_matches_log_coefficient_recurrence(k, c, w):
+    # The three-term recurrence against the log-coefficient convolution, on
+    # the moments of [0, 1] (mu_p = 2^-p / (p+1), p even): the sum within
+    # its rounding bound, the coefficients past the order within the
+    # Cauchy remainder.
+    order = 40
+    p = np.arange(order + 1)
+    mu = np.where(p % 2 == 0, 0.5 ** p / (p + 1.0), 0.0)
+    weight = (order + 2) * 2.0 ** -53 * mu
+    total, bound, _, _ = special.expansion_sums(
+        np.array([float(k)]), np.array([c]), np.array([w]), mu[None, :], weight[None, :])
+    a = _log_coefficients_mp(k, c, w, 3 * order)
+    with mpmath.workdps(40):
+        ref = mpmath.fsum(a[q] * mu[q] for q in range(order + 1))
+        tail = mpmath.fsum(abs(a[q]) * mpmath.mpf(2) ** -q
+                           for q in range(order + 1, 3 * order + 1))
+        assert abs(total[0] - ref) <= bound[0]
+    radii = np.array([2.0, 4.0, 8.0])
+    tails = special.expansion_tails(float(k), c, w, radii)
+    assert float(tail) <= np.exp(tails - (order + 1) * np.log(2.0 * radii)).min()
 
 
 def test_validation_rejects_bad_orders_and_arguments():

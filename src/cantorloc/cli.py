@@ -12,8 +12,9 @@ Usage examples:
 Output goes to stdout or --out as CSV (default) or JSON.  Numbers are
 serialized with 17 significant digits so identical flags reproduce files
 byte for byte.  Exit codes: 0 success, 1 verification failure, 2 usage or
-validation error, 3 enumeration cap exceeded (the cap follows the
-CTFL_MAX_INTERVALS environment variable).
+validation error, 3 interval cap exceeded by an enumeration or by the rows
+of an `eigs --kmax auto` table (the cap follows the CTFL_MAX_INTERVALS
+environment variable).
 """
 
 from __future__ import annotations
@@ -26,6 +27,7 @@ import sys
 
 from . import __version__
 from .cantor import (
+    MAX_INTERVALS_ENV,
     CantorSpec,
     CapExceededError,
     IndexedCantorSpec,
@@ -224,11 +226,23 @@ def _h_equivalent(spec, n: int) -> float:
 # Subcommands
 # ----------------------------------------------------------------------
 
+def _check_table_rows(rows: int) -> None:
+    """Refuse an automatic eigenvalue table longer than the interval cap."""
+    cap = resolve_max_intervals()
+    if rows > cap:
+        raise CapExceededError(
+            f"eigenvalue table would have at least {rows} rows, above the cap of "
+            f"{cap} (override with {MAX_INTERVALS_ENV})")
+
+
 def cmd_eigs(args: argparse.Namespace) -> int:
     spec = _spec_from(args)
     problem = localization_problem(spec, args.iterate, args.rho)
     if args.kmax == "auto":
+        # k_truncation > rho, so rho alone can show the table is too long.
+        _check_table_rows(math.floor(problem.rho) + 2)
         k_hi = operator_norm(problem).k_truncation
+        _check_table_rows(k_hi + 1)
     else:
         k_hi = args.kmax
     table = eigenvalue_table(problem, k_hi)

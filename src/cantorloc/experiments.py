@@ -130,7 +130,7 @@ def sweep_reverse_counterexample(base: int, size: int, schedule: RadiusSchedule,
                                  ) -> list[tuple[int, float]]:
     """(n, norm ratio reverse-canonical / canonical) along the schedule.
 
-    Both norms come from full certified scans.  The ratio tending to zero is
+    Both norms are certified operator norms.  The ratio tending to zero is
     what rules out a two-sided sibling comparison at the critical radius.
     """
     if not (1 <= size <= base - 1):

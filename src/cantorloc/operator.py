@@ -22,9 +22,12 @@ centres and widths.  Nothing is enumerated, so the depth is not limited
 by the interval cap.
 
 The first eigenvalue has a closed product form built from per-level
-relative areas; the operator norm is the supremum over k, located by a
-scan over the merged intervals (enumerated on first use) whose
-truncation is certified by lambda_k <= P(k+1, rho).
+relative areas.  The operator norm is the supremum over k, certified by
+branch and bound over the same tree: a group of consecutive k is bounded
+on each block by sup f_k times the block's measure (Part I's estimate),
+groups whose summed bound stays below an exact eigenvalue are dropped, and
+the rest get exact rows.  Its truncation is certified by lambda_k <=
+P(k+1, rho).
 """
 
 from __future__ import annotations
@@ -96,10 +99,10 @@ def ball_bound(measure: float) -> float:
 class LocalizationProblem:
     """The n-th iterate of *spec* scaled to [0, rho], rho = pi R^2.
 
-    Eigenvalues integrate over the iterate's block tree (`tree`), which
-    enumerates nothing; the norm scan needs the merged intervals
-    (`intervals`), which are enumerated on first use, up to the interval
-    cap, and kept.
+    Eigenvalues and the norm work on the iterate's block tree (`tree`),
+    which enumerates nothing.  The merged intervals (`intervals`) are
+    enumerated on first use, up to the interval cap, and kept; nothing in
+    this module reads them.
     """
 
     spec: AnySpec
@@ -147,11 +150,7 @@ def eigenvalue_table(problem: LocalizationProblem, k_max: int) -> list[Eigenvalu
     """lambda_0 .. lambda_{k_max}; each row equals eigenvalue(problem, k)."""
     if k_max < 0:
         raise ValueError("k_max must be nonnegative")
-    ks = np.arange(k_max + 1)
-    rows = []
-    for first in range(0, k_max + 1, _ROWS):
-        rows += _tree_masses(problem.tree, ks[first:first + _ROWS])
-    return rows
+    return _rows(problem.tree, np.arange(k_max + 1))
 
 
 def _row_sums(mask: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -384,36 +383,35 @@ def limit_relative_area(theta: float, a: float, T: float) -> float:
 # Operator norm
 # ----------------------------------------------------------------------
 
-# Truncation policy of the norm scan: it stops at the first k > rho whose
-# tail P(k+2, rho) is below max(TAIL_ABSOLUTE, TAIL_RELATIVE * best so far).
+# Truncation policy of the norm: it stops at the first k > rho whose tail
+# P(k+1, rho) is below max(TAIL_ABSOLUTE, TAIL_RELATIVE * norm).
 TAIL_ABSOLUTE = 1e-12
 TAIL_RELATIVE = 1e-9
-# Scan window: outside [k - sqrt(2kT), k + T + sqrt(T^2 + 2kT)] the density
-# f_k is at most e^-T f_k(k) <= e^-T / sqrt(2 pi k).
-WINDOW_T = 40.0
-# The scan reseeds its density vector from log space every _RESEED indices.
-_RESEED = 64
-
-
-def scan_window(k_first: int, k_last: int) -> tuple[float, float]:
-    """Union of the windows of k_first .. k_last, as (low, high).
-
-    k - sqrt(2kT) is least at k = T/2 and increasing above it; the upper end
-    k + T + sqrt(T^2 + 2kT) is increasing everywhere.
-    """
-    t = WINDOW_T
-    k_low = max(float(k_first), t / 2.0)
-    return (k_low - math.sqrt(2.0 * t * k_low),
-            k_last + t + math.sqrt(t * t + 2.0 * t * k_last))
+# Indices bounded together, as one group, on each block.  Below SINGLES the
+# width sqrt(k) of f_k is under GROUP, so the envelope of a group would be
+# wider than each member; those indices are bounded one by one.
+GROUP = 8
+SINGLES = GROUP * GROUP
+# A block whose bound is below this share of the target joins its group's
+# fixed sum instead of splitting.
+PRUNE_SHARE = 1e-6
+# One exact row costs about as much as this many (group, block) bounds.
+ROW_COST = 50
+# While the next depth would hold more (group, block) pairs than this, the
+# target is raised by the exact rows of the group of largest bound.
+RAISE_PAIRS = 3000
 
 
 @dataclass(frozen=True)
 class NormResult:
     """Certified operator norm: max eigenvalue over k <= k_truncation.
 
-    tail_bound = P(k_truncation + 2, rho), i.e.
-    regularized_lower_gamma(k_truncation + 1, rho), dominates every
-    eigenvalue past the truncation and satisfies
+    value is the eigenvalue at argmax_k.  value_err bounds |norm - value|:
+    it is that row's err, widened to cover the runner-up's value + err when
+    that reaches the winner's value - err, so an argmax closer to another
+    index than their errors still gives a certified value.  tail_bound =
+    P(k_truncation + 2, rho), i.e. regularized_lower_gamma(k_truncation + 1,
+    rho), dominates every eigenvalue past the truncation and satisfies
     tail_bound < max(TAIL_ABSOLUTE, TAIL_RELATIVE * value).
     """
 
@@ -424,87 +422,136 @@ class NormResult:
     value_err: float
 
 
+def group_bound(tree: BlockTree, m: int, prefixes: np.ndarray, first: np.ndarray,
+                last: np.ndarray) -> np.ndarray:
+    """Upper bound on the mass of f_k over the depth-m block of each digit
+    prefix, for every k in first .. last (broadcast against the prefixes).
+
+    The mass is at most sup f_k on the block [L, L + W] times its measure
+    W mu_0.  With j = floor(L), the sup over the block and the group is
+    f_k(clip(k, L, L + W)) at k = clip(j, first, last): up to j it is
+    f_k(L), which rises with k since f_(k+1)(L) / f_k(L) = L / (k+1); past
+    j no f_k exceeds f_k(k), which falls with k, and f_(j+1)(j+1) =
+    f_j(j+1) <= f_j(L).  A rounded L on the other side of an integer i
+    moves j by one, which changes the sup by a factor L / i within 3 eps
+    of 1.  Rounding goes outward: f_k's prefactor error, the ends' 3 eps
+    through d log f_k / dx = k/x - 1 and that factor, the sums in log
+    space, mu_0's moment_err and the last products.
+    """
+    w = float(tree.widths[m])
+    low = prefixes.astype(float) * w
+    k = np.clip(np.floor(low), first, last)
+    x = np.clip(k, low, (prefixes + 1).astype(float) * w)
+    log_f = log_density(k, x)
+    log_sup = (log_f + np.log1p(_prefactor_error(k, x, log_f))
+               + _EPS * (4.0 * np.abs(k - x) + 2.0 * np.abs(log_f) + 8.0))
+    measure = w * (tree.moments[m, 0] + tree.moment_err[m, 0]) * (1.0 + 8.0 * _EPS)
+    # An exp that underflows is off by at most the least subnormal.
+    return np.exp(log_sup) * measure + 5e-324
+
+
+def _rows(tree: BlockTree, ks: np.ndarray) -> list[EigenvalueResult]:
+    """_tree_masses over ks in batches of _ROWS indices."""
+    rows = []
+    for first in range(0, ks.size, _ROWS):
+        rows += _tree_masses(tree, ks[first:first + _ROWS])
+    return rows
+
+
+def _select(rows: Sequence[EigenvalueResult]) -> tuple[EigenvalueResult, float]:
+    """The row of largest value (the least k among equal values) and the
+    error bound of the norm when every index outside rows is certified below
+    some row's value - err: the winner's err, or the distance to the highest
+    value + err among the other rows where that is larger."""
+    best = max(rows, key=lambda r: (r.value, -r.k))
+    reach = max((r.value + r.err for r in rows if r is not best), default=-math.inf)
+    return best, max(best.err, reach - best.value)
+
+
+def _last_index(rho: float) -> int:
+    """An index past every truncation: P(k+1, rho) falls below even
+    TAIL_ABSOLUTE within O(sqrt(rho)) indices past rho."""
+    return int(rho + 60.0 * math.sqrt(rho + 1.0) + 400.0)
+
+
+def _truncation(rho: float, norm: float) -> int:
+    """First k > rho with P(k+1, rho) < max(TAIL_ABSOLUTE, TAIL_RELATIVE *
+    norm).  The sum of f_j(rho) over j > k, added from the top, locates it
+    to within rounding; regularized_lower_gamma then settles it, since
+    P(k+1, rho) falls with k."""
+    threshold = max(TAIL_ABSOLUTE, TAIL_RELATIVE * norm)
+    first = math.floor(rho) + 1
+    last = _last_index(rho)
+    tails = np.cumsum(np.exp(log_density(np.arange(last, first - 1, -1.0), rho)))[::-1]
+    k = first + int(np.argmax(np.append(tails[1:], 0.0) < threshold))
+    while regularized_lower_gamma(k, rho) >= threshold:
+        k += 1
+        if k > last:
+            raise ArithmeticError(f"norm failed to certify truncation by k={last} (rho={rho})")
+    while k - 1 > rho and regularized_lower_gamma(k - 1, rho) < threshold:
+        k -= 1
+    return k
+
+
 def operator_norm(problem: LocalizationProblem) -> NormResult:
-    """Scan lambda_k upward until the remaining tail is certified negligible.
+    """sup_k lambda_k, certified by branch and bound over the block tree.
 
-    The scan advances with the exact finite identity
-    P(k+1, x) = P(k, x) - x^k e^(-x) / k!, so
-    lambda_k - lambda_{k-1} = sum over blocks of f_k(lo) - f_k(hi).  The
-    endpoints are kept interleaved (lo_0, hi_0, lo_1, ...), which is sorted
-    because the blocks are merged, and the density vector carries the signs
-    +, -, +, ...; it steps multiplicatively, f_k(x) = f_{k-1}(x) x / k, and
-    the density f_k(rho) of the running tail steps the same way.  Both are
-    reseeded from log space every 64 indices so rounding drift and
-    underflow cannot accumulate across the scan.
-
-    Each reseed keeps only the endpoints inside the union of the next 64
-    windows [k - sqrt(2kT), k + T + sqrt(T^2 + 2kT)], T = WINDOW_T = 40
-    (see scan_window).  f_k is monotone on either side of its mode k and at
-    most e^-T f_k(k) <= e^-T / sqrt(2 pi k) outside the window, so the
-    skipped endpoints on each side form an alternating series bounded by
-    its largest term: each increment is off by at most
-    2 e^-T / sqrt(2 pi k), about 5.7e-16 summed over the 7,100 indices
-    of a scan at rho = 3^8.  The reduction is a plain sum, not a BLAS dot, so
-    it runs on one thread.
-
-    The scan starts from eigenvalue(problem, 0) and walks the merged
-    intervals, which the problem enumerates here on first use.  The
-    truncation is refreshed exactly at the stopping index, and the winning
-    eigenvalue is recomputed by eigenvalue, with its error bound.
+    The indices 1 .. _last_index are split into groups (GROUP, SINGLES),
+    and the tree is walked from the root with, per group, the blocks still
+    in play, each bounded by group_bound.  Blocks below PRUNE_SHARE of the
+    target move into their group's fixed sum, and a group whose fixed sum
+    plus block bounds is at most the target is certified: none of its
+    eigenvalues exceeds the target, the largest value - err of the exact
+    rows so far, starting with k = 0.  Exact rows come from _tree_masses in
+    batches of _ROWS: at each depth for the uncertified group of largest
+    bound while the next depth would hold more than RAISE_PAIRS (group,
+    block) pairs, which raises the target before the pairs multiply; for
+    any group whose blocks at the next depth would cost more than its rows
+    (ROW_COST); and at depth n, where blocks cannot split, for every group
+    left.  The norm is the largest exact row (see _select for value_err),
+    and k_truncation follows from it.  Nothing is enumerated.
     """
     rho = problem.rho
     if rho == 0.0:
         return NormResult(0.0, 0, 1, 0.0, 0.0)
-    ivals = problem.intervals
-
-    endpoints = np.column_stack([ivals.lows, ivals.highs]).ravel()
-    signs = np.tile([1.0, -1.0], ivals.lows.size)
-    with np.errstate(divide="ignore"):
-        log_ep = np.log(endpoints)
-
-    at_start = eigenvalue(problem, 0)
-    lam = at_start.value
-    best = lam
-    best_k = 0
-    # Running P(k+1, rho), updated by the same identity; the certificate is
-    # refreshed exactly at the stopping index before being reported.
-    p_tail = regularized_lower_gamma(0, rho)
-    # A generous hard stop: the certificate fires within O(sqrt(rho))
-    # indices past rho even at the absolute threshold.
-    k_hard = int(rho + 60.0 * math.sqrt(rho + 1.0) + 400.0)
-    k = 0
-    g = None
-    k_seed = 0
-    while True:
-        if k > rho and p_tail < max(TAIL_ABSOLUTE, TAIL_RELATIVE * best):
-            exact_tail = regularized_lower_gamma(k + 1, rho)
-            if exact_tail < max(TAIL_ABSOLUTE, TAIL_RELATIVE * best):
-                k_trunc = k
-                tail = exact_tail
-                break
-            p_tail = exact_tail
-        if k >= k_hard:
-            raise ArithmeticError(
-                f"norm scan failed to certify truncation by k={k} (rho={rho})")
-        k += 1
-        if g is None or k - k_seed >= _RESEED:
-            low, high = scan_window(k, k + _RESEED - 1)
-            first = int(np.searchsorted(endpoints, low, side="left"))
-            stop = int(np.searchsorted(endpoints, high, side="right"))
-            x = endpoints[first:stop]
-            g = signs[first:stop] * np.exp(
-                k * log_ep[first:stop] - x - math.lgamma(k + 1))
-            tail_density = math.exp(log_density(k, rho))
-            k_seed = k
+    tree = problem.tree
+    k_last = _last_index(rho)
+    rows = _rows(tree, np.zeros(1, dtype=int))
+    target = rows[0].value - rows[0].err
+    first = np.append(np.arange(1.0, SINGLES), np.arange(SINGLES, k_last + 1.0, GROUP))
+    last = np.append(first[1:] - 1.0, k_last)
+    count = first.size
+    fixed = np.zeros(count)
+    group = np.arange(count)
+    prefixes = np.repeat(tree.root(), count)
+    for m in range(tree.depth + 1):
+        bound = group_bound(tree, m, prefixes, first[group], last[group])
+        prune = bound <= PRUNE_SHARE * target
+        fixed += np.bincount(group[prune], bound[prune], minlength=count)
+        live = np.bincount(group[~prune], minlength=count)
+        total = fixed + np.bincount(group[~prune], bound[~prune], minlength=count)
+        alive = np.zeros(count, dtype=bool)
+        alive[group] = total[group] > target
+        if m == tree.depth:
+            exact = alive
         else:
-            g *= x
-            g *= 1.0 / k
-            tail_density *= rho / k
-        lam += float(g.sum())
-        p_tail -= tail_density
-        if lam > best:
-            best = lam
-            best_k = k
-    final = at_start if best_k == 0 else eigenvalue(problem, best_k)
-    return NormResult(value=final.value, argmax_k=best_k, k_truncation=k_trunc,
-                      tail_bound=tail, value_err=final.err)
+            pairs = live * tree.levels[m].size
+            exact = alive & ((live == 0) | (pairs > ROW_COST * (last - first + 1)))
+            if pairs[alive].sum() > RAISE_PAIRS:
+                exact[np.argmax(np.where(alive, total, -np.inf))] = True
+        if exact.any():
+            ks = np.concatenate([np.arange(a, b + 1) for a, b in
+                                 zip(first[exact].astype(int), last[exact].astype(int))])
+            rows += _rows(tree, ks)
+            target = max(r.value - r.err for r in rows)
+            alive &= ~exact & (total > target)
+        keep = alive[group] & ~prune
+        if not keep.any():
+            break
+        prefixes = tree.children(m, prefixes[keep])
+        group = np.repeat(group[keep], tree.levels[m].size)
+    best, value_err = _select(rows)
+    k_trunc = _truncation(rho, best.value)
+    return NormResult(value=best.value, argmax_k=best.k, k_truncation=k_trunc,
+                      tail_bound=regularized_lower_gamma(k_trunc + 1, rho),
+                      value_err=value_err)

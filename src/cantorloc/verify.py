@@ -23,6 +23,7 @@ from .cantor import (
     canonical_of,
     cantor_function,
     continuous_iterate,
+    discrete_iterate,
 )
 from .experiments import (
     DecayParams,
@@ -33,7 +34,9 @@ from .experiments import (
     sweep_reverse_counterexample,
 )
 from .operator import (
+    GROUP,
     eigenvalue,
+    group_bound,
     lambda0_closed_form,
     limit_relative_area,
     localization_problem,
@@ -44,6 +47,7 @@ from .special import (
     gamma_tail_mass,
     regularized_lower_gamma,
     segment_mass,
+    segment_mass_batch,
 )
 
 SUITE_NAMES = ("special_fn", "cantor", "operator", "experiments", "cli")
@@ -383,13 +387,34 @@ def operator_suite(seed: int, samples: int, tol: float | None = None
         rho = float(rng.uniform(0.5, 30.0))
         problem = localization_problem(spec, n, rho)
         res = operator_norm(problem)
-        # doubling the scan range must stay inside the certificate
+        # eigenvalues up to twice the truncation stay inside the certificate
         for k in range(res.k_truncation + 1, 2 * res.k_truncation + 1, 3):
             lam = eigenvalue(problem, k).value
             worst = max(worst, lam - (res.value + res.tail_bound))
     out.append(PropertyCheck("operator", "norm_certificate",
                              worst <= 0.0, worst, 0.0, trials,
                              note="rescan to 2K never beats value + tail"))
+
+    worst = -math.inf
+    trials = max(samples // 40, 12)
+    for _ in range(trials):
+        spec = _random_spec(rng, max_base=6)
+        n = int(rng.integers(0, 6))
+        rho = float(rng.uniform(0.5, 80.0))
+        tree = localization_problem(spec, n, rho).tree
+        first = int(rng.integers(0, int(1.2 * rho) + 2))
+        last = first + int(rng.integers(0, GROUP))
+        prefixes = discrete_iterate(spec, n)
+        width = float(tree.widths[n])
+        lo = prefixes.astype(float) * width
+        hi = (prefixes + 1).astype(float) * width
+        bound = group_bound(tree, n, prefixes, float(first), float(last))
+        for k in range(first, last + 1):
+            mass, rel = segment_mass_batch(k, lo, hi, np.full(lo.size, width))
+            worst = max(worst, float(np.max((mass * (1.0 - rel) - bound) / bound)))
+    out.append(PropertyCheck("operator", "group_bound_dominates_masses",
+                             worst <= 0.0, worst, 0.0, trials,
+                             note="every member's mass on a depth-n block"))
     return out
 
 

@@ -12,7 +12,7 @@ from pathlib import Path
 
 import pytest
 
-from cantorloc import cli
+from cantorloc import CantorSpec, cli, lambda0_closed_form
 
 
 def run_cli(capsys, *argv):
@@ -79,8 +79,9 @@ def test_enumeration_cap_exits_three(capsys, monkeypatch):
 
 
 def test_eigs_past_the_cap_needs_no_enumeration(capsys, monkeypatch):
-    # An explicit --kmax builds the table from the block tree; --kmax auto
-    # and norm scan the merged intervals and stop at the cap.
+    # An explicit --kmax builds the table from the block tree, and norm
+    # walks the tree too, so neither stops at the interval cap; --kmax auto
+    # stops there because its table would have more rows than the cap.
     monkeypatch.delenv("CTFL_MAX_INTERVALS", raising=False)
     deep = ("--base", "3", "--alphabet", "0,2", "--iterate", "32", "--rho", "43046721")
     code, out, err = run_cli(capsys, "eigs", *deep, "--kmax", "2")
@@ -88,10 +89,17 @@ def test_eigs_past_the_cap_needs_no_enumeration(capsys, monkeypatch):
     rows = csv_rows(out)
     assert [r["k"] for r in rows] == ["0", "1", "2"]
     assert all(0.0 < float(r["err"]) < 1e-12 * float(r["lambda"]) for r in rows)
-    for command in (("eigs", *deep), ("norm", *deep)):
-        code, _, err = run_cli(capsys, *command)
-        assert code == 3
-        assert "error:" in err
+    code, _, err = run_cli(capsys, "eigs", *deep)
+    assert code == 3
+    assert "error:" in err
+    # 2^24 intervals, past the default cap of 10^7.
+    code, out, err = run_cli(capsys, "norm", "--base", "3", "--alphabet", "0,2",
+                             "--iterate", "24", "--rho", "531441")
+    assert (code, err) == (0, "")
+    [row] = csv_rows(out)
+    assert row["argmax_k"] == "0"
+    exact = lambda0_closed_form(CantorSpec(3, (0, 2)), 24, 531441.0)
+    assert abs(float(row["value"]) - exact) <= float(row["value_err"])
 
 
 def test_cantor_fn_mid_third_midpoint(capsys):

@@ -1,5 +1,5 @@
 """Operator tests: eigenvalues against the closed form and brute-force
-block sums, relative areas, and the certified norm scan."""
+block sums, relative areas, and the certified norm."""
 
 import math
 
@@ -21,8 +21,7 @@ from cantorloc import (
     operator_norm,
     relative_area,
 )
-from cantorloc.operator import WINDOW_T, scan_window
-from cantorloc.special import log_density
+from cantorloc.operator import EigenvalueResult, _select
 
 MID_THIRD = CantorSpec(3, (0, 2))
 
@@ -211,7 +210,8 @@ def test_eigenvalue_error_within_claim_against_mpmath(levels, rho, k):
 
 
 def test_eigenvalues_past_the_enumeration_cap():
-    # 2^32 intervals: the block tree needs none of them, the scan does.
+    # 2^32 intervals: the block tree needs none of them; enumerating them
+    # still stops at the cap.
     from cantorloc import CapExceededError
 
     problem = localization_problem(MID_THIRD, 32, 3.0 ** 16)
@@ -275,10 +275,9 @@ def test_norm_argmax_is_at_least_inner_radius():
         assert res.argmax_k >= math.floor(inner_rho(spec, n, rho))
 
 
-# Small problems with rho large enough that the scan windows drop endpoints.
-# {2,3} base 4 has its argmax (62) late in the first 64-index block, so it
-# needs that block's window to reach past the window of k = 1.
-WINDOWED_CASES = (
+# Small problems where the norm is certified from the block tree; {2,3}
+# base 4 has its argmax at 62, far from both k = 0 and rho.
+BRUTE_FORCE_CASES = (
     (CantorSpec(4, (2, 3)), 2, 90.0),
     (CantorSpec(3, (0, 2)), 4, 150.0),
     (CantorSpec(3, (1, 2)), 5, 200.0),
@@ -288,8 +287,8 @@ WINDOWED_CASES = (
 )
 
 
-@pytest.mark.parametrize("spec,n,rho", WINDOWED_CASES)
-def test_windowed_norm_matches_brute_force(spec, n, rho):
+@pytest.mark.parametrize("spec,n,rho", BRUTE_FORCE_CASES)
+def test_norm_matches_brute_force(spec, n, rho):
     problem = localization_problem(spec, n, rho)
     res = operator_norm(problem)
     values = [eigenvalue(problem, k).value for k in range(res.k_truncation + 1)]
@@ -297,25 +296,19 @@ def test_windowed_norm_matches_brute_force(spec, n, rho):
     assert abs(res.value - max(values)) <= res.value_err
 
 
-@pytest.mark.parametrize("spec,n,rho", WINDOWED_CASES)
-def test_windowed_increment_error_is_bounded(spec, n, rho):
-    # lambda_k - lambda_{k-1} = sum of +f_k(lo) - f_k(hi); the scan keeps
-    # only the endpoints inside the window of its 64-index block, and the
-    # terms it drops must sum to at most 2 e^-T / sqrt(2 pi k).
-    ivals = localization_problem(spec, n, rho).intervals
-    endpoints = np.column_stack([ivals.lows, ivals.highs]).ravel()
-    signs = np.tile([1.0, -1.0], ivals.lows.size)
-    dropped_any = False
-    for k in (1, 10, 40, 64, 65, 100, int(rho) // 2, int(rho), int(rho) + 50):
-        terms = signs * np.exp(log_density(k, endpoints))
-        first = 1 + 64 * ((k - 1) // 64)
-        for low, high in (scan_window(k, k), scan_window(first, first + 63)):
-            outside = (endpoints < low) | (endpoints > high)
-            dropped = math.fsum(terms[outside])
-            bound = 2.0 * math.exp(-WINDOW_T) / math.sqrt(2.0 * math.pi * k)
-            assert abs(dropped) <= bound
-            dropped_any = dropped_any or bool(np.any(outside & (terms != 0.0)))
-    assert dropped_any
+def test_selection_error_covers_a_close_runner_up():
+    # Closer than their errors: either row may hold the norm, so value_err
+    # must reach the runner-up's value + err.
+    winner = EigenvalueResult(k=7, value=0.5, err=1e-12)
+    runner_up = EigenvalueResult(k=9, value=0.5 - 2e-13, err=3e-12)
+    far = EigenvalueResult(k=3, value=0.4, err=1e-12)
+    best, value_err = _select([far, runner_up, winner])
+    assert best == winner
+    assert best.value + value_err >= runner_up.value + runner_up.err
+    assert value_err > winner.err
+    # Apart by more than their errors: the winner's own err, unchanged.
+    best, value_err = _select([far, winner])
+    assert (best, value_err) == (winner, winner.err)
 
 
 def test_inner_rho_values():

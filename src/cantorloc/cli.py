@@ -13,8 +13,8 @@ Output goes to stdout or --out as CSV (default) or JSON.  Numbers are
 serialized with 17 significant digits so identical flags reproduce files
 byte for byte.  Exit codes: 0 success, 1 verification failure, 2 usage or
 validation error, 3 interval cap exceeded by an enumeration or by the rows
-of an `eigs --kmax auto` table (the cap follows the CTFL_MAX_INTERVALS
-environment variable).
+of an `eigs` table, whether --kmax is given or auto (the cap follows the
+CTFL_MAX_INTERVALS environment variable).
 """
 
 from __future__ import annotations
@@ -227,7 +227,7 @@ def _h_equivalent(spec, n: int) -> float:
 # ----------------------------------------------------------------------
 
 def _check_table_rows(rows: int) -> None:
-    """Refuse an automatic eigenvalue table longer than the interval cap."""
+    """Refuse an eigenvalue table longer than the interval cap."""
     cap = resolve_max_intervals()
     if rows > cap:
         raise CapExceededError(
@@ -242,9 +242,9 @@ def cmd_eigs(args: argparse.Namespace) -> int:
         # k_truncation > rho, so rho alone can show the table is too long.
         _check_table_rows(math.floor(problem.rho) + 2)
         k_hi = operator_norm(problem).k_truncation
-        _check_table_rows(k_hi + 1)
     else:
         k_hi = args.kmax
+    _check_table_rows(k_hi + 1)
     table = eigenvalue_table(problem, k_hi)
     rows = [(r.k, r.value, r.err) for r in table]
     md = _metadata(args, spec=spec,

@@ -26,7 +26,8 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .cantor import CantorSpec, IndexedCantorSpec, canonical_of, reverse_canonical_of
+from .cantor import (CantorSpec, IndexedCantorSpec, canonical_of, resolve_max_intervals,
+                     reverse_canonical_of)
 from .operator import (
     lambda0_canonical_levels,
     lambda0_closed_form,
@@ -104,8 +105,6 @@ def sweep_fixed(spec: CantorSpec, schedule: RadiusSchedule, n_max: int,
     """Norm and scaling columns for iterates 0..n_max of one spec."""
     if n_max < 0:
         raise ValueError("n_max must be nonnegative")
-    from .cantor import resolve_max_intervals
-
     cap = resolve_max_intervals(max_intervals)
     dim = spec.dimension
     rows = []

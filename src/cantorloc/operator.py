@@ -7,19 +7,11 @@ set.  Here the profile is the n-th Cantor iterate scaled to [0, rho] with
 rho = pi R^2, so lambda_k is the integral of f_k over the iterate.
 
 eigenvalue and eigenvalue_table integrate over the iterate's
-self-similarity rather than its |A|^n intervals (quadrature by
-self-similarity; Strichartz 2000, Amer. Math. Monthly 107:316).  A depth-m
-block is a copy of the unit (n-m)-iterate scaled by its width W and
-centred at c, so its mass is W f_k(c) sum_p a_p mu_p, from the Taylor
-coefficients a_p of f_k(c + W u) / f_k(c) and the block's centred moments
-mu_p, which one recursion over the levels gives for every depth.  Blocks
-are expanded where the Cauchy bound of the remainder is negligible, pruned
-where sup f_k times their measure is, and split otherwise; at depth n a
-block is an exact interval and goes to segment_mass_batch.  The error
-bound err covers the remainders, the pruned masses, and the rounding of
-the coefficients, the moments, the prefactor f_k(c) and the blocks'
-centres and widths.  Nothing is enumerated, so the depth is not limited
-by the interval cap.
+self-similarity rather than its |A|^n intervals: special._tree_masses, the
+package's one quadrature, walks the iterate's block tree, expands f_k over
+each block in a Taylor series against the block's centred moments, and
+bounds the error (err).  Nothing is enumerated, so the depth is not
+limited by the interval cap.
 
 The first eigenvalue has a closed product form built from per-level
 relative areas.  The operator norm is the supremum over k, certified by
@@ -51,37 +43,17 @@ from .cantor import (
 )
 from .special import (
     _EPS,
+    TAYLOR_ORDER,
     _prefactor_error,
-    _quadrature,
+    _scaled_masses,
+    _tree_masses,
     _validate_k,
-    expansion_range,
-    expansion_tails,
-    expansion_sums,
     log_density,
     regularized_lower_gamma,
     segment_mass_batch,
 )
 
 AnySpec = Union[CantorSpec, IndexedCantorSpec]
-
-# Quadrature by self-similarity.  The order P of the Taylor expansion of f_k
-# around a block's centre.
-TAYLOR_ORDER = 40
-# Refinement ratio: for k > 0 a block is expanded only where its width is at
-# most this share of its centre's radius (log f_k's series in the offset
-# converges within the radius); nearer the origin it is split.
-MAX_STEP = 0.5
-# Each block's Taylor remainder, or its whole mass where it is pruned, stays
-# below this share of a lower bound on the eigenvalue.
-BLOCK_TOL = 1e-18
-# Blocks below this mass are pruned even where the eigenvalue is as small.
-_MASS_FLOOR = 1e-305
-# Radii of the circles |u| = R that bound the Taylor remainder.
-_CAUCHY_RADII = (2.0, 4.0, 8.0)
-_LOG_DIAMETERS = np.log(2.0 * np.array(_CAUCHY_RADII))[:, None, None]
-# Indices whose block trees are refined together.
-_ROWS = 64
-_UNIT = 2.0 ** -53
 
 
 class DegenerateMassError(ArithmeticError):
@@ -142,8 +114,8 @@ class EigenvalueResult:
 
 def eigenvalue(problem: LocalizationProblem, k: int) -> EigenvalueResult:
     """lambda_k, the mass of f_k over the iterate, with an error bound; see
-    _tree_masses."""
-    return _tree_masses(problem.tree, np.array([_validate_k(k)]))[0]
+    special._tree_masses."""
+    return _rows(problem.tree, np.array([_validate_k(k)]))[0]
 
 
 def eigenvalue_table(problem: LocalizationProblem, k_max: int) -> list[EigenvalueResult]:
@@ -151,120 +123,6 @@ def eigenvalue_table(problem: LocalizationProblem, k_max: int) -> list[Eigenvalu
     if k_max < 0:
         raise ValueError("k_max must be nonnegative")
     return _rows(problem.tree, np.arange(k_max + 1))
-
-
-def _row_sums(mask: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Sum of x over each row's entries in mask, added in column order, so a
-    row's sum does not depend on the other rows."""
-    rows, cols = np.nonzero(mask)
-    return np.bincount(rows, x[rows, cols], minlength=x.shape[0])
-
-
-def _log_sum(mask: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """log of the sum of exp(x) over each row's entries in mask, as
-    _row_sums adds them; -inf for a row with none."""
-    top = np.where(mask, x, -np.inf).max(axis=1)
-    top = np.where(np.isfinite(top), top, 0.0)
-    with np.errstate(divide="ignore", over="ignore"):
-        return top + np.log(_row_sums(mask, np.exp(x - top[:, None])))
-
-
-def _tree_masses(tree: BlockTree, ks: np.ndarray) -> list[EigenvalueResult]:
-    """lambda_k for each k in ks by quadrature over the block tree.
-
-    Each depth-m block B = c + W (S_m - 1/2) carries the mass W f_k(c) sum_p
-    a_p mu_p, with a_p the Taylor coefficients of f_k(c + W u) / f_k(c)
-    (special.expansion_sums) and mu_p the block's centred moments.  The tree
-    is walked from the root.  At each depth, for each k, a block is
-    expanded where W <= MAX_STEP c (any W at k = 0) and its Cauchy
-    remainder is below BLOCK_TOL of a lower bound on lambda_k (the blocks so
-    far, each at the minimum of f_k on it); it is pruned where sup f_k times
-    its measure is below that; otherwise it is split.  A depth-n block that
-    is still split is an exact interval and goes to segment_mass_batch.
-    Which blocks a k uses depends on k alone, and every sum over a row's
-    blocks adds that row's own terms in order (_row_sums, expansion_sums),
-    so a row is the same in any batch.
-
-    err adds, per block: the remainder or the pruned mass; the rounding of
-    the coefficients (a running bound), of the moments and of the sum;
-    f_k(c)'s prefactor error; and the rounding of the block's centre and
-    width (2 eps c and eps W), through the derivatives of the mass in c and
-    W.  For the interval blocks it adds segment_mass_batch's bound and
-    3 eps of the right end times sup f_k for the endpoints.
-    """
-    count = ks.size
-    kcol = ks.astype(float)[:, None]
-    n = tree.depth
-    log_acc = np.full(count, -np.inf)
-    err = np.zeros(count)
-    parts = [(ks[:0], np.zeros(0))]  # (rows, values) of the summed blocks
-    expanded = []  # (rows, centres, widths, depths, g0) to expand
-    prefixes = tree.root()
-    need = np.ones((count, 1), dtype=bool)
-    for m in range(n + 1):
-        w = float(tree.widths[m])
-        c = tree.centres(m, prefixes)
-        g0 = log_density(kcol, c)
-        log_scale = g0 + (math.log(w) + math.log(tree.moments[m, 0]))
-        low, high = expansion_range(kcol, c, w)
-        lower = log_scale + low
-        upper = log_scale + high
-        log_lower = np.logaddexp(log_acc, _log_sum(need, lower))
-        tol = np.maximum(log_lower + math.log(BLOCK_TOL), math.log(_MASS_FLOOR))[:, None]
-        tails = log_scale + expansion_tails(kcol, c, w, _CAUCHY_RADII)
-        rem = (tails - (TAYLOR_ORDER + 1) * _LOG_DIAMETERS).min(axis=0)
-        expand = need & ((w <= MAX_STEP * c) | (kcol == 0.0)) & (rem <= tol)
-        prune = need & ~expand & (upper <= tol)
-        split = need & ~(expand | prune)
-        log_acc = np.logaddexp(log_acc, _log_sum(expand, lower))
-        err += _row_sums(prune, np.exp(upper))
-        rows, cols = np.nonzero(expand)
-        if rows.size:
-            err += np.bincount(rows, np.exp(rem[rows, cols]), minlength=count)
-            expanded.append((rows, c[cols], np.full(rows.size, w),
-                             np.full(rows.size, m), g0[rows, cols]))
-        if m == n:
-            rows, cols = np.nonzero(split)
-            for row in np.unique(rows):
-                sel = cols[rows == row]
-                lo = prefixes[sel].astype(float) * w
-                hi = (prefixes[sel] + 1).astype(float) * w
-                vals, rels = segment_mass_batch(int(ks[row]), lo, hi, np.full(sel.size, w))
-                endpoints = 3.0 * _EPS * hi / w * np.exp(upper[row, sel])
-                err[row] += float(np.sum(vals * rels + endpoints))
-                parts.append((np.full(sel.size, row), vals))
-            break
-        keep = split.any(axis=0)
-        if not keep.any():
-            break
-        prefixes = tree.children(m, prefixes[keep])
-        need = np.repeat(split[:, keep], tree.levels[m].size, axis=1)
-    if expanded:
-        rows, c, w, depth, g0 = (np.concatenate(v) for v in zip(*expanded))
-        kp = ks[rows].astype(float)
-        mu = tree.moments[depth]
-        weight = tree.moment_err[depth] + (TAYLOR_ORDER + 2) * _UNIT * np.abs(mu)
-        sums, sums_err, d_centre, d_width = expansion_sums(kp, c, w, mu, weight)
-        front = np.exp(g0)
-        vals = front * (w * sums)
-        # The mass moves by D_c per unit shift of the centre and by S + D_w
-        # per unit stretch of the width, with f_k(c) factored out.
-        geometry = 1.01 * _EPS * (2.0 * c * np.abs(d_centre) + w * np.abs(sums + d_width))
-        # The last term covers a prefactor below the normal range.
-        err += np.bincount(rows, front * (w * sums_err + geometry)
-                           + np.abs(vals) * (_prefactor_error(kp, c, g0) + 2.0 * _EPS)
-                           + 5e-324 * w * np.abs(sums), minlength=count)
-        parts.append((rows, vals))
-    rows, vals = (np.concatenate(v) for v in zip(*parts))
-    order = np.argsort(rows, kind="stable")
-    bounds = np.searchsorted(rows[order], np.arange(count + 1))
-    vals = vals[order].tolist()
-    out = []
-    for row in range(count):
-        value = math.fsum(vals[bounds[row]:bounds[row + 1]])
-        out.append(EigenvalueResult(k=int(ks[row]), value=value,
-                                    err=float(err[row]) + _UNIT * abs(value) + 1e-300))
-    return out
 
 
 # ----------------------------------------------------------------------
@@ -354,7 +212,7 @@ def relative_area(spec: CantorSpec, k: int, s: float, T: float) -> float:
     masses, _ = segment_mass_batch(k, lows, highs)
     if masses[0] <= 1e-250:
         ref = np.full(lows.size, min(max(float(k), s), s + T))
-        masses, _ = _quadrature(k, ref, log_density(k, ref), lows - ref, highs - lows)
+        masses, _ = _scaled_masses(k, lows, highs - lows, ref)
         if masses[0] == 0.0:
             raise DegenerateMassError(
                 f"segment [s, s+T] = [{s}, {s + T}] carries no representable mass "
@@ -451,11 +309,11 @@ def group_bound(tree: BlockTree, m: int, prefixes: np.ndarray, first: np.ndarray
 
 
 def _rows(tree: BlockTree, ks: np.ndarray) -> list[EigenvalueResult]:
-    """_tree_masses over ks in batches of _ROWS indices."""
-    rows = []
-    for first in range(0, ks.size, _ROWS):
-        rows += _tree_masses(tree, ks[first:first + _ROWS])
-    return rows
+    """lambda_k for each k in ks from the walk over the block tree
+    (special._tree_masses)."""
+    values, errs = _tree_masses(tree, ks)
+    return [EigenvalueResult(k=int(k), value=float(v), err=float(e) + 1e-300)
+            for k, v, e in zip(ks, values, errs)]
 
 
 def _select(rows: Sequence[EigenvalueResult]) -> tuple[EigenvalueResult, float]:

@@ -20,46 +20,35 @@ one-element calls of the batch engines.
 
 Segment masses over [a, b] (segment_mass_batch) are formed from whichever
 cumulative difference (lower masses or tail masses) cancels less.  Where
-both would lose more than ~40 bits, 32-point Gauss-Legendre panels work in
-offsets from s = clip(k, a, b): the node r = s + d carries f_k(r) / f_k(s)
-= exp(k log1p(d / s) - d), exact to about eps relative, and the prefactor
-f_k(s) is applied once per segment.  (A difference of two log-densities
-would carry their rounding, eps |log f_k|, and the node's, |k/r - 1|
-ulp(r).)  An exact width, if given, replaces the rounded b - a.  One batch
-engine, _quadrature, checks every segment's panel against its two halves
-and bisects all the panels this does not certify together; it also serves
-log_segment_mass (one element) and the far tail of relative_area.  Both
-routes' bounds count the rounding of the log-space prefactors.
-
-Eigenvalues use the quadrature only for the exact intervals at the bottom
-of the block tree (operator.py).  Everywhere else they expand the density
-around a block centre c: f_k(c + w u) = f_k(c) h(u), h(u) = (1 + t u)^k
-e^(-w u) with t = w / c, whose Taylor coefficients follow a three-term
-recurrence (expansion_sums) with a running rounding bound; expansion_tails
-bounds the remainder by Cauchy's estimate and expansion_range the range of
-h on the block.  log_density takes an array of k as well as one k.
+both would lose more than ~40 bits, and for log_segment_mass and the far
+tail of relative_area, they come from the package's one quadrature: the
+walk over a block tree (_tree_masses), which expands each block's density
+in a Taylor series around its centre, splits the blocks where that does
+not converge and prunes the negligible ones, with a certified bound.
+Eigenvalues walk the Cantor iterate's tree (operator.py); a segment walks
+the tree of the full alphabet {0, 1} in base 2 stretched onto [a, b],
+relative to f_k at its maximum there, so masses below the double range
+keep their digits.  log_density takes an array of k as well as one k.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
+from .cantor import _UNIT, BlockTree, CantorSpec, block_tree
+
 _EPS = 2.220446049250313e-16
 _LOG_SQRT_2PI = 0.9189385332046727
 # Cancellation guard for cumulative differences: below this ratio of the
-# larger operand the difference has lost ~41 bits and quadrature takes over.
+# larger operand the difference has lost ~41 bits and the walk takes over.
 _CANCEL_SWITCH = 2.0 ** -12
 # Series iteration guard; generous because convergence near x ~ k needs
 # O(sqrt(k)) terms.
 _MAX_ITER = 2_000_000
-# A panel is accepted once it and its two halves agree to this fraction of
-# its segment's first estimate.
-_PANEL_TOL = 1e-13
-# Bisection stops at panels 2^-49 of their segment's width.
-_MAX_DEPTH = 48
 # The engine loops test convergence once per this many terms.  Terms keep
 # shrinking past convergence and each is below half an ulp of its running
 # total (1e-17 * total for the series, 1e-18 against a total >= 1 for the
@@ -217,95 +206,6 @@ def gamma_tail_mass(k: int, x: float) -> float:
 
 
 # ----------------------------------------------------------------------
-# Gauss-Legendre panels of the density in offsets from a reference point
-# ----------------------------------------------------------------------
-
-_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(32)
-# Node positions as fractions of a panel's width.
-_GL_FRACTIONS = 0.5 * (1.0 + _GL_NODES)
-
-
-def _panels(k: int, s, start: np.ndarray, width: np.ndarray
-            ) -> tuple[np.ndarray, np.ndarray]:
-    """32-point panels of f_k(r) / f_k(s) over r in [s + start, s + start +
-    width], one per element of start and width (and of s, if an array):
-    (panel masses, each panel's largest k |log1p(d / s)| + |d| over the
-    offsets d it spans, which sets the rounding of its exponents)."""
-    size = np.maximum(np.abs(start), np.abs(start + width))
-    d = start[:, None] + width[:, None] * _GL_FRACTIONS
-    if k:
-        g = np.log1p(d / np.reshape(s, (-1, 1)))
-        g *= k
-        size += np.abs(g).max(axis=1)
-        g -= d
-    else:
-        g = np.negative(d, out=d)
-    np.exp(g, out=g)
-    return (g @ _GL_WEIGHTS) * (0.5 * width), size
-
-
-def _quadrature(k: int, s: np.ndarray, shift: np.ndarray, start: np.ndarray,
-                width: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Masses of f_k / f_k(s) over [s + start, s + start + width], one per
-    element, shift = log_density(k, s): (scaled masses, relative error
-    bounds).  A panel is accepted once its two halves agree with it to
-    _PANEL_TOL of its segment's first estimate, so panels that cannot move
-    their segment's sum are not split; the others are bisected together,
-    to at most 2^-49 of their segment's width, and each segment sums its
-    accepted halves.  Each panel's exponents k log1p(d / s) - d carry eps
-    times their size in rounding, and its sum 4 eps."""
-    n = start.size
-    mass, gap, rounding = np.zeros((3, n))
-    node = np.arange(n)
-    ref, half = s, width
-    whole, _ = _panels(k, s, start, width)
-    floor = _PANEL_TOL * whole
-    for depth in range(_MAX_DEPTH + 1):
-        half = 0.5 * half
-        left, left_size = _panels(k, ref, start, half)
-        right, right_size = _panels(k, ref, start + half, half)
-        refined = left + right
-        err = np.abs(whole - refined)
-        split = (err > floor[node]) & (depth < _MAX_DEPTH)
-        done = ~split
-        mass += np.bincount(node[done], refined[done], minlength=n)
-        gap += np.bincount(node[done], err[done], minlength=n)
-        size = (left * left_size + right * right_size)[done]
-        rounding += np.bincount(node[done], size, minlength=n)
-        if not split.any():
-            break
-        start, half = start[split], half[split]
-        start = np.concatenate((start, start + half))
-        node, ref, half = (np.tile(v, 2) for v in (node[split], ref[split], half))
-        whole = np.concatenate((left[split], right[split]))
-    with np.errstate(divide="ignore", invalid="ignore"):
-        quad = np.where(mass > 0.0, (gap + _EPS * rounding) / mass, 0.0)
-    return mass, quad + 4.0 * _EPS + _prefactor_error(k, s, shift)
-
-
-def log_segment_mass(k: int, a: float, b: float) -> tuple[float, float]:
-    """(log of integral of f_k over [a, b], relative error estimate).
-
-    Panel quadrature scaled by f_k(clip(k, a, b)); valid for masses far
-    below the smallest normal double, where the plain value would flush to
-    zero.  One element of the batch quadrature.
-    """
-    k = _validate_k(k)
-    a = float(a)
-    b = float(b)
-    if not (0.0 <= a <= b) or not math.isfinite(b):
-        raise ValueError(f"segment must satisfy 0 <= a <= b, got [{a!r}, {b!r}]")
-    if a == b:
-        return -math.inf, 0.0
-    s = np.array([min(max(float(k), a), b)])
-    shift = log_density(k, s)
-    v, rel = _quadrature(k, s, shift, a - s, np.array([b - a]))
-    if v[0] <= 0.0:
-        return -math.inf, 0.0
-    return float(shift[0]) + math.log(v[0]), float(rel[0])
-
-
-# ----------------------------------------------------------------------
 # Taylor expansion of the density over a block
 # ----------------------------------------------------------------------
 #
@@ -401,6 +301,209 @@ def expansion_sums(k, c, w, mu: np.ndarray, weight: np.ndarray):
     return total, spread + 1.01 * _EPS * carried, d_centre, d_width
 
 
+# ----------------------------------------------------------------------
+# Quadrature by self-similarity: the walk over a block tree
+# ----------------------------------------------------------------------
+
+# The order P of the Taylor expansion of f_k around a block's centre.
+TAYLOR_ORDER = 40
+# Refinement ratio: for k > 0 a block is expanded only where its width is at
+# most this share of its centre's radius (log f_k's series in the offset
+# converges within the radius); nearer the origin it is split.
+MAX_STEP = 0.5
+# Each block's Taylor remainder, or its whole mass where it is pruned, stays
+# below this share of a lower bound on the row's mass.
+BLOCK_TOL = 1e-18
+# Blocks below this mass are pruned even where the row's mass is as small.
+_MASS_FLOOR = 1e-305
+# Radii of the circles |u| = R that bound the Taylor remainder.
+_CAUCHY_RADII = (2.0, 4.0, 8.0)
+_LOG_DIAMETERS = np.log(2.0 * np.array(_CAUCHY_RADII))[:, None, None]
+# Rows walked together.
+_ROWS = 64
+
+
+@functools.lru_cache(maxsize=1)
+def _segment_tree() -> BlockTree:
+    """[0, 1] as the tree of {0, 1} in base 2, 62 levels (int64 prefixes)."""
+    return block_tree(CantorSpec(2, (0, 1)), 62, 1.0, TAYLOR_ORDER)
+
+
+def _row_sums(mask: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Sum of x over each row's entries in mask, added in column order, so a
+    row's sum does not depend on the other rows."""
+    rows, cols = np.nonzero(mask)
+    return np.bincount(rows, x[rows, cols], minlength=x.shape[0])
+
+
+def _log_sum(mask: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """log of the sum of exp(x) over each row's entries in mask, as
+    _row_sums adds them; -inf for a row with none."""
+    top = np.where(mask, x, -np.inf).max(axis=1)
+    top = np.where(np.isfinite(top), top, 0.0)
+    with np.errstate(divide="ignore", over="ignore"):
+        return top + np.log(_row_sums(mask, np.exp(x - top[:, None])))
+
+
+def _tree_masses(tree: BlockTree, ks: np.ndarray, place=None
+                 ) -> tuple[np.ndarray, np.ndarray]:
+    """Masses of f_k over the set of a block tree, one row per k in ks, in
+    batches of _ROWS: (values, absolute error bounds).  Quadrature by
+    self-similarity (Strichartz 2000, Amer. Math. Monthly 107:316).
+
+    A depth-m block B = c + W (S_m - 1/2) carries the mass W f_k(c) sum_p
+    a_p mu_p, with a_p the Taylor coefficients of f_k(c + W u) / f_k(c)
+    (expansion_sums) and mu_p the block's centred moments.  From the root,
+    at each depth and for each row, a block is expanded where W <= MAX_STEP
+    c (any W at k = 0) and its Cauchy remainder is below BLOCK_TOL of a
+    lower bound on the row's mass (the blocks so far, each at the minimum
+    of f_k on it), pruned where sup f_k times its measure is below that,
+    and split otherwise.  A row's blocks and sums depend on that row alone,
+    so a row is the same in any batch.  err adds each block's remainder or
+    pruned mass and the rounding of its coefficients, moments, sum,
+    prefactor, centre and width (through the mass's derivatives in c, W).
+
+    With place None the rows are eigenvalues over the tree's own set, and a
+    depth-n block that still splits is an exact interval: err adds
+    segment_mass_batch's bound on it and 3 eps of its right end times sup
+    f_k for the endpoints.  place = (origin, scale, ref), one entry of each
+    per row, moves a row's set to origin + scale x and divides its f_k by
+    f_k(ref), in offsets d = c - ref: exp(k log1p(d / ref) - d) carries a
+    few eps of each term, where a difference of log-densities would carry
+    eps |log f_k|.  There a depth-n block that still splits is bounded like
+    a pruned one, so the walk always ends.
+    """
+    count = ks.size
+    if count > _ROWS:
+        batches = [_tree_masses(tree, ks[i:i + _ROWS], place and [v[i:i + _ROWS] for v in place])
+                   for i in range(0, count, _ROWS)]
+        return tuple(np.concatenate(v) for v in zip(*batches))
+    kcol = ks.astype(float)[:, None]
+    leaves = place is None
+    origin, scale, ref = (np.broadcast_to(np.asarray(v, dtype=float), (count,))[:, None]
+                          for v in place or (0.0, 1.0, 0.0))
+    n = tree.depth
+    log_acc = np.full(count, -np.inf)
+    err = np.zeros(count)
+    parts = [(ks[:0], np.zeros(0))]  # (rows, values) of the summed blocks
+    expanded = []  # (rows, centres, widths, depths, g0, its error, centre errors / eps)
+    prefixes = tree.root()
+    need = np.ones((count, 1), dtype=bool)
+    for m in range(n + 1):
+        unit = float(tree.widths[m])
+        w = unit * scale
+        p = scale * tree.centres(m, prefixes)
+        c = origin + p
+        if leaves:
+            g0 = log_density(kcol, c)
+        else:
+            d = (origin - ref) + p
+            with np.errstate(divide="ignore", invalid="ignore"):
+                g0 = np.where(kcol > 0.0, kcol * np.log1p(d / ref), 0.0) - d
+        log_scale = g0 + ((math.log(unit) + math.log(tree.moments[m, 0])) + np.log(scale))
+        low, high = expansion_range(kcol, c, w)
+        lower = log_scale + low
+        upper = log_scale + high
+        log_lower = np.logaddexp(log_acc, _log_sum(need, lower))
+        tol = np.maximum(log_lower + math.log(BLOCK_TOL), math.log(_MASS_FLOOR))[:, None]
+        tails = log_scale + expansion_tails(kcol, c, w, _CAUCHY_RADII)
+        rem = (tails - (TAYLOR_ORDER + 1) * _LOG_DIAMETERS).min(axis=0)
+        expand = need & ((w <= MAX_STEP * c) | (kcol == 0.0)) & (rem <= tol)
+        prune = need & ~expand & ((upper <= tol) | (m == n and not leaves))
+        split = need & ~(expand | prune)
+        log_acc = np.logaddexp(log_acc, _log_sum(expand, lower))
+        err += _row_sums(prune, np.exp(upper))
+        rows, cols = np.nonzero(expand)
+        if rows.size:
+            err += np.bincount(rows, np.exp(rem[rows, cols]), minlength=count)
+            kr, cr, gr = kcol[rows, 0], c[rows, cols], g0[rows, cols]
+            if leaves:
+                rounding, reach, slack = _prefactor_error(kr, cr, gr), 2.0 * cr, 0.0 * cr
+            else:
+                # k log1p(d / ref), the quotient's rounding (k |d| / c) and the
+                # subtraction; d is off by eps (|origin - ref| + 3 p + |d|) / 2
+                # and c by eps (c + 2 p) / 2.
+                dr, pr = d[rows, cols], p[rows, cols]
+                rounding = _EPS * (2.0 * np.abs(gr + dr) + kr * np.abs(dr) / cr + np.abs(gr))
+                reach = np.abs(origin - ref)[rows, 0] + 2.0 * pr + np.abs(dr)
+                slack = reach + cr + pr
+            expanded.append((rows, cr, w[rows, 0], np.full(rows.size, m), gr, rounding,
+                             reach, slack))
+        if m == n:
+            rows, cols = np.nonzero(split)
+            for row in np.unique(rows):
+                sel = cols[rows == row]
+                lo = prefixes[sel].astype(float) * unit
+                hi = (prefixes[sel] + 1).astype(float) * unit
+                vals, rels = segment_mass_batch(int(ks[row]), lo, hi, np.full(sel.size, unit))
+                endpoints = 3.0 * _EPS * hi / unit * np.exp(upper[row, sel])
+                err[row] += float(np.sum(vals * rels + endpoints))
+                parts.append((np.full(sel.size, row), vals))
+            break
+        keep = split.any(axis=0)
+        if not keep.any():
+            break
+        prefixes = tree.children(m, prefixes[keep])
+        need = np.repeat(split[:, keep], tree.levels[m].size, axis=1)
+    if expanded:
+        rows, c, w, depth, g0, rounding, reach, slack = map(np.concatenate, zip(*expanded))
+        kp = ks[rows].astype(float)
+        mu = tree.moments[depth]
+        weight = tree.moment_err[depth] + (TAYLOR_ORDER + 2) * _UNIT * np.abs(mu)
+        sums, sums_err, d_centre, d_width = expansion_sums(kp, c, w, mu, weight)
+        front = np.exp(g0)
+        vals = front * (w * sums)
+        # The mass moves by D_c per unit shift of the centre and by S + D_w
+        # per unit stretch of the width, with f_k(c) factored out; the sum S
+        # alone moves by D_c - g_1 S, which covers an offset d that is off
+        # from c.
+        skew = slack * np.abs(d_centre - (kp - c) / c * w * sums)
+        geometry = 1.01 * _EPS * (reach * np.abs(d_centre) + skew + w * np.abs(sums + d_width))
+        # The last term covers a prefactor below the normal range.
+        err += np.bincount(rows, front * (w * sums_err + geometry)
+                           + np.abs(vals) * (rounding + 2.0 * _EPS)
+                           + 5e-324 * w * np.abs(sums), minlength=count)
+        parts.append((rows, vals))
+    rows, vals = (np.concatenate(v) for v in zip(*parts))
+    order = np.argsort(rows, kind="stable")
+    bounds = np.searchsorted(rows[order], np.arange(count + 1))
+    vals = vals[order].tolist()
+    values = np.array([math.fsum(vals[bounds[row]:bounds[row + 1]]) for row in range(count)])
+    return values, err + _UNIT * np.abs(values)
+
+
+def _scaled_masses(k: int, lo: np.ndarray, width: np.ndarray, ref: np.ndarray
+                   ) -> tuple[np.ndarray, np.ndarray]:
+    """Masses of f_k / f_k(ref) over [lo, lo + width], one per element, from
+    the walk over the segment tree: (values, absolute error bounds).  Zero
+    widths carry no mass."""
+    value, err = np.zeros((2, lo.size))
+    live = width > 0.0
+    if live.any():
+        value[live], err[live] = _tree_masses(_segment_tree(), np.full(live.sum(), k),
+                                              (lo[live], width[live], ref[live]))
+    return value, err
+
+
+def log_segment_mass(k: int, a: float, b: float) -> tuple[float, float]:
+    """(log of integral of f_k over [a, b], relative error bound).
+
+    The walk relative to f_k at its maximum on [a, b] (_scaled_masses), so
+    masses far below the smallest normal double keep their digits; the
+    bound adds the rounding of that maximum, of the log and of the sum."""
+    a, b = float(a), float(b)
+    if not (0.0 <= a <= b) or not math.isfinite(b):
+        raise ValueError(f"segment must satisfy 0 <= a <= b, got [{a!r}, {b!r}]")
+    ref = min(max(float(k), a), b)
+    shift = log_density(k, ref)
+    [v], [err] = _scaled_masses(k, np.array([a]), np.array([b - a]), np.array([ref]))
+    if v <= 0.0:
+        return -math.inf, 0.0
+    log_v = math.log(v)
+    return shift + log_v, float(err / v + _prefactor_error(k, ref, shift)
+                                 + _EPS * (abs(shift) + 2.0 * abs(log_v)))
+
+
 @dataclass(frozen=True)
 class SegmentMass:
     """Integral of f_k over one segment with a relative error bound."""
@@ -412,11 +515,7 @@ class SegmentMass:
 def segment_mass(k: int, a: float, b: float) -> SegmentMass:
     """Mass of f_k on [a, b] with a relative error bound; one element of
     segment_mass_batch."""
-    a = float(a)
-    b = float(b)
-    if not (0.0 <= a <= b) or not math.isfinite(b):
-        raise ValueError(f"segment must satisfy 0 <= a <= b, got [{a!r}, {b!r}]")
-    value, rel = segment_mass_batch(k, np.array([a]), np.array([b]))
+    value, rel = segment_mass_batch(k, np.array([float(a)]), np.array([float(b)]))
     return SegmentMass(float(value[0]), float(rel[0]))
 
 
@@ -479,7 +578,7 @@ def segment_mass_batch(k: int, lo: np.ndarray, hi: np.ndarray,
                        width: np.ndarray | None = None
                        ) -> tuple[np.ndarray, np.ndarray]:
     """Masses of f_k over many segments: (values, relative error bounds).
-    Exact widths, if given, replace hi - lo on the quadrature route."""
+    Exact widths, if given, replace hi - lo on the walk's route."""
     k = _validate_k(k)
     lo = np.asarray(lo, dtype=float)
     hi = np.asarray(hi, dtype=float)
@@ -504,14 +603,18 @@ def segment_mass_batch(k: int, lo: np.ndarray, hi: np.ndarray,
         err = np.where(x > 0.0, 4.0 * _EPS + _prefactor_error(k, x, log_f), 0.0) * ends
         rel = np.where(value > 0.0, (err[0] + err[1]) / value, 0.0)
     # A degenerate segment (hi == lo) has value 0 from identical endpoints.
-    quad = np.nonzero(((ratio < _CANCEL_SWITCH) | (value <= 0.0)) & (hi > lo))[0]
-    if quad.size:
-        s = np.clip(float(k), lo[quad], hi[quad])
-        shift = log_density(k, s)
-        value[quad] = rel[quad] = 0.0
+    walk = np.nonzero(((ratio < _CANCEL_SWITCH) | (value <= 0.0)) & (hi > lo))[0]
+    if walk.size:
+        ref = np.clip(float(k), lo[walk], hi[walk])
+        shift = log_density(k, ref)
+        value[walk] = rel[walk] = 0.0
         # Max f_k times the width below the double range: the mass is an exact 0.
-        live = shift + np.log(width[quad]) >= -708.0
-        s, shift, quad = s[live], shift[live], quad[live]
-        scaled, rel[quad] = _quadrature(k, s, shift, lo[quad] - s, width[quad])
-        value[quad] = scaled * np.exp(np.minimum(shift, 0.0))
+        live = shift + np.log(width[walk]) >= -708.0
+        ref, shift, walk = ref[live], shift[live], walk[live]
+        scaled, err = _scaled_masses(k, lo[walk], width[walk], ref)
+        value[walk] = scaled * np.exp(shift)
+        # e^shift carries its prefactor error, and it and the product round.
+        with np.errstate(divide="ignore", invalid="ignore"):
+            rel[walk] = (np.where(scaled > 0.0, err / scaled, 0.0) + 4.0 * _EPS
+                         + _prefactor_error(k, ref, shift))
     return value, rel

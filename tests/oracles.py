@@ -70,6 +70,13 @@ def segment_mass_mp(k: int, a: float, b: float, dps: int = 60) -> float:
                                      regularized=True))
 
 
+def log_segment_mass_mp(k: int, a: float, b: float, dps: int = 60) -> float:
+    """log of segment_mass_mp, for masses below the double range."""
+    with mpmath.workdps(dps):
+        return float(mpmath.log(mpmath.gammainc(k + 1, mpmath.mpf(a), mpmath.mpf(b),
+                                                regularized=True)))
+
+
 def relative_area_mp(k: int, s: float, T: float, base: int, alphabet,
                      dps: int = 60) -> float:
     """Sum over a in alphabet of the mass over [s + aT/M, s + (a+1)T/M],

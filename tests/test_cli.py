@@ -76,6 +76,14 @@ def test_enumeration_cap_exits_three(capsys, monkeypatch):
         "--iterate", "3", "--rho", "2")
     assert code == 3
     assert "error:" in err
+    # An explicit --kmax is held to the same cap: 10^12 rows once died
+    # allocating its table, with a traceback and exit 1.
+    monkeypatch.delenv("CTFL_MAX_INTERVALS")
+    code, out, err = run_cli(
+        capsys, "eigs", "--base", "3", "--alphabet", "0,2",
+        "--iterate", "3", "--rho", "2", "--kmax", "1000000000000")
+    assert (code, out) == (3, "")
+    assert "error:" in err and "Traceback" not in err
 
 
 def test_eigs_past_the_cap_needs_no_enumeration(capsys, monkeypatch):
@@ -352,7 +360,8 @@ def test_verify_unknown_suite_exits_two(capsys):
 
 def test_cli_runs_without_scipy():
     # numpy is the only runtime dependency: eigenvalues, a norm scan and a
-    # sweep, quadrature included, leave scipy unimported.
+    # sweep, quadrature included, leave scipy unimported, and numpy's
+    # polynomial package too (it once supplied Gauss-Legendre nodes).
     src = str(Path(cli.__file__).resolve().parent.parent)
     script = (
         "import sys\n"
@@ -364,7 +373,8 @@ def test_cli_runs_without_scipy():
         "             ['sweep', '--experiment', 'precise', '--base', '3',\n"
         "              '--alphabet', '0,2', '--nmax', '6']):\n"
         "    assert cli.main(argv) == 0\n"
-        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n")
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'\n"
+        "             or m.startswith('numpy.polynomial')))\n")
     run = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
                          env=dict(os.environ, PYTHONPATH=src), check=True)
     assert run.stdout.splitlines()[-1] == "[]"

@@ -173,7 +173,7 @@ def test_log_density_matches_mpmath_within_its_bound():
 @pytest.mark.parametrize("seed, k_min, k_max", [(7, 10.0, 2.0e4), (8, 0.5, 20.0)])
 def test_segment_bound_holds_against_mpmath(seed, k_min, k_max):
     # lo within a few standard deviations of the mode, widths 1e-8 to 1; at
-    # seed 7, 61 segments take a cumulative difference and 139 the panels.
+    # seed 7, 61 segments take a cumulative difference and 139 the walk.
     rng = np.random.default_rng(seed)
     for _ in range(200):
         k = int(round(10.0 ** rng.uniform(math.log10(k_min), math.log10(k_max))))
@@ -184,72 +184,77 @@ def test_segment_bound_holds_against_mpmath(seed, k_min, k_max):
         assert abs(m.value - ref) <= m.value * m.rel_err_bound
 
 
-def _count_panels(monkeypatch):
-    # Segment counts of the panel evaluations.  The quadrature engine
-    # evaluates one panel and its two halves per call, and two more panels
-    # per round of bisection.
-    sizes = []
-    real = special._panels
+def _record_depths(monkeypatch):
+    # Shapes (rows, blocks) of the arrays the walk bounds the Taylor
+    # remainders of: one per depth of each walk, with one column per block
+    # in play.
+    shapes = []
+    real = special.expansion_tails
 
-    def counted(k, s, start, width):
-        sizes.append(start.size)
-        return real(k, s, start, width)
+    def recorded(k, c, w, radii):
+        shapes.append(np.shape(c))
+        return real(k, c, w, radii)
 
-    monkeypatch.setattr(special, "_panels", counted)
-    return sizes
+    monkeypatch.setattr(special, "expansion_tails", recorded)
+    return shapes
 
 
 @pytest.mark.parametrize("rho, k", [(3856.1790282438915, 1967),
                                     (3674.3552626685405, 1875)])
 def test_reverse_argmax_needs_no_adaptive_fallback(monkeypatch, rho, k):
     # k is the argmax of `norm --base 3 --alphabet 1,2 --iterate 15 --rho
-    # <rho>`, and the segments are that iterate's merged intervals.
-    # Offsets from the reference point certify every thin segment in one
-    # panel refinement; differences of log-densities sent 34 and 1,909
-    # segments to bisection.
+    # <rho>`, and the segments are that iterate's merged intervals.  The
+    # thin ones cancel in the cumulative difference and take the walk,
+    # which expands every one of them at its root: one depth per batch of
+    # rows, one block per row.
     ivals = localization_problem(CantorSpec(3, (1, 2)), 15, rho).intervals
-    sizes = _count_panels(monkeypatch)
+    shapes = _record_depths(monkeypatch)
     segment_mass_batch(k, ivals.lows, ivals.highs, ivals.widths)
-    assert len(sizes) == 3 and sizes[0] > 0
+    assert shapes and all(blocks == 1 for _, blocks in shapes)
+    assert sum(rows for rows, _ in shapes) > 1000
 
 
 def test_thin_segments_below_mode_need_no_fallback(monkeypatch):
     # Masses near 1e-240: the log-density rounding (~1e-13) once sent these
-    # to seconds of bisection on noise.
-    sizes = _count_panels(monkeypatch)
+    # to seconds of bisection on noise.  Each is expanded at its root.
+    shapes = _record_depths(monkeypatch)
     for a in (0.1753561, 0.18284164):
         m = segment_mass(100, a, a + 1e-8)
         ref = oracles.segment_mass_mp(100, a, a + 1e-8)
         assert abs(m.value - ref) <= m.value * m.rel_err_bound
-    assert sizes == [1] * 6
+    assert shapes == [(1, 1)] * 2
 
 
-@pytest.mark.parametrize("k, a, b", [(5000, 0.0, 1.0e4), (2000, 1500.0, 2600.0)])
+@pytest.mark.parametrize("k, a, b", [(5000, 0.0, 1.0e4), (2000, 1500.0, 2600.0),
+                                     (0, 100.0, 1.0e12), (5, 800.0, 1.0e6)])
 def test_wide_segments_bisect_to_mpmath(monkeypatch, k, a, b):
-    # One 32-point panel cannot resolve the density's peak on these; the
-    # engine must bisect (more than the 3 panels of one unsplit call).
-    sizes = _count_panels(monkeypatch)
+    # No expansion converges over these whole segments; the walk must
+    # split them.  The last two are e^-100, which Gauss-Legendre panels
+    # once put at zero, and e^-771, whose panels kept bisecting until the
+    # memory ran out.
+    shapes = _record_depths(monkeypatch)
     log_v, rel = log_segment_mass(k, a, b)
-    assert len(sizes) > 3
-    ref = oracles.segment_mass_mp(k, a, b)
-    assert abs(math.expm1(log_v - math.log(ref))) <= rel
+    assert len(shapes) > 1
+    ref = oracles.log_segment_mass_mp(k, a, b)
+    assert abs(math.expm1(log_v - ref)) <= rel
 
 
-def test_negligible_panels_are_not_bisected(monkeypatch):
-    # Panels whose error is below 1e-13 of the segment's first estimate are
-    # accepted, so the far tails of f_5000 on [0, 1e4] stop being split: a
-    # few rounds, where a test against each panel's own mass took 23.
-    sizes = _count_panels(monkeypatch)
+def test_negligible_blocks_are_pruned(monkeypatch):
+    # Blocks whose whole mass is below 1e-18 of the segment's are pruned,
+    # so the far tails of f_5000 on [0, 1e4] stop being split: seven
+    # depths with at most 12 blocks in play, where the whole tree holds 64
+    # blocks at depth 6.
+    shapes = _record_depths(monkeypatch)
     log_segment_mass(5000, 0.0, 1.0e4)
-    rounds = (len(sizes) - 1) // 2
-    assert 1 <= rounds <= 6
+    assert 1 < len(shapes) <= 8
+    assert max(blocks for _, blocks in shapes) <= 16
 
 
 @pytest.mark.parametrize("b", [40.0, 800.0])
 def test_wide_segment_bound_holds_at_order_zero(b):
-    # The panel exponents -d reach -b; a flat 4 eps per panel claimed 5.3e-15
-    # on [0, 40] and 8.9e-15 on [0, 800] against actual errors of 6.4e-15
-    # and 1.24e-14.
+    # The density falls by e^-b over the segment; panel quadrature with a
+    # flat 4 eps per panel once claimed 5.3e-15 on [0, 40] and 8.9e-15 on
+    # [0, 800] against actual errors of 6.4e-15 and 1.24e-14.
     log_v, rel = log_segment_mass(0, 0.0, b)
     ref = oracles.segment_mass_mp(0, 0.0, b)
     assert abs(math.expm1(log_v - math.log(ref))) <= rel
@@ -261,11 +266,11 @@ def test_wide_segment_bound_holds_at_order_zero(b):
 ])
 def test_far_tail_relative_area_bisects_to_mpmath(monkeypatch, k, s, T, base,
                                                   alphabet):
-    # Every mass here is below 1e-250, so the areas come from the engine,
-    # scaled by f_k at s; the panels over [s, s+T] need bisection.
-    sizes = _count_panels(monkeypatch)
+    # Every mass here is below 1e-250, so the areas come from the walk,
+    # scaled by f_k at s; the blocks over [s, s+T] need splitting.
+    shapes = _record_depths(monkeypatch)
     area = relative_area(CantorSpec(base, alphabet), k, s, T)
-    assert sum(1 for n in sizes if n) > 3
+    assert len(shapes) > 1
     ref = oracles.relative_area_mp(k, s, T, base, alphabet)
     assert abs(area - ref) <= 1e-13 * ref
 
@@ -383,12 +388,23 @@ def test_batch_lower_tail_matches_scalar():
             assert gamma_tail_mass(k, float(xi)) == q[i]
 
 
-def test_batch_segment_mass_matches_scalar():
+def test_batch_segment_mass_matches_scalar(monkeypatch):
     rng = np.random.default_rng(12)
+    thin = np.random.default_rng(14)
+    shapes = _record_depths(monkeypatch)
     for k in (0, 6, 120, 1500):
         lo = rng.uniform(0.0, 2.0 * (k + 1), size=48)
         hi = lo + rng.uniform(0.0, 0.3 * (k + 1), size=48)
+        # Thin segments 3 to 8 standard deviations off the mode cancel in
+        # the cumulative difference and take the walk.
+        sigma = math.sqrt(k + 1.0)
+        off = k + 1.0 + thin.choice([-1.0, 1.0], 24) * thin.uniform(3.0, 8.0, 24) * sigma
+        lo = np.concatenate([lo, np.maximum(off, 0.0)])
+        hi = np.concatenate([hi, lo[48:] + 10.0 ** thin.uniform(-8.0, -3.0, 24) * sigma])
+        del shapes[:]
         values, errs = segment_mass_batch(k, lo, hi)
+        # The first depth of the batch's walk holds the walked rows.
+        assert shapes and shapes[0][0] >= 12
         for i in range(lo.size):
             m = segment_mass(k, float(lo[i]), float(hi[i]))
             tol = (errs[i] + m.rel_err_bound) * max(m.value, 1e-300)

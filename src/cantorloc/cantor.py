@@ -33,20 +33,26 @@ MAX_INTERVALS_ENV = "CTFL_MAX_INTERVALS"
 
 
 class CapExceededError(Exception):
-    """Raised when an enumeration would produce more intervals than allowed."""
+    """Raised when a computation would size its arrays past the cap."""
 
 
-def resolve_max_intervals(explicit: int | None = None) -> int:
-    """Effective interval cap: explicit argument, else the environment
-    override, else the default."""
-    if explicit is not None:
-        cap = int(explicit)
-    else:
-        raw = os.environ.get(MAX_INTERVALS_ENV)
-        cap = int(raw) if raw else DEFAULT_MAX_INTERVALS
+def resolve_max_intervals() -> int:
+    """The cap: the environment override if set, else the default."""
+    raw = os.environ.get(MAX_INTERVALS_ENV)
+    cap = int(raw) if raw else DEFAULT_MAX_INTERVALS
     if cap < 1:
         raise ValueError(f"interval cap must be positive, got {cap}")
     return cap
+
+
+def check_cap(count: int, what: str) -> None:
+    """The package's one cap on work, checked before anything is allocated:
+    raise CapExceededError when count (iterate intervals, eigenvalue-table
+    rows or norm indices) passes it."""
+    cap = resolve_max_intervals()
+    if count > cap:
+        raise CapExceededError(f"{count} {what} would pass the cap of {cap} "
+                               f"(set {MAX_INTERVALS_ENV} to move it)")
 
 
 @dataclass(frozen=True)
@@ -178,26 +184,21 @@ def _child_prefixes(level: CantorSpec, prefixes: np.ndarray) -> np.ndarray:
     return (prefixes[:, None] * level.base + letters[None, :]).reshape(-1)
 
 
-def _enumerate_points(levels: Sequence[CantorSpec], cap: int) -> np.ndarray:
+def _enumerate_points(levels: Sequence[CantorSpec]) -> np.ndarray:
     """Sorted discrete points of the iterate, the digit prefixes of its
     last level."""
-    total = math.prod(lv.size for lv in levels)
-    if total > cap:
-        raise CapExceededError(
-            f"iterate would enumerate {total} intervals, above the cap of {cap} "
-            f"(override with {MAX_INTERVALS_ENV} or max_intervals)")
+    check_cap(math.prod(lv.size for lv in levels), "iterate intervals")
     pts = _root_prefix(levels)
     for lv in levels:
         pts = _child_prefixes(lv, pts)
     return pts
 
 
-def discrete_iterate(spec: CantorSpec, n: int,
-                     max_intervals: int | None = None) -> np.ndarray:
+def discrete_iterate(spec: CantorSpec, n: int) -> np.ndarray:
     """Sorted integer points sum_j a_j M^j of the n-th discrete iterate."""
     if n < 0:
         raise ValueError(f"iterate depth must be nonnegative, got {n}")
-    return _enumerate_points(_levels_of(spec, n), resolve_max_intervals(max_intervals))
+    return _enumerate_points(_levels_of(spec, n))
 
 
 def check_scale(levels: Sequence[CantorSpec], scale: float) -> float:
@@ -215,11 +216,10 @@ def check_scale(levels: Sequence[CantorSpec], scale: float) -> float:
     return scale
 
 
-def _merged_intervals(levels: Sequence[CantorSpec], n: int, scale: float,
-                      cap: int) -> IterateIntervals:
+def _merged_intervals(levels: Sequence[CantorSpec], n: int, scale: float) -> IterateIntervals:
     scale = check_scale(levels, scale)
     base_product = math.prod(lv.base for lv in levels)
-    pts = _enumerate_points(levels, cap)
+    pts = _enumerate_points(levels)
     width = scale / base_product
     gaps = np.nonzero(np.diff(pts) > 1)[0]
     starts = np.concatenate(([0], gaps + 1))
@@ -234,20 +234,17 @@ def _merged_intervals(levels: Sequence[CantorSpec], n: int, scale: float,
 
 
 def continuous_iterate(spec: Union[CantorSpec, IndexedCantorSpec], n: int,
-                       scale: float,
-                       max_intervals: int | None = None) -> IterateIntervals:
+                       scale: float) -> IterateIntervals:
     """Merged closed intervals of the n-th iterate scaled to [0, scale]; an
     indexed spec uses its first n levels."""
     if n < 0:
         raise ValueError(f"iterate depth must be nonnegative, got {n}")
-    cap = resolve_max_intervals(max_intervals)
-    return _merged_intervals(_levels_of(spec, n), n, scale, cap)
+    return _merged_intervals(_levels_of(spec, n), n, scale)
 
 
-def indexed_intervals(spec: IndexedCantorSpec, n: int, scale: float,
-                      max_intervals: int | None = None) -> IterateIntervals:
+def indexed_intervals(spec: IndexedCantorSpec, n: int, scale: float) -> IterateIntervals:
     """continuous_iterate for per-level bases and alphabets."""
-    return continuous_iterate(spec, n, scale, max_intervals)
+    return continuous_iterate(spec, n, scale)
 
 
 @dataclass(frozen=True, eq=False)
@@ -399,9 +396,7 @@ def inner_rho(spec: CantorSpec, n: int, rho: float) -> float:
     return float(rho) * (spec.base - spec.size) * geom
 
 
-def shift_decomposition(spec: CantorSpec, n: int, scale: float,
-                        max_intervals: int | None = None
-                        ) -> tuple[float, IterateIntervals]:
+def shift_decomposition(spec: CantorSpec, n: int, scale: float) -> tuple[float, IterateIntervals]:
     """Reverse-canonical iterate as a rigid shift of the canonical one.
 
     Returns (inner_rho(spec, n, scale), canonical iterate); translating the
@@ -413,4 +408,4 @@ def shift_decomposition(spec: CantorSpec, n: int, scale: float,
     if not spec.is_proper:
         raise ValueError("shift decomposition needs a proper alphabet")
     shift = inner_rho(spec, n, scale)
-    return shift, continuous_iterate(canonical_of(spec), n, scale, max_intervals)
+    return shift, continuous_iterate(canonical_of(spec), n, scale)

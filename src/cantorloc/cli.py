@@ -12,9 +12,10 @@ Usage examples:
 Output goes to stdout or --out as CSV (default) or JSON.  Numbers are
 serialized with 17 significant digits so identical flags reproduce files
 byte for byte.  Exit codes: 0 success, 1 verification failure, 2 usage or
-validation error, 3 interval cap exceeded by an enumeration or by the rows
-of an `eigs` table, whether --kmax is given or auto (the cap follows the
-CTFL_MAX_INTERVALS environment variable).
+validation error, 3 cap exceeded: one cap, set only through the
+CTFL_MAX_INTERVALS environment variable, bounds the intervals of an
+enumeration, the rows of an `eigs` table (whether --kmax is given or auto)
+and the indices of a norm.
 """
 
 from __future__ import annotations
@@ -27,7 +28,6 @@ import sys
 
 from . import __version__
 from .cantor import (
-    MAX_INTERVALS_ENV,
     CantorSpec,
     CapExceededError,
     IndexedCantorSpec,
@@ -226,25 +226,10 @@ def _h_equivalent(spec, n: int) -> float:
 # Subcommands
 # ----------------------------------------------------------------------
 
-def _check_table_rows(rows: int) -> None:
-    """Refuse an eigenvalue table longer than the interval cap."""
-    cap = resolve_max_intervals()
-    if rows > cap:
-        raise CapExceededError(
-            f"eigenvalue table would have at least {rows} rows, above the cap of "
-            f"{cap} (override with {MAX_INTERVALS_ENV})")
-
-
 def cmd_eigs(args: argparse.Namespace) -> int:
     spec = _spec_from(args)
     problem = localization_problem(spec, args.iterate, args.rho)
-    if args.kmax == "auto":
-        # k_truncation > rho, so rho alone can show the table is too long.
-        _check_table_rows(math.floor(problem.rho) + 2)
-        k_hi = operator_norm(problem).k_truncation
-    else:
-        k_hi = args.kmax
-    _check_table_rows(k_hi + 1)
+    k_hi = operator_norm(problem).k_truncation if args.kmax == "auto" else args.kmax
     table = eigenvalue_table(problem, k_hi)
     rows = [(r.k, r.value, r.err) for r in table]
     md = _metadata(args, spec=spec,

@@ -26,7 +26,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .cantor import (CantorSpec, IndexedCantorSpec, canonical_of, resolve_max_intervals,
+from .cantor import (CantorSpec, CapExceededError, IndexedCantorSpec, canonical_of,
                      reverse_canonical_of)
 from .operator import (
     lambda0_canonical_levels,
@@ -83,8 +83,9 @@ class RadiusSchedule:
 class SweepRow:
     """One depth of a fixed-base sweep.
 
-    norm and its derived columns are None past the enumeration cap; the
-    first-eigenvalue column for the canonical sibling is always present.
+    norm and its derived columns are None where the norm's indices pass
+    the cap (operator_norm raises CapExceededError); the first-eigenvalue
+    column for the canonical sibling is always present.
     scaled_norm = norm * (M/|A|)^n * rho^(d-1) with d = ln|A|/ln M;
     thm32_ratio = (rho+1)^d / (|A|^n (1 - e^(-M^-n rho))) * norm.
     """
@@ -100,33 +101,31 @@ class SweepRow:
 SWEEP_COLUMNS = ("n", "rho", "norm", "lambda0_canonical", "scaled_norm", "thm32_ratio")
 
 
-def sweep_fixed(spec: CantorSpec, schedule: RadiusSchedule, n_max: int,
-                max_intervals: int | None = None) -> list[SweepRow]:
+def sweep_fixed(spec: CantorSpec, schedule: RadiusSchedule, n_max: int) -> list[SweepRow]:
     """Norm and scaling columns for iterates 0..n_max of one spec."""
     if n_max < 0:
         raise ValueError("n_max must be nonnegative")
-    cap = resolve_max_intervals(max_intervals)
     dim = spec.dimension
     rows = []
     for n in range(n_max + 1):
         rho = schedule.rho(spec.base, n)
         l0_can = lambda0_closed_form(canonical_of(spec), n, rho)
-        if spec.size ** n <= cap:
-            norm = operator_norm(localization_problem(spec, n, rho, cap)).value
+        try:
+            norm = operator_norm(localization_problem(spec, n, rho)).value
+        except CapExceededError:
+            norm = scaled = ratio = None
+        else:
             scaled = norm * (spec.base / spec.size) ** n * rho ** (dim - 1.0)
             ratio = ((rho + 1.0) ** dim
                      / (float(spec.size) ** n * -math.expm1(-rho * float(spec.base) ** -n))
                      * norm)
-        else:
-            norm = scaled = ratio = None
         rows.append(SweepRow(n=n, rho=rho, norm=norm, lambda0_canonical=l0_can,
                              scaled_norm=scaled, thm32_ratio=ratio))
     return rows
 
 
 def sweep_reverse_counterexample(base: int, size: int, schedule: RadiusSchedule,
-                                 n_max: int, max_intervals: int | None = None
-                                 ) -> list[tuple[int, float]]:
+                                 n_max: int) -> list[tuple[int, float]]:
     """(n, norm ratio reverse-canonical / canonical) along the schedule.
 
     Both norms are certified operator norms.  The ratio tending to zero is
@@ -142,8 +141,8 @@ def sweep_reverse_counterexample(base: int, size: int, schedule: RadiusSchedule,
     rows = []
     for n in range(n_max + 1):
         rho = schedule.rho(base, n)
-        norm_rev = operator_norm(localization_problem(rev, n, rho, max_intervals)).value
-        norm_can = operator_norm(localization_problem(can, n, rho, max_intervals)).value
+        norm_rev = operator_norm(localization_problem(rev, n, rho)).value
+        norm_can = operator_norm(localization_problem(can, n, rho)).value
         rows.append((n, norm_rev / norm_can))
     return rows
 

@@ -10,8 +10,8 @@ eigenvalue and eigenvalue_table integrate over the iterate's
 self-similarity rather than its |A|^n intervals: special._tree_masses, the
 package's one quadrature, walks the iterate's block tree, expands f_k over
 each block in a Taylor series against the block's centred moments, and
-bounds the error (err).  Nothing is enumerated, so the depth is not
-limited by the interval cap.
+bounds the error (err).  Nothing is enumerated, so the cap
+(cantor.check_cap) limits the rows and rho, not the depth.
 
 The first eigenvalue has a closed product form built from per-level
 relative areas.  The operator norm is the supremum over k, certified by
@@ -38,6 +38,7 @@ from .cantor import (
     IterateIntervals,
     _levels_of,
     block_tree,
+    check_cap,
     check_scale,
     continuous_iterate,
 )
@@ -73,14 +74,13 @@ class LocalizationProblem:
 
     Eigenvalues and the norm work on the iterate's block tree (`tree`),
     which enumerates nothing.  The merged intervals (`intervals`) are
-    enumerated on first use, up to the interval cap, and kept; nothing in
-    this module reads them.
+    enumerated on first use, up to the cap (cantor.check_cap), and kept;
+    nothing in this module reads them.
     """
 
     spec: AnySpec
     n: int
     rho: float
-    max_intervals: int | None = None
 
     def __post_init__(self):
         if not (self.rho >= 0.0) or not math.isfinite(self.rho):
@@ -91,18 +91,17 @@ class LocalizationProblem:
 
     @functools.cached_property
     def intervals(self) -> IterateIntervals:
-        return continuous_iterate(self.spec, self.n, self.rho, self.max_intervals)
+        return continuous_iterate(self.spec, self.n, self.rho)
 
     @functools.cached_property
     def tree(self) -> BlockTree:
         return block_tree(self.spec, self.n, self.rho, TAYLOR_ORDER)
 
 
-def localization_problem(spec: AnySpec, n: int, rho: float,
-                         max_intervals: int | None = None) -> LocalizationProblem:
+def localization_problem(spec: AnySpec, n: int, rho: float) -> LocalizationProblem:
     """Problem whose set is the n-th iterate of *spec* scaled to [0, rho]."""
     rho = check_scale(_levels_of(spec, n), rho)
-    return LocalizationProblem(spec=spec, n=int(n), rho=rho, max_intervals=max_intervals)
+    return LocalizationProblem(spec=spec, n=int(n), rho=rho)
 
 
 @dataclass(frozen=True)
@@ -119,9 +118,11 @@ def eigenvalue(problem: LocalizationProblem, k: int) -> EigenvalueResult:
 
 
 def eigenvalue_table(problem: LocalizationProblem, k_max: int) -> list[EigenvalueResult]:
-    """lambda_0 .. lambda_{k_max}; each row equals eigenvalue(problem, k)."""
+    """lambda_0 .. lambda_{k_max}; each row equals eigenvalue(problem, k).
+    More rows than the cap raise CapExceededError."""
     if k_max < 0:
         raise ValueError("k_max must be nonnegative")
+    check_cap(k_max + 1, "eigenvalue table rows")
     return _rows(problem.tree, np.arange(k_max + 1))
 
 
@@ -367,9 +368,11 @@ def operator_norm(problem: LocalizationProblem) -> NormResult:
     any group whose blocks at the next depth would cost more than its rows
     (ROW_COST); and at depth n, where blocks cannot split, for every group
     left.  The norm is the largest exact row (see _select for value_err),
-    and k_truncation follows from it.  Nothing is enumerated.
+    and k_truncation (past rho) follows from it.  Nothing is enumerated,
+    but the arrays grow with rho: floor(rho) + 2 indices are held to the cap.
     """
     rho = problem.rho
+    check_cap(math.floor(rho) + 2, "norm indices")
     if rho == 0.0:
         return NormResult(0.0, 0, 1, 0.0, 0.0)
     tree = problem.tree

@@ -596,11 +596,13 @@ def segment_mass_batch(k: int, lo: np.ndarray, hi: np.ndarray,
     ref = np.where(use_q, q_lo, p_hi)
     with np.errstate(divide="ignore", invalid="ignore"):
         ratio = np.where(ref > 0.0, value / ref, 0.0)
-        # Each endpoint's P or Q carries 4 eps from its sum and the rounding
-        # of its prefactor; at x = 0 both are exact.
-        log_f = k * np.log(x) - x - math.lgamma(k + 1) if k else -x
+        # Each endpoint's P or Q carries 4 eps from its sum, the rounding of
+        # its prefactor, whose exponent takes log x at k = 0 below x = 1 (the
+        # bound's k log x and lgamma terms cover it for k > 0), and two least
+        # subnormals from its exp and product; at x = 0 both are exact.
+        log_f = k * np.log(x) - x - math.lgamma(k + 1) if k else np.minimum(np.log(x), 0.0) - x
         ends = np.where(use_q, (q_lo, q_hi), (p_lo, p_hi))
-        err = np.where(x > 0.0, 4.0 * _EPS + _prefactor_error(k, x, log_f), 0.0) * ends
+        err = np.where(x > 0.0, (4.0 * _EPS + _prefactor_error(k, x, log_f)) * ends + 1e-323, 0.0)
         rel = np.where(value > 0.0, (err[0] + err[1]) / value, 0.0)
     # A degenerate segment (hi == lo) has value 0 from identical endpoints.
     walk = np.nonzero(((ratio < _CANCEL_SWITCH) | (value <= 0.0)) & (hi > lo))[0]
@@ -608,13 +610,16 @@ def segment_mass_batch(k: int, lo: np.ndarray, hi: np.ndarray,
         ref = np.clip(float(k), lo[walk], hi[walk])
         shift = log_density(k, ref)
         value[walk] = rel[walk] = 0.0
-        # Max f_k times the width below the double range: the mass is an exact 0.
-        live = shift + np.log(width[walk]) >= -708.0
+        # Max f_k times the width below half the least subnormal: the mass
+        # rounds to an exact 0.
+        live = shift + np.log(width[walk]) >= -746.0
         ref, shift, walk = ref[live], shift[live], walk[live]
         scaled, err = _scaled_masses(k, lo[walk], width[walk], ref)
         value[walk] = scaled * np.exp(shift)
-        # e^shift carries its prefactor error, and it and the product round.
+        # e^shift carries its prefactor error, and it and the product round,
+        # each by up to the least subnormal below the normal range.
         with np.errstate(divide="ignore", invalid="ignore"):
             rel[walk] = (np.where(scaled > 0.0, err / scaled, 0.0) + 4.0 * _EPS
-                         + _prefactor_error(k, ref, shift))
+                         + _prefactor_error(k, ref, shift)
+                         + np.where(value[walk] > 0.0, 5e-324 * (scaled + 1.0) / value[walk], 0.0))
     return value, rel

@@ -19,10 +19,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cantor import (
+    _UNIT,
     CantorSpec,
+    block_tree,
     canonical_of,
     cantor_function,
-    continuous_iterate,
     discrete_iterate,
 )
 from .experiments import (
@@ -266,19 +267,22 @@ def cantor_suite(seed: int, samples: int, tol: float | None = None
                              worst <= eps, worst, eps, samples,
                              note="any alphabet, any interval of that length"))
 
+    # The block tree's measure W_0 mu_0 against scale (|A|/M)^n, the int
+    # quotient rounded once: off by at most moment_err and three roundings.
     worst = 0.0
     trials = max(samples // 10, 20)
     for _ in range(trials):
         spec = _random_spec(rng)
-        n = int(rng.integers(0, 9))
-        while spec.size ** n > 200_000:
-            n -= 1
+        n = int(rng.integers(0, 41))
         scale = float(10.0 ** rng.uniform(-2.0, 3.0))
-        ivals = continuous_iterate(spec, n, scale)
-        want = scale * spec.ratio ** n
-        worst = max(worst, abs(ivals.measure - want) / want)
+        tree = block_tree(spec, n, scale, 0)
+        want = scale * (spec.size ** n / spec.base ** n)
+        measure = float(tree.widths[0] * tree.moments[0, 0])
+        allowed = tree.widths[0] * tree.moment_err[0, 0] + 4.0 * _UNIT * want
+        worst = max(worst, abs(measure - want) / allowed)
     out.append(PropertyCheck("cantor", "measure_identity",
-                             worst <= eps, worst, eps, trials))
+                             worst <= 1.0, worst, 1.0, trials,
+                             note="error of the tree's W_0 mu_0 over its bound"))
 
     worst = 0.0
     trials = max(samples // 10, 20)
@@ -370,10 +374,10 @@ def operator_suite(seed: int, samples: int, tol: float | None = None
         rho = float(rng.uniform(0.5, 20.0))
         k = int(rng.integers(0, 49))
         lam = eigenvalue(localization_problem(spec, n, rho), k).value
-        shifted = continuous_iterate(canonical_of(spec), n, rho)
-        bound = 2.0 * math.fsum(
-            segment_mass(k, lo + k, hi + k).value
-            for lo, hi in zip(shifted.lows, shifted.highs))
+        blocks = discrete_iterate(canonical_of(spec), n)
+        width = rho / float(spec.base) ** n
+        masses, _ = segment_mass_batch(k, blocks * width + k, (blocks + 1) * width + k)
+        bound = 2.0 * math.fsum(masses)
         worst = max(worst, lam - bound)
     out.append(PropertyCheck("operator", "shifted_canonical_bound",
                              worst <= eps, worst, eps, trials,

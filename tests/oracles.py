@@ -70,6 +70,25 @@ def segment_mass_mp(k: int, a: float, b: float, dps: int = 60) -> float:
                                      regularized=True))
 
 
+def segment_mass_tails_mp(k: int, a: float, b: float, dps: int = 150):
+    """segment_mass_mp as an mpf, from the difference of two one-sided
+    regularized tails at dps digits: the lower ones, x^(k+1) e^-x / (k+1)!
+    1F1(1; k+2; x), where b is below k + 1, the upper ones otherwise.
+    mpmath's two-sided form can return 0 for thin segments near e^-740,
+    and a mass below the normal double range needs more digits than a
+    float holds.  Compare it under mpmath.workdps."""
+    with mpmath.workdps(dps):
+        def lower(x):
+            x = mpmath.mpf(x)
+            return (x ** (k + 1) * mpmath.exp(-x) / mpmath.factorial(k + 1)
+                    * mpmath.hyp1f1(1, k + 2, x))
+
+        if b < k + 1:
+            return lower(b) - lower(a)
+        return (mpmath.gammainc(k + 1, mpmath.mpf(a), regularized=True)
+                - mpmath.gammainc(k + 1, mpmath.mpf(b), regularized=True))
+
+
 def log_segment_mass_mp(k: int, a: float, b: float, dps: int = 60) -> float:
     """log of segment_mass_mp, for masses below the double range."""
     with mpmath.workdps(dps):

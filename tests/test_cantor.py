@@ -233,21 +233,20 @@ def test_shift_decomposition_rejects_other_alphabets():
         shift_decomposition(CantorSpec(3, (0, 1, 2)), 2, 1.0)
 
 
-def test_enumeration_cap_raises():
+def test_enumeration_cap_raises(monkeypatch):
+    monkeypatch.setenv(MAX_INTERVALS_ENV, "100")
     with pytest.raises(CapExceededError):
-        continuous_iterate(MID_THIRD, 10, 1.0, max_intervals=100)
+        continuous_iterate(MID_THIRD, 10, 1.0)
+    monkeypatch.setenv(MAX_INTERVALS_ENV, "1000")
     with pytest.raises(CapExceededError):
-        discrete_iterate(MID_THIRD, 10, max_intervals=1000)
+        discrete_iterate(MID_THIRD, 10)
 
 
 def test_cap_resolution_order(monkeypatch):
     monkeypatch.delenv(MAX_INTERVALS_ENV, raising=False)
     assert resolve_max_intervals() == DEFAULT_MAX_INTERVALS
-    assert resolve_max_intervals(123) == 123
     monkeypatch.setenv(MAX_INTERVALS_ENV, "456")
     assert resolve_max_intervals() == 456
-    # An explicit argument still wins over the environment.
-    assert resolve_max_intervals(123) == 123
     monkeypatch.setenv(MAX_INTERVALS_ENV, "not a number")
     with pytest.raises(ValueError):
         resolve_max_intervals()
@@ -313,6 +312,6 @@ def test_cantor_function_monotone_in_one_gap():
 def test_measure_identity_property(spec, n):
     # Larger iterates are refused by the cap (test_enumeration_cap_raises).
     assume(spec.size ** n <= 10_000_000)
-    it = continuous_iterate(spec, n, 1.0, max_intervals=10_000_000)
+    it = continuous_iterate(spec, n, 1.0)
     expected = (spec.size / spec.base) ** n
     assert it.measure == pytest.approx(expected, rel=1e-12)

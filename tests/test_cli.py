@@ -84,6 +84,13 @@ def test_enumeration_cap_exits_three(capsys, monkeypatch):
         "--iterate", "3", "--rho", "2", "--kmax", "1000000000000")
     assert (code, out) == (3, "")
     assert "error:" in err and "Traceback" not in err
+    # The norm sizes its arrays by rho: 10^13 indices once died asking for
+    # 9.10 TiB, with a traceback and exit 1.
+    code, out, err = run_cli(
+        capsys, "norm", "--base", "3", "--alphabet", "0,2",
+        "--iterate", "4", "--rho", "1e13")
+    assert (code, out) == (3, "")
+    assert "error:" in err and "Traceback" not in err
 
 
 def test_eigs_past_the_cap_needs_no_enumeration(capsys, monkeypatch):

@@ -83,16 +83,36 @@ def test_sweep_fixed_row_shape():
         assert r.thm32_ratio is not None and math.isfinite(r.thm32_ratio)
 
 
-def test_sweep_fixed_caps_norm_columns_only():
-    rows = sweep_fixed(MID_THIRD, POWER_HALF, 5, max_intervals=8)
+def test_sweep_fixed_caps_norm_columns_only(monkeypatch):
+    # The norm sizes its arrays by its floor(rho) + 2 indices: with a cap of
+    # 8, rho = 3^(n/2) admits n <= 3 and blanks n = 4 and 5.
+    monkeypatch.setenv("CTFL_MAX_INTERVALS", "8")
+    rows = sweep_fixed(MID_THIRD, POWER_HALF, 5)
+    assert [r.norm is not None for r in rows] == [True] * 4 + [False] * 2
     for r in rows:
         assert r.lambda0_canonical > 0.0
-        if 2**r.n <= 8:
+        if math.floor(r.rho) + 2 <= 8:
             assert r.norm is not None
         else:
             assert r.norm is None
             assert r.scaled_norm is None
             assert r.thm32_ratio is None
+
+
+def test_sweep_fixed_reaches_past_the_old_interval_gate(monkeypatch):
+    # 6^9 and 6^10 intervals pass the default cap of 10^7, which once left
+    # these norms blank; the norm enumerates nothing and needs only its
+    # floor(rho) + 2 indices, here under 20,000.
+    monkeypatch.delenv("CTFL_MAX_INTERVALS", raising=False)
+    spec = CantorSpec(7, (0, 1, 2, 3, 4, 5))
+    rows = sweep_fixed(spec, POWER_HALF, 10)
+    assert all(r.norm is not None for r in rows)
+    for r in rows[9:]:
+        res = operator_norm(localization_problem(spec, r.n, r.rho))
+        assert r.norm == res.value
+        assert res.argmax_k == 0
+        exact = lambda0_closed_form(spec, r.n, r.rho)
+        assert abs(r.norm - exact) <= res.value_err
 
 
 def test_sweep_fixed_canonical_band():

@@ -224,6 +224,21 @@ def test_eigenvalues_past_the_enumeration_cap():
         problem.intervals
 
 
+def test_table_and_norm_are_held_to_the_cap(monkeypatch):
+    # Each refuses before it allocates: the table by its k_max + 1 rows,
+    # the norm by its floor(rho) + 2 indices.
+    from cantorloc import CapExceededError
+
+    monkeypatch.setenv("CTFL_MAX_INTERVALS", "11")
+    problem = localization_problem(MID_THIRD, 3, 9.0)
+    assert len(eigenvalue_table(problem, 10)) == 11
+    assert operator_norm(problem).argmax_k == 0
+    with pytest.raises(CapExceededError):
+        eigenvalue_table(problem, 11)
+    with pytest.raises(CapExceededError):
+        operator_norm(localization_problem(MID_THIRD, 3, 10.0))
+
+
 @pytest.mark.parametrize("spec, n, rho, k_max", [
     (CantorSpec(3, (1, 2)), 9, 140.0, 200),
     # One block per index at the root, expanded at once.

@@ -184,6 +184,26 @@ def test_segment_bound_holds_against_mpmath(seed, k_min, k_max):
         assert abs(m.value - ref) <= m.value * m.rel_err_bound
 
 
+@pytest.mark.parametrize("k, a, b", [
+    # The lower series at k = 0 exponentiates log x - x, and |log x| = 20
+    # here; a bound on -x alone claimed 1.33e-15 against 3.18e-15.
+    (0, 0.0, 1.5020572613724892e-09),
+    # Masses below the normal range, from a cumulative difference whose
+    # endpoint errors once flushed to zero and claimed rel 0 (4.6e-12 and
+    # 7.1e-12 off), and from the walk: the thin segment's 7e-316 was once
+    # returned as an exact 0.
+    (5, 750.0, 760.0),
+    (5, 750.0, 1.0e7),
+    (5, 745.0, 745.0001),
+])
+def test_segment_bound_holds_at_the_ends_of_the_double_range(k, a, b):
+    m = segment_mass(k, a, b)
+    assert m.value > 0.0
+    with mpmath.workdps(40):
+        ref = oracles.segment_mass_tails_mp(k, a, b)
+        assert abs(mpmath.mpf(m.value) - ref) <= mpmath.mpf(m.value) * m.rel_err_bound
+
+
 def _record_depths(monkeypatch):
     # Shapes (rows, blocks) of the arrays the walk bounds the Taylor
     # remainders of: one per depth of each walk, with one column per block

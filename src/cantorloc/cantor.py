@@ -163,6 +163,9 @@ class IterateIntervals:
 
 
 def _levels_of(spec: Union[CantorSpec, IndexedCantorSpec], n: int) -> list[CantorSpec]:
+    """The levels of the n-th iterate; the one check of an iterate depth."""
+    if n < 0:
+        raise ValueError(f"iterate depth must be nonnegative, got {n}")
     if isinstance(spec, IndexedCantorSpec):
         if n > spec.depth:
             raise ValueError(f"iterate depth {n} exceeds the {spec.depth} stored levels")
@@ -196,8 +199,6 @@ def _enumerate_points(levels: Sequence[CantorSpec]) -> np.ndarray:
 
 def discrete_iterate(spec: CantorSpec, n: int) -> np.ndarray:
     """Sorted integer points sum_j a_j M^j of the n-th discrete iterate."""
-    if n < 0:
-        raise ValueError(f"iterate depth must be nonnegative, got {n}")
     return _enumerate_points(_levels_of(spec, n))
 
 
@@ -237,8 +238,6 @@ def continuous_iterate(spec: Union[CantorSpec, IndexedCantorSpec], n: int,
                        scale: float) -> IterateIntervals:
     """Merged closed intervals of the n-th iterate scaled to [0, scale]; an
     indexed spec uses its first n levels."""
-    if n < 0:
-        raise ValueError(f"iterate depth must be nonnegative, got {n}")
     return _merged_intervals(_levels_of(spec, n), n, scale)
 
 
@@ -335,8 +334,6 @@ def block_tree(spec: Union[CantorSpec, IndexedCantorSpec], n: int, scale: float,
                order: int) -> BlockTree:
     """Block tree of the n-th iterate scaled to [0, scale], with centred
     moments to the given order; nothing is enumerated."""
-    if n < 0:
-        raise ValueError(f"iterate depth must be nonnegative, got {n}")
     levels = tuple(_levels_of(spec, n))
     scale = check_scale(levels, scale)
     products = [1]

@@ -263,8 +263,10 @@ def cmd_cantor_fn(args: argparse.Namespace) -> int:
     return 0
 
 
-def _sweep_nmax(args: argparse.Namespace, default: int) -> int:
-    return default if args.nmax is None else args.nmax
+def _default(value, default):
+    """value, or default when the flag was not given; a given 0 is kept,
+    so validation sees it."""
+    return default if value is None else value
 
 
 def _reject_fixed_spec_flags(args: argparse.Namespace, experiment: str) -> None:
@@ -281,8 +283,8 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         if args.levels_file:
             raise ValueError("precise sweeps take --base/--alphabet")
         spec = _spec_from(args)
-        n_max = _sweep_nmax(args, 8)
-        schedule = RadiusSchedule("power_half", gamma)
+        n_max = _default(args.nmax, 8)
+        schedule = RadiusSchedule(gamma)
         rows = [(r.n, r.rho, r.norm, r.lambda0_canonical, r.scaled_norm,
                  r.thm32_ratio) for r in sweep_fixed(spec, schedule, n_max)]
         columns = SWEEP_COLUMNS
@@ -291,9 +293,9 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
     elif exp == "reverse":
         _reject_fixed_spec_flags(args, "reverse")
-        base, size = args.base or 3, args.size or 2
-        n_max = _sweep_nmax(args, 10)
-        schedule = RadiusSchedule("power_half", gamma)
+        base, size = _default(args.base, 3), _default(args.size, 2)
+        n_max = _default(args.nmax, 10)
+        schedule = RadiusSchedule(gamma)
         rows = sweep_reverse_counterexample(base, size, schedule, n_max)
         columns = ("n", "ratio")
         md = _metadata(args, schedule="power_half", gamma=gamma,
@@ -302,8 +304,8 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
     elif exp == "indexed-decay":
         _reject_fixed_spec_flags(args, "indexed-decay")
-        n_max = _sweep_nmax(args, 20)
-        params = DecayParams(M=args.base or 3, delta=args.delta,
+        n_max = _default(args.nmax, 20)
+        params = DecayParams(M=_default(args.base, 3), delta=args.delta,
                              epsilon=args.epsilon, gamma=gamma, n_max=n_max)
         result = sweep_indexed_decay(params, seed=args.seed)
         rows = result.rows
@@ -317,8 +319,8 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
     elif exp == "indexed-counterexample":
         _reject_fixed_spec_flags(args, "indexed-counterexample")
-        base, size = args.base or 4, args.size or 2
-        n_max = _sweep_nmax(args, 5)
+        base, size = _default(args.base, 4), _default(args.size, 2)
+        n_max = _default(args.nmax, 5)
         result = sweep_indexed_counterexample(base, size, gamma=gamma,
                                               n_max=n_max)
         rows = result.rows

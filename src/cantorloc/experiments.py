@@ -5,8 +5,9 @@ Four families of experiments:
 * fixed-base sweeps: norm, first-eigenvalue, and two normalized statistics
   (a dimension-scaled norm and a bounded-ratio witness) along a radius
   schedule rho(n);
-* reverse-canonical counterexample: the norm ratio reverse/canonical along
-  the critical schedule, which decays instead of staying comparable;
+* reverse-canonical counterexample: the norm ratio reverse/canonical of two
+  fixed-base sweeps along the critical schedule, which decays instead of
+  staying comparable;
 * indexed decay: per-level random bases within [M, M^(1+delta)] and
   densities at most epsilon give exponentially decaying first eigenvalues,
   summarized by a fitted rate beta;
@@ -46,37 +47,22 @@ class HypothesisViolationError(ValueError):
 
 @dataclass(frozen=True)
 class RadiusSchedule:
-    """Radius-squared schedule rho(n).
+    """Radius-squared schedule rho(n) = gamma * M^(n/2), the critical growth
+    rate, checked against the bounded-ratio hypothesis cap rho(n) <= M^n."""
 
-    kind 'power_half': rho(n) = gamma * M^(n/2), the critical growth rate,
-    checked against the bounded-ratio hypothesis cap rho(n) <= M^n.
-    kind 'indexed_sqrt': rho(n) = gamma * sqrt(M_1 ... M_n) for indexed
-    constructions, which satisfies its radius restriction by definition.
-    """
-
-    kind: str
     gamma: float = 1.0
 
     def __post_init__(self):
-        if self.kind not in ("power_half", "indexed_sqrt"):
-            raise ValueError(f"unknown schedule kind {self.kind!r}")
         if not (self.gamma > 0.0) or not math.isfinite(self.gamma):
             raise ValueError(f"gamma must be positive and finite, got {self.gamma!r}")
 
     def rho(self, base: int, n: int) -> float:
         """rho(n) for a fixed base, validated against the cap M^n."""
-        if self.kind != "power_half":
-            raise ScheduleError("indexed_sqrt schedules apply to indexed sweeps only")
         value = self.gamma * float(base) ** (0.5 * n)
         if not (value > 0.0) or value > float(base) ** n * (1.0 + 1e-12):
             raise ScheduleError(
                 f"schedule emitted rho({n}) = {value!r} outside (0, {base}^{n}]")
         return value
-
-    def rho_indexed(self, base_product: int) -> float:
-        if self.kind != "indexed_sqrt":
-            raise ScheduleError(f"{self.kind!r} schedule used for an indexed sweep")
-        return self.gamma * math.sqrt(float(base_product))
 
 
 @dataclass(frozen=True)
@@ -84,8 +70,9 @@ class SweepRow:
     """One depth of a fixed-base sweep.
 
     norm and its derived columns are None where the norm's indices pass
-    the cap (operator_norm raises CapExceededError); the first-eigenvalue
-    column for the canonical sibling is always present.
+    the cap (operator_norm raises CapExceededError), which blanks the depth
+    in both fixed-base sweeps; the first-eigenvalue column for the
+    canonical sibling is always present.
     scaled_norm = norm * (M/|A|)^n * rho^(d-1) with d = ln|A|/ln M;
     thm32_ratio = (rho+1)^d / (|A|^n (1 - e^(-M^-n rho))) * norm.
     """
@@ -125,26 +112,20 @@ def sweep_fixed(spec: CantorSpec, schedule: RadiusSchedule, n_max: int) -> list[
 
 
 def sweep_reverse_counterexample(base: int, size: int, schedule: RadiusSchedule,
-                                 n_max: int) -> list[tuple[int, float]]:
+                                 n_max: int) -> list[tuple[int, float | None]]:
     """(n, norm ratio reverse-canonical / canonical) along the schedule.
 
-    Both norms are certified operator norms.  The ratio tending to zero is
-    what rules out a two-sided sibling comparison at the critical radius.
+    The ratio of two sweep_fixed norm columns, so it is None where a
+    depth's norms pass the cap.  The ratio tending to zero is what rules
+    out a two-sided sibling comparison at the critical radius.
     """
     if not (1 <= size <= base - 1):
         raise ValueError(
             f"alphabet size must lie in [1, {base - 1}] for base {base}, got {size}")
-    if n_max < 0:
-        raise ValueError("n_max must be nonnegative")
     rev = reverse_canonical_of(CantorSpec(base, tuple(range(size))))
-    can = canonical_of(rev)
-    rows = []
-    for n in range(n_max + 1):
-        rho = schedule.rho(base, n)
-        norm_rev = operator_norm(localization_problem(rev, n, rho)).value
-        norm_can = operator_norm(localization_problem(can, n, rho)).value
-        rows.append((n, norm_rev / norm_can))
-    return rows
+    return [(r.n, None if r.norm is None else r.norm / c.norm)
+            for r, c in zip(sweep_fixed(rev, schedule, n_max),
+                            sweep_fixed(canonical_of(rev), schedule, n_max))]
 
 
 # ----------------------------------------------------------------------
@@ -225,10 +206,9 @@ def sweep_indexed_decay(params: DecayParams,
         if not lv.is_canonical:
             raise HypothesisViolationError(f"level {j} alphabet is not canonical")
     spec = IndexedCantorSpec(tuple(levels))
-    schedule = RadiusSchedule(kind="indexed_sqrt", gamma=params.gamma)
     pairs = []
     for n in range(params.n_max + 1):
-        rho = schedule.rho_indexed(spec.base_product(n))
+        rho = params.gamma * math.sqrt(float(spec.base_product(n)))
         pairs.append((n, lambda0_closed_form(spec, n, rho)))
     tail = pairs[-math.ceil(params.n_max / 2):]
     ns = np.array([p[0] for p in tail], dtype=float)

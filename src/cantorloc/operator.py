@@ -72,10 +72,12 @@ def ball_bound(measure: float) -> float:
 class LocalizationProblem:
     """The n-th iterate of *spec* scaled to [0, rho], rho = pi R^2.
 
-    Eigenvalues and the norm work on the iterate's block tree (`tree`),
-    which enumerates nothing.  The merged intervals (`intervals`) are
-    enumerated on first use, up to the cap (cantor.check_cap), and kept;
-    nothing in this module reads them.
+    Construction checks the depth (cantor._levels_of) and the scale
+    (cantor.check_scale), so rho is a positive float.  Eigenvalues and the
+    norm work on the iterate's block tree (`tree`), which enumerates
+    nothing.  The merged intervals (`intervals`) are enumerated on first
+    use, up to the cap (cantor.check_cap), and kept; nothing in this module
+    reads them.
     """
 
     spec: AnySpec
@@ -83,11 +85,8 @@ class LocalizationProblem:
     rho: float
 
     def __post_init__(self):
-        if not (self.rho >= 0.0) or not math.isfinite(self.rho):
-            raise ValueError(f"rho must be finite and nonnegative, got {self.rho!r}")
-        if self.n < 0:
-            raise ValueError(f"iterate depth must be nonnegative, got {self.n}")
-        _levels_of(self.spec, self.n)
+        levels = _levels_of(self.spec, self.n)
+        object.__setattr__(self, "rho", check_scale(levels, self.rho))
 
     @functools.cached_property
     def intervals(self) -> IterateIntervals:
@@ -100,7 +99,6 @@ class LocalizationProblem:
 
 def localization_problem(spec: AnySpec, n: int, rho: float) -> LocalizationProblem:
     """Problem whose set is the n-th iterate of *spec* scaled to [0, rho]."""
-    rho = check_scale(_levels_of(spec, n), rho)
     return LocalizationProblem(spec=spec, n=int(n), rho=rho)
 
 
@@ -165,8 +163,6 @@ def lambda0_closed_form(spec: AnySpec, n: int, rho: float) -> float:
     with level j's base and alphabet in place of M and A for an indexed
     spec, whose first n stored levels are used.
     """
-    if n < 0:
-        raise ValueError("iterate depth must be nonnegative")
     return _lambda0([(lv.base, lv.size, None if lv.is_canonical else lv.alphabet)
                      for lv in _levels_of(spec, n)], rho)
 
@@ -373,8 +369,6 @@ def operator_norm(problem: LocalizationProblem) -> NormResult:
     """
     rho = problem.rho
     check_cap(math.floor(rho) + 2, "norm indices")
-    if rho == 0.0:
-        return NormResult(0.0, 0, 1, 0.0, 0.0)
     tree = problem.tree
     k_last = _last_index(rho)
     rows = _rows(tree, np.zeros(1, dtype=int))

@@ -432,7 +432,7 @@ def experiments_suite(seed: int, samples: int, tol: float | None = None
     out = []
     eps = tol if tol is not None else 1e-10
 
-    schedule = RadiusSchedule("power_half", 1.0)
+    schedule = RadiusSchedule()
     specs = [CantorSpec(3, (0, 2)), CantorSpec(5, (0, 2, 3)), CantorSpec(4, (1, 3))]
     worst = 0.0
     rows_total = 0
@@ -455,13 +455,13 @@ def experiments_suite(seed: int, samples: int, tol: float | None = None
                              finite and band <= 10.0, band, 10.0, len(ratios),
                              note="canonical max/min of thm32_ratio"))
 
-    pairs = sweep_reverse_counterexample(3, 2, schedule, 8)
-    worst = 0.0
-    positive = all(r > 0.0 for _, r in pairs)
-    for (_, r1), (_, r2) in zip(pairs[1:-1], pairs[2:]):
-        worst = max(worst, r2 - r1)
+    # A depth blanked by the cap (ratio None) fails the check.
+    ratios = [r for _, r in sweep_reverse_counterexample(3, 2, schedule, 8)]
+    positive = all(r is not None and r > 0.0 for r in ratios)
+    worst = (max([0.0] + [r2 - r1 for r1, r2 in zip(ratios[1:-1], ratios[2:])])
+             if positive else math.inf)
     out.append(PropertyCheck("experiments", "reverse_ratio_decreasing",
-                             positive and worst <= 0.0, worst, 0.0, len(pairs),
+                             positive and worst <= 0.0, worst, 0.0, len(ratios),
                              note="positive and monotone past n=1"))
 
     result = sweep_indexed_decay(DecayParams(), seed=seed)
@@ -483,7 +483,7 @@ def experiments_suite(seed: int, samples: int, tol: float | None = None
         gamma = float(rng.uniform(0.25, 4.0))
         base = int(rng.integers(2, 8))
         n = int(rng.integers(0, 13))
-        sched = RadiusSchedule("power_half", gamma)
+        sched = RadiusSchedule(gamma)
         try:
             rho = sched.rho(base, n)
         except ScheduleError:

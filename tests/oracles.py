@@ -61,22 +61,21 @@ def segment_mass_quad(k: int, a: float, b: float) -> float:
 
 
 def segment_mass_mp(k: int, a: float, b: float, dps: int = 60) -> float:
-    """Integral of r^k e^-r / k! over [a, b] from mpmath's regularized
-    incomplete gamma function at dps digits, with a and b taken as the exact
-    binary values they hold.  Thin segments cancel in the difference of the
-    two tails; 60 digits leave well over 30 after a width of 1e-8 relative."""
-    with mpmath.workdps(dps):
-        return float(mpmath.gammainc(k + 1, mpmath.mpf(a), mpmath.mpf(b),
-                                     regularized=True))
+    """Integral of r^k e^-r / k! over [a, b] as a float, from
+    segment_mass_tails_mp at dps digits.  Thin segments cancel in the
+    difference of the two tails; 60 digits leave well over 30 after a width
+    of 1e-8 relative."""
+    return float(segment_mass_tails_mp(k, a, b, dps))
 
 
 def segment_mass_tails_mp(k: int, a: float, b: float, dps: int = 150):
-    """segment_mass_mp as an mpf, from the difference of two one-sided
-    regularized tails at dps digits: the lower ones, x^(k+1) e^-x / (k+1)!
-    1F1(1; k+2; x), where b is below k + 1, the upper ones otherwise.
-    mpmath's two-sided form can return 0 for thin segments near e^-740,
-    and a mass below the normal double range needs more digits than a
-    float holds.  Compare it under mpmath.workdps."""
+    """Integral of r^k e^-r / k! over [a, b] as an mpf, with a and b taken
+    as the exact binary values they hold, from the difference of two
+    one-sided regularized tails at dps digits: the lower ones, x^(k+1) e^-x
+    / (k+1)! 1F1(1; k+2; x), where b is below k + 1, the upper ones
+    otherwise.  mpmath's two-sided form can return 0 for thin segments near
+    e^-740, and a mass below the normal double range needs more digits than
+    a float holds.  Compare it under mpmath.workdps."""
     with mpmath.workdps(dps):
         def lower(x):
             x = mpmath.mpf(x)
@@ -92,8 +91,7 @@ def segment_mass_tails_mp(k: int, a: float, b: float, dps: int = 150):
 def log_segment_mass_mp(k: int, a: float, b: float, dps: int = 60) -> float:
     """log of segment_mass_mp, for masses below the double range."""
     with mpmath.workdps(dps):
-        return float(mpmath.log(mpmath.gammainc(k + 1, mpmath.mpf(a), mpmath.mpf(b),
-                                                regularized=True)))
+        return float(mpmath.log(segment_mass_tails_mp(k, a, b, dps)))
 
 
 def relative_area_mp(k: int, s: float, T: float, base: int, alphabet,

@@ -34,7 +34,7 @@ from cantorloc import (
 
 GRID_SEED = 20240817
 SAMPLER_SEED = 20240818
-POWER_HALF = RadiusSchedule(kind="power_half")
+POWER_HALF = RadiusSchedule()
 
 
 @functools.lru_cache(maxsize=None)

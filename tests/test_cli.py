@@ -12,7 +12,8 @@ from pathlib import Path
 
 import pytest
 
-from cantorloc import CantorSpec, cli, lambda0_closed_form
+from cantorloc import (CantorSpec, RadiusSchedule, cli, lambda0_closed_form,
+                       sweep_reverse_counterexample)
 
 
 def run_cli(capsys, *argv):
@@ -226,6 +227,38 @@ def test_sweep_rejects_alphabet_for_size_experiments(capsys):
     assert "error:" in err
 
 
+def test_sweep_reverse_blanks_capped_depths(capsys, monkeypatch):
+    # Depths 9 and 10 need 142 and 245 norm indices.  Past a cap of 100 the
+    # reverse sweep blanks them and keeps its other rows, as the precise
+    # sweep does; it once exited 3 and printed no row at all.
+    monkeypatch.setenv("CTFL_MAX_INTERVALS", "100")
+    argv = ("sweep", "--experiment", "reverse", "--base", "3", "--size", "2",
+            "--nmax", "10")
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, err) == (0, "")
+    assert out.endswith("\n9,\n10,\n")
+    code, out, err = run_cli(capsys, *argv, "--format", "json")
+    assert (code, err) == (0, "")
+    golden = json.loads((GOLDEN / "sweep_reverse_base3.json").read_text())
+    assert json.loads(out)["rows"] == golden["rows"][:9] + [[9, None], [10, None]]
+    ratios = dict(sweep_reverse_counterexample(3, 2, RadiusSchedule(), 10))
+    assert [n for n, r in ratios.items() if r is None] == [9, 10]
+
+
+@pytest.mark.parametrize("flags", [
+    "--experiment reverse --base 3 --size 0 --nmax 4",
+    "--experiment reverse --base 0 --size 2 --nmax 4",
+    "--experiment indexed-decay --base 0 --nmax 4",
+    "--experiment indexed-counterexample --base 0",
+    "--experiment indexed-counterexample --base 4 --size 0",
+])
+def test_sweep_zero_base_or_size_is_refused(capsys, flags):
+    # A given 0 once fell back to the flag's default, and the sweep ran.
+    code, out, err = run_cli(capsys, "sweep", *flags.split())
+    assert (code, out) == (2, "")
+    assert "error:" in err and "Traceback" not in err
+
+
 def test_sweep_indexed_decay_reports_fit(capsys):
     code, out, _ = run_cli(
         capsys, "sweep", "--experiment", "indexed-decay", "--nmax", "8",
@@ -316,6 +349,8 @@ GOLDEN = Path(__file__).parent / "golden"
      "sweep_indexed_counterexample.csv"),
     ("sweep --experiment positive-measure --levels 8 --rho 1.0",
      "sweep_positive_measure.csv"),
+    ("sweep --experiment reverse --base 3 --size 2 --nmax 10 --format json",
+     "sweep_reverse_base3.json"),
     ("norm --base 3 --alphabet 1,2 --iterate 6 --rho 27 --format json",
      "norm_reverse_base3.json"),
     # Eigenvalue table from the block tree; rows 1 to 7 reach the depth-8
@@ -358,6 +393,16 @@ def test_verify_exit_reflects_failures(capsys):
         "--samples", "40", "--tol", "1e-30")
     assert code_tight == 1
     assert "FAIL" in out_tight
+
+
+def test_verify_counts_capped_sweep_depths_as_failures(capsys, monkeypatch):
+    # Past a cap of 50 the sweeps blank their deeper rows; the properties
+    # over them fail, where the reverse sweep once ended verify with exit 3.
+    monkeypatch.setenv("CTFL_MAX_INTERVALS", "50")
+    code, out, err = run_cli(capsys, "verify", "--suite", "experiments")
+    assert (code, err) == (1, "")
+    assert "FAIL experiments.bounded_ratio_band" in out
+    assert "FAIL experiments.reverse_ratio_decreasing" in out
 
 
 def test_verify_unknown_suite_exits_two(capsys):

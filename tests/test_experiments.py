@@ -24,11 +24,11 @@ from cantorloc import (
 )
 
 MID_THIRD = CantorSpec(3, (0, 2))
-POWER_HALF = RadiusSchedule(kind="power_half")
+POWER_HALF = RadiusSchedule()
 
 
 def test_schedule_power_half_values():
-    sched = RadiusSchedule(kind="power_half", gamma=0.8)
+    sched = RadiusSchedule(gamma=0.8)
     assert sched.rho(3, 0) == 0.8
     assert sched.rho(3, 4) == pytest.approx(0.8 * 9.0, rel=1e-15)
     assert sched.rho(5, 3) == pytest.approx(0.8 * 5.0**1.5, rel=1e-15)
@@ -38,32 +38,19 @@ def test_schedule_rejects_radius_above_hypothesis_cap():
     # The two-sided bounds assume rho(n) <= M^n; at n = 0 that already
     # rules out gamma above one.
     with pytest.raises(ScheduleError):
-        RadiusSchedule(kind="power_half", gamma=2.0).rho(3, 0)
+        RadiusSchedule(gamma=2.0).rho(3, 0)
 
 
 def test_schedule_validation():
     with pytest.raises(ValueError):
-        RadiusSchedule(kind="exponential")
+        RadiusSchedule(gamma=0.0)
     with pytest.raises(ValueError):
-        RadiusSchedule(kind="power_half", gamma=0.0)
-    with pytest.raises(ValueError):
-        RadiusSchedule(kind="power_half", gamma=math.inf)
-    with pytest.raises(ValueError):
-        RadiusSchedule(kind="capped")
-
-
-def test_schedule_indexed_kind_is_exclusive():
-    indexed = RadiusSchedule(kind="indexed_sqrt", gamma=3.0)
-    assert indexed.rho_indexed(16) == pytest.approx(12.0)
-    with pytest.raises(ScheduleError):
-        indexed.rho(3, 2)
-    with pytest.raises(ScheduleError):
-        POWER_HALF.rho_indexed(16)
+        RadiusSchedule(gamma=math.inf)
 
 
 def test_sweep_fixed_ball_row():
     for gamma in (0.25, 0.7, 1.0):
-        rows = sweep_fixed(MID_THIRD, RadiusSchedule(kind="power_half", gamma=gamma), 2)
+        rows = sweep_fixed(MID_THIRD, RadiusSchedule(gamma=gamma), 2)
         assert rows[0].n == 0
         assert rows[0].rho == gamma
         assert rows[0].norm == pytest.approx(-math.expm1(-gamma), rel=1e-12)

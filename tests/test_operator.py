@@ -163,15 +163,14 @@ def test_norm_ball_case():
 
 
 def test_norm_zero_radius():
-    # localization_problem refuses scale zero, so the guard is only
-    # reachable through a hand-built problem, which enumerates nothing.
+    # A problem of scale zero is refused however it is built, so no norm
+    # ever sees one.
     from cantorloc import LocalizationProblem
 
     with pytest.raises(ValueError):
         localization_problem(MID_THIRD, 1, 0.0)
-    res = operator_norm(LocalizationProblem(spec=MID_THIRD, n=1, rho=0.0))
-    assert res.value == 0.0
-    assert res.tail_bound == 0.0
+    with pytest.raises(ValueError):
+        LocalizationProblem(spec=MID_THIRD, n=1, rho=0.0)
 
 
 def test_depth_sixteen_matches_exact_moment_references():

@@ -65,7 +65,17 @@ from .special import (
     segment_mass,
     segment_mass_batch,
 )
-from .verify import PropertyCheck, run_suites
+
+
+def __getattr__(name):
+    # The verify suites load on first use, so the CLI's other subcommands
+    # do not import them.
+    if name in ("PropertyCheck", "run_suites"):
+        from . import verify
+
+        return getattr(verify, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 __all__ = [
     "CantorSpec",

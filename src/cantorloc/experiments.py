@@ -119,6 +119,8 @@ def sweep_reverse_counterexample(base: int, size: int, schedule: RadiusSchedule,
     depth's norms pass the cap.  The ratio tending to zero is what rules
     out a two-sided sibling comparison at the critical radius.
     """
+    if base < 2:
+        raise ValueError(f"base must be at least 2, got {base}")
     if not (1 <= size <= base - 1):
         raise ValueError(
             f"alphabet size must lie in [1, {base - 1}] for base {base}, got {size}")

@@ -45,7 +45,7 @@ from .cantor import (
 from .special import (
     _EPS,
     TAYLOR_ORDER,
-    _prefactor_error,
+    _bounded_log_density,
     _scaled_masses,
     _tree_masses,
     _validate_k,
@@ -297,8 +297,8 @@ def group_bound(tree: BlockTree, m: int, prefixes: np.ndarray, first: np.ndarray
     low = prefixes.astype(float) * w
     k = np.clip(np.floor(low), first, last)
     x = np.clip(k, low, (prefixes + 1).astype(float) * w)
-    log_f = log_density(k, x)
-    log_sup = (log_f + np.log1p(_prefactor_error(k, x, log_f))
+    log_f, rel = _bounded_log_density(k, x)
+    log_sup = (log_f + np.log1p(rel)
                + _EPS * (4.0 * np.abs(k - x) + 2.0 * np.abs(log_f) + 8.0))
     measure = w * (tree.moments[m, 0] + tree.moment_err[m, 0]) * (1.0 + 8.0 * _EPS)
     # An exp that underflows is off by at most the least subnormal.
@@ -331,14 +331,16 @@ def _last_index(rho: float) -> int:
 
 def _truncation(rho: float, norm: float) -> int:
     """First k > rho with P(k+1, rho) < max(TAIL_ABSOLUTE, TAIL_RELATIVE *
-    norm).  The sum of f_j(rho) over j > k, added from the top, locates it
-    to within rounding; regularized_lower_gamma then settles it, since
-    P(k+1, rho) falls with k."""
+    norm).  The sum of f_j(rho) over j > k, added from the top, gives a
+    start: log f_j(rho) follows from log f_first(rho) by the ratios rho / j.
+    The start is only a hint; regularized_lower_gamma settles k from it,
+    since P(k+1, rho) falls with k."""
     threshold = max(TAIL_ABSOLUTE, TAIL_RELATIVE * norm)
     first = math.floor(rho) + 1
     last = _last_index(rho)
-    tails = np.cumsum(np.exp(log_density(np.arange(last, first - 1, -1.0), rho)))[::-1]
-    k = first + int(np.argmax(np.append(tails[1:], 0.0) < threshold))
+    ratios = np.log(rho / np.arange(first + 1.0, last + 1.0))
+    tails = np.cumsum(np.exp(log_density(first, rho) + np.cumsum(ratios))[::-1])[::-1]
+    k = first + int(np.argmax(np.append(tails, 0.0) < threshold))
     while regularized_lower_gamma(k, rho) >= threshold:
         k += 1
         if k > last:

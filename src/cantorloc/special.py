@@ -56,6 +56,10 @@ _MAX_ITER = 2_000_000
 _CHECK_EVERY = 16
 # Offsets 0 .. 15 as a column: one division gives the factors of 16 terms.
 _STEPS = np.arange(float(_CHECK_EVERY))[:, None]
+# Batches up to this many arguments add a block of terms by accumulating
+# along it (_add_terms); past it a column-by-column accumulate costs more
+# than 32 whole-row ufunc calls.
+_NARROW = 128
 
 
 def _validate_orders(k) -> np.ndarray:
@@ -144,9 +148,14 @@ def log_density(k, r):
     r = np.asarray(r, dtype=float)
     if np.any(r < 0.0):
         raise ValueError("radial argument must be nonnegative")
-    scalar = kf.ndim == 0 and r.ndim == 0
     # log(k + 1) on the indices as given, before broadcasting repeats them.
-    log_m = _log_orders(kf + 1.0)
+    out = _log_density(kf, r, _log_orders(kf + 1.0))
+    return float(out[0]) if kf.ndim == 0 and r.ndim == 0 else out
+
+
+def _log_density(kf: np.ndarray, r: np.ndarray, log_m) -> np.ndarray:
+    """log_density of checked float arrays, given log(k + 1) on kf; an
+    array of at least one dimension."""
     shape = np.broadcast(kf, r).shape or (1,)
     kf, log_m, r = (np.full(shape, v) for v in (kf, log_m, r))
     out = np.full(shape, -np.inf)
@@ -161,7 +170,7 @@ def log_density(k, r):
     if kc.size:
         out[centred] = _recentred(kc, r[centred], kc + 1.0, log_m[centred])
     out[(kf == 0.0) & ~pos] = 0.0
-    return float(out[0]) if scalar else out
+    return out
 
 
 def _log_orders(m):
@@ -169,22 +178,34 @@ def _log_orders(m):
     if np.ndim(m) == 0:
         return math.log(m)
     values, inverse = np.unique(m, return_inverse=True)
-    return np.array([math.log(v) for v in values.tolist()])[inverse.reshape(np.shape(m))]
+    logs = np.fromiter(map(math.log, values.tolist()), float, values.size)
+    return logs[inverse.reshape(np.shape(m))]
 
 
-def _prefactor_error(k, r, log_f):
+def _bounded_log_density(k: np.ndarray, r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(log_density(k, r), _prefactor_error of it) for float arrays k and r
+    of one shape, checked by the caller, with log(k + 1) taken once."""
+    log_m = _log_orders(k + 1.0)
+    log_f = _log_density(k, r, log_m)
+    return log_f, _prefactor_error(k, r, log_f, log_m)
+
+
+def _prefactor_error(k, r, log_f, log_m=None):
     """Relative error bound of exp(log_f), log_f = log_density(k, r): eps
     times the terms log_f is summed from and, in the recentered form, the
     rounding of phi's series: with n terms (the first one d^2 / 2) its sum
     is off by at most (n/2 + 2) d^2 / 2 units, k times that in log_f; below
-    r = m / 2, k / 2 units from log(r / m)."""
+    r = m / 2, k / 2 units from log(r / m).  log_m is log(k + 1), if the
+    caller has it."""
     m = np.asarray(k, dtype=float) + 1.0
+    if log_m is None:
+        log_m = _log_orders(m)
     d = np.abs(r - m) / m
     count = 2.0 + math.log(1e-19) / np.log(np.minimum(np.maximum(d, 1e-300), 0.5))
     series = np.where(d < 0.5, (0.25 * count + 1.0) * (m - 1.0) * d * d,
                       np.where(r < 0.5 * m, 0.5 * (m - 1.0), 0.0))
     lg = _LGAMMA_SMALL[np.minimum(m, 21.0).astype(int) - 1]
-    terms = np.where(m <= 21.0, 2.0 * (r + lg), 2.0 * _log_orders(m) + series)
+    terms = np.where(m <= 21.0, 2.0 * (r + lg), 2.0 * log_m + series)
     return _EPS * (2.0 + 4.0 * np.abs(log_f) + terms)
 
 
@@ -380,6 +401,7 @@ def _tree_masses(tree: BlockTree, ks: np.ndarray, place=None
         return tuple(np.concatenate(v) for v in zip(*batches))
     kcol = ks.astype(float)[:, None]
     leaves = place is None
+    log_m = _log_orders(kcol + 1.0) if leaves else None
     origin, scale, ref = (np.broadcast_to(np.asarray(v, dtype=float), (count,))[:, None]
                           for v in place or (0.0, 1.0, 0.0))
     n = tree.depth
@@ -395,7 +417,7 @@ def _tree_masses(tree: BlockTree, ks: np.ndarray, place=None
         p = scale * tree.centres(m, prefixes)
         c = origin + p
         if leaves:
-            g0 = log_density(kcol, c)
+            g0 = _log_density(kcol, c, log_m)
         else:
             d = (origin - ref) + p
             with np.errstate(divide="ignore", invalid="ignore"):
@@ -418,7 +440,8 @@ def _tree_masses(tree: BlockTree, ks: np.ndarray, place=None
             err += np.bincount(rows, np.exp(rem[rows, cols]), minlength=count)
             kr, cr, gr = kcol[rows, 0], c[rows, cols], g0[rows, cols]
             if leaves:
-                rounding, reach, slack = _prefactor_error(kr, cr, gr), 2.0 * cr, 0.0 * cr
+                rounding = _prefactor_error(kr, cr, gr, log_m[rows, 0])
+                reach, slack = 2.0 * cr, 0.0 * cr
             else:
                 # k log1p(d / ref), the quotient's rounding (k |d| / c) and the
                 # subtraction; d is off by eps (|origin - ref| + 3 p + |d|) / 2
@@ -430,9 +453,8 @@ def _tree_masses(tree: BlockTree, ks: np.ndarray, place=None
             expanded.append((rows, cr, w[rows, 0], np.full(rows.size, m), gr, rounding,
                              reach, slack))
         if m == n:
-            rows, cols = np.nonzero(split)
-            for row in np.unique(rows):
-                sel = cols[rows == row]
+            for row in np.flatnonzero(split.any(axis=1)):
+                sel = np.flatnonzero(split[row])
                 lo = prefixes[sel].astype(float) * unit
                 hi = (prefixes[sel] + 1).astype(float) * unit
                 vals, rels = segment_mass_batch(int(ks[row]), lo, hi, np.full(sel.size, unit))
@@ -523,12 +545,34 @@ def segment_mass(k: int, a: float, b: float) -> SegmentMass:
 # Vectorized batch engines (fixed k, array arguments)
 # ----------------------------------------------------------------------
 
+def _add_terms(term: np.ndarray, total: np.ndarray, factors: np.ndarray
+               ) -> tuple[np.ndarray, np.ndarray]:
+    """One block of a series: term is multiplied by each row of factors in
+    turn and each product is added to total.  Returns the last term and the
+    new total.  Up to _NARROW columns this is one accumulate along the block
+    for the products and one for the sums; numpy runs an accumulate column
+    by column, so wider batches go row by row.  Both make the same products
+    and sums in the same order, and neither writes to its arguments."""
+    if term.size > _NARROW:
+        for factor in factors:
+            term = term * factor
+            total = total + term
+        return term, total
+    block = np.multiply.accumulate(np.concatenate((term[None], factors)), axis=0)
+    term = block[-1].copy()
+    block[0] = total
+    return term, np.add.accumulate(block, axis=0, out=block)[-1]
+
+
 def lower_tail_batch(k: int, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(P(k+1, x), Q(k+1, x)) for an array of nonnegative x at fixed k.
 
     Each entry is computed on the side where it is small (series below the
     crossover, Poisson tail above), so both returned arrays are relatively
-    accurate wherever they are meaningfully nonzero.
+    accurate wherever they are meaningfully nonzero.  Both sums run in
+    blocks of _CHECK_EVERY terms: one division gives a block's factors,
+    _add_terms its products and running sums in term order, and the block's
+    last term is tested for convergence.
     """
     k = _validate_k(k)
     x = np.asarray(x, dtype=float)
@@ -542,11 +586,9 @@ def lower_tail_batch(k: int, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     if np.any(low):
         xs = x[low]
         total = np.full_like(xs, 1.0 / a)
-        term = total.copy()
+        term = total
         for first in range(k + 2, k + 2 + _MAX_ITER, _CHECK_EVERY):
-            for factor in xs / (first + _STEPS):
-                term = term * factor
-                total = total + term
+            term, total = _add_terms(term, total, xs / (first + _STEPS))
             if not np.any(term > total * 1e-17):
                 break
         else:
@@ -559,12 +601,9 @@ def lower_tail_batch(k: int, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     if np.any(high):
         xt = x[high]
         # x >= k+1 puts the largest Poisson term at n = k; recurse downward.
-        total = np.ones_like(xt)
-        term = np.ones_like(xt)
+        total = term = np.ones_like(xt)
         for n in range(k, 0, -_CHECK_EVERY):
-            for factor in (n - _STEPS[:n]) / xt:
-                term = term * factor
-                total = total + term
+            term, total = _add_terms(term, total, (n - _STEPS[:n]) / xt)
             if not np.any(term > 1e-18):
                 break
         log_q = log_density(k, xt) + np.log(total)

@@ -7,7 +7,9 @@ incomplete gamma function, Cantor iterates from direct recursive
 subdivision in plain floats, the distribution function from a digit walk
 in rational arithmetic, the first eigenvalue from exponential sums over
 those blocks, and any eigenvalue from mpmath's incomplete gamma function
-over the exact blocks around the mode.
+over the exact blocks around the mode.  The one exception is
+lower_tail_loop, the term-by-term form of cantorloc's own series, which
+its block accumulation must match bit for bit.
 """
 
 from __future__ import annotations
@@ -31,6 +33,52 @@ def lower_tail(k: int, x: float) -> float:
 
 def upper_tail(k: int, x: float) -> float:
     return float(special.gammaincc(k + 1, x))
+
+
+def lower_tail_loop(k: int, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(P(k+1, x), Q(k+1, x)) as cantorloc.special.lower_tail_batch forms
+    them, one term at a time: the lower series below x = k + 1 and the
+    Poisson sum, from its largest term down, above it, each tested for
+    convergence every 16 terms, with the package's log_density for the
+    prefactor.  Not independent of the package: it pins the order of the
+    products and sums, so lower_tail_batch must return the same bits."""
+    from cantorloc.special import log_density
+
+    x = np.asarray(x, dtype=float)
+    p = np.zeros_like(x)
+    q = np.ones_like(x)
+    a = k + 1.0
+    low = (x > 0.0) & (x < a)
+    if np.any(low):
+        xs = x[low]
+        total = np.full_like(xs, 1.0 / a)
+        term = total.copy()
+        first = k + 2
+        while True:
+            for j in range(16):
+                term = term * (xs / (first + j))
+                total = total + term
+            first += 16
+            if not np.any(term > total * 1e-17):
+                break
+        pv = np.minimum(total * np.exp(log_density(k, xs) + np.log(xs)), 1.0)
+        p[low] = pv
+        q[low] = 1.0 - pv
+    high = x >= a
+    if np.any(high):
+        xt = x[high]
+        total = np.ones_like(xt)
+        term = np.ones_like(xt)
+        for n in range(k, 0, -16):
+            for j in range(min(16, n)):
+                term = term * ((n - j) / xt)
+                total = total + term
+            if not np.any(term > 1e-18):
+                break
+        qv = np.exp(np.minimum(log_density(k, xt) + np.log(total), 0.0))
+        q[high] = qv
+        p[high] = 1.0 - qv
+    return p, q
 
 
 def segment_mass_quad(k: int, a: float, b: float) -> float:
@@ -97,15 +145,13 @@ def log_segment_mass_mp(k: int, a: float, b: float, dps: int = 60) -> float:
 def relative_area_mp(k: int, s: float, T: float, base: int, alphabet,
                      dps: int = 60) -> float:
     """Sum over a in alphabet of the mass over [s + aT/M, s + (a+1)T/M],
-    over the mass over [s, s+T], at dps digits; the endpoints are the
-    doubles that float arithmetic forms from s, T and M."""
+    over the mass over [s, s+T], each from segment_mass_tails_mp at dps
+    digits; the endpoints are the doubles that float arithmetic forms from
+    s, T and M."""
     with mpmath.workdps(dps):
-        def mass(a: float, b: float):
-            return mpmath.gammainc(k + 1, mpmath.mpf(a), mpmath.mpf(b),
-                                   regularized=True)
-
-        parts = [mass(s + a * T / base, s + (a + 1) * T / base) for a in alphabet]
-        return float(mpmath.fsum(parts) / mass(s, s + T))
+        parts = [segment_mass_tails_mp(k, s + a * T / base, s + (a + 1) * T / base, dps)
+                 for a in alphabet]
+        return float(mpmath.fsum(parts) / segment_mass_tails_mp(k, s, s + T, dps))
 
 
 def log_density_mp(k: int, r: float, dps: int = 50) -> float:

@@ -259,6 +259,15 @@ def test_sweep_zero_base_or_size_is_refused(capsys, flags):
     assert "error:" in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("base", ["0", "1"])
+def test_sweep_reverse_checks_the_base_before_the_size(capsys, base):
+    # The size check once ran first and named the range [1, base - 1].
+    code, out, err = run_cli(capsys, "sweep", "--experiment", "reverse", "--base", base,
+                             "--size", "2")
+    assert (code, out) == (2, "")
+    assert err == f"error: base must be at least 2, got {base}\n"
+
+
 def test_sweep_indexed_decay_reports_fit(capsys):
     code, out, _ = run_cli(
         capsys, "sweep", "--experiment", "indexed-decay", "--nmax", "8",
@@ -361,6 +370,12 @@ GOLDEN = Path(__file__).parent / "golden"
     # block tree.
     ("norm --base 3 --alphabet 1,2 --iterate 15 --rho 3856.1790282438915",
      "norm_reverse_n15.csv"),
+    # The benchmark's sweep-precise and eigs-auto commands, pinned bit for
+    # bit: 17 certified norms to n = 16, and 561 rows at n = 11.
+    ("sweep --experiment precise --base 3 --alphabet 0,2 --nmax 16",
+     "sweep_precise_base3_n16.csv"),
+    ("eigs --base 3 --alphabet 0,2 --iterate 11 --rho 420.8883462392372 --kmax auto",
+     "eigs_mid_third_n11.csv"),
 ])
 def test_golden_stdout(capsys, monkeypatch, argv, golden):
     monkeypatch.delenv("CTFL_MAX_INTERVALS", raising=False)
@@ -408,12 +423,15 @@ def test_verify_counts_capped_sweep_depths_as_failures(capsys, monkeypatch):
 def test_verify_unknown_suite_exits_two(capsys):
     code, _, err = run_cli(capsys, "verify", "--suite", "nonsense")
     assert code == 2
+    assert err.startswith("error: unknown suite 'nonsense'")
 
 
 def test_cli_runs_without_scipy():
     # numpy is the only runtime dependency: eigenvalues, a norm scan and a
     # sweep, quadrature included, leave scipy unimported, and numpy's
-    # polynomial package too (it once supplied Gauss-Legendre nodes).
+    # polynomial package too (it once supplied Gauss-Legendre nodes).  They
+    # leave numpy.ma (which a bare np.unique imports) and the verify suites
+    # unimported as well.
     src = str(Path(cli.__file__).resolve().parent.parent)
     script = (
         "import sys\n"
@@ -426,7 +444,8 @@ def test_cli_runs_without_scipy():
         "              '--alphabet', '0,2', '--nmax', '6']):\n"
         "    assert cli.main(argv) == 0\n"
         "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'\n"
-        "             or m.startswith('numpy.polynomial')))\n")
+        "             or m.startswith('numpy.polynomial')\n"
+        "             or m.split('.')[:2] in (['numpy', 'ma'], ['cantorloc', 'verify'])))\n")
     run = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
                          env=dict(os.environ, PYTHONPATH=src), check=True)
     assert run.stdout.splitlines()[-1] == "[]"

@@ -19,9 +19,16 @@ from cantorloc import (
     limit_relative_area,
     localization_problem,
     operator_norm,
+    regularized_lower_gamma,
     relative_area,
 )
-from cantorloc.operator import EigenvalueResult, _select
+from cantorloc.operator import (
+    TAIL_ABSOLUTE,
+    TAIL_RELATIVE,
+    EigenvalueResult,
+    _select,
+    _truncation,
+)
 
 MID_THIRD = CantorSpec(3, (0, 2))
 
@@ -271,6 +278,20 @@ def test_norm_certificate_invariants():
         # The reported value must reproduce through the slow path.
         direct = eigenvalue(problem, res.argmax_k)
         assert res.value == direct.value
+
+
+def test_truncation_matches_a_linear_scan():
+    # The tail sum only picks where the search starts; the truncation must
+    # be the first k > rho with P(k+1, rho) below the threshold.
+    rng = np.random.default_rng(43)
+    for rho in np.concatenate((rng.uniform(0.1, 1e4, 3), 10.0 ** rng.uniform(-1.0, 4.0, 9))):
+        rho = float(rho)
+        norm = float(10.0 ** rng.uniform(-6.0, 0.0))
+        threshold = max(TAIL_ABSOLUTE, TAIL_RELATIVE * norm)
+        k = math.floor(rho) + 1
+        while regularized_lower_gamma(k, rho) >= threshold:
+            k += 1
+        assert _truncation(rho, norm) == k
 
 
 def test_norm_scan_beats_nearby_orders():

@@ -23,7 +23,7 @@ from cantorloc import (
     segment_mass_batch,
     special,
 )
-from cantorloc.special import _phi, _prefactor_error
+from cantorloc.special import _NARROW, _phi, _prefactor_error
 
 # mpmath at 40 significant digits, rounded to nearest double.
 FROZEN_LOWER = [
@@ -295,6 +295,15 @@ def test_far_tail_relative_area_bisects_to_mpmath(monkeypatch, k, s, T, base,
     assert abs(area - ref) <= 1e-13 * ref
 
 
+def test_relative_area_of_a_thin_far_tail_segment_matches_mpmath():
+    # Masses near e^-740: mpmath's two-sided gammainc returns 0 for them,
+    # which once made the oracle divide by zero.
+    k, s, T = 15, 741.3467823271025, 1.34492064e-5
+    area = relative_area(CantorSpec(3, (0, 2)), k, s, T)
+    assert area == 0.6666666694864756
+    assert abs(area - oracles.relative_area_mp(k, s, T, 3, (0, 2))) <= 1e-13 * area
+
+
 def _log_coefficients_mp(k, c, w, order):
     """Taylor coefficients of f_k(c + w u) / f_k(c) at 40 digits from those
     of its log: g_1 = (k/c - 1) w, g_p = k (-1)^(p+1) (w/c)^p / p, and
@@ -406,6 +415,22 @@ def test_batch_lower_tail_matches_scalar():
         for i, xi in enumerate(x):
             assert regularized_lower_gamma(k, float(xi)) == p[i]
             assert gamma_tail_mass(k, float(xi)) == q[i]
+
+
+@pytest.mark.parametrize("k", [0, 1, 15, 16, 17, 20, 21, 200, 1967, 6561, 20000])
+def test_lower_tail_blocks_match_the_term_by_term_loop(k):
+    # Each block of 16 terms is added by accumulating along it (or row by
+    # row past _NARROW arguments); both must give the bits of a loop that
+    # multiplies and adds one term at a time, at x = 0, at the crossover
+    # x = k + 1 and on both sides of it.
+    rng = np.random.default_rng(k)
+    x = np.concatenate(([0.0, k + 1.0, float(k), k + 2.0, 0.5 * k],
+                        rng.uniform(0.0, 2.0 * k + 40.0, 3 * _NARROW),
+                        10.0 ** rng.uniform(-12.0, 0.0, 8)))
+    for part in (x[:1], x[1:2], x[:5], x[5:40], x):
+        p, q = lower_tail_batch(k, part)
+        p_ref, q_ref = oracles.lower_tail_loop(k, part)
+        assert np.array_equal(p, p_ref) and np.array_equal(q, q_ref)
 
 
 def test_batch_segment_mass_matches_scalar(monkeypatch):

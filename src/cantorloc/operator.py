@@ -45,7 +45,9 @@ from .cantor import (
 from .special import (
     _EPS,
     TAYLOR_ORDER,
-    _bounded_log_density,
+    _log_density,
+    _log_orders,
+    _prefactor_error,
     _scaled_masses,
     _tree_masses,
     _validate_k,
@@ -297,8 +299,9 @@ def group_bound(tree: BlockTree, m: int, prefixes: np.ndarray, first: np.ndarray
     low = prefixes.astype(float) * w
     k = np.clip(np.floor(low), first, last)
     x = np.clip(k, low, (prefixes + 1).astype(float) * w)
-    log_f, rel = _bounded_log_density(k, x)
-    log_sup = (log_f + np.log1p(rel)
+    log_m = _log_orders(k + 1.0)
+    log_f = _log_density(k, x, log_m)
+    log_sup = (log_f + np.log1p(_prefactor_error(k, x, log_f, log_m))
                + _EPS * (4.0 * np.abs(k - x) + 2.0 * np.abs(log_f) + 8.0))
     measure = w * (tree.moments[m, 0] + tree.moment_err[m, 0]) * (1.0 + 8.0 * _EPS)
     # An exp that underflows is off by at most the least subnormal.
@@ -333,8 +336,10 @@ def _truncation(rho: float, norm: float) -> int:
     """First k > rho with P(k+1, rho) < max(TAIL_ABSOLUTE, TAIL_RELATIVE *
     norm).  The sum of f_j(rho) over j > k, added from the top, gives a
     start: log f_j(rho) follows from log f_first(rho) by the ratios rho / j.
-    The start is only a hint; regularized_lower_gamma settles k from it,
-    since P(k+1, rho) falls with k."""
+    P(k+1, rho) falls with k, so regularized_lower_gamma settles k from the
+    start in either direction: up while P(k+1, rho) is not below the
+    threshold, then down while P(k, rho) is.  A start that rounding puts
+    off by a few indices either way gives the same k."""
     threshold = max(TAIL_ABSOLUTE, TAIL_RELATIVE * norm)
     first = math.floor(rho) + 1
     last = _last_index(rho)

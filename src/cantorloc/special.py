@@ -56,10 +56,6 @@ _MAX_ITER = 2_000_000
 _CHECK_EVERY = 16
 # Offsets 0 .. 15 as a column: one division gives the factors of 16 terms.
 _STEPS = np.arange(float(_CHECK_EVERY))[:, None]
-# Batches up to this many arguments add a block of terms by accumulating
-# along it (_add_terms); past it a column-by-column accumulate costs more
-# than 32 whole-row ufunc calls.
-_NARROW = 128
 
 
 def _validate_orders(k) -> np.ndarray:
@@ -180,14 +176,6 @@ def _log_orders(m):
     values, inverse = np.unique(m, return_inverse=True)
     logs = np.fromiter(map(math.log, values.tolist()), float, values.size)
     return logs[inverse.reshape(np.shape(m))]
-
-
-def _bounded_log_density(k: np.ndarray, r: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(log_density(k, r), _prefactor_error of it) for float arrays k and r
-    of one shape, checked by the caller, with log(k + 1) taken once."""
-    log_m = _log_orders(k + 1.0)
-    log_f = _log_density(k, r, log_m)
-    return log_f, _prefactor_error(k, r, log_f, log_m)
 
 
 def _prefactor_error(k, r, log_f, log_m=None):
@@ -545,34 +533,12 @@ def segment_mass(k: int, a: float, b: float) -> SegmentMass:
 # Vectorized batch engines (fixed k, array arguments)
 # ----------------------------------------------------------------------
 
-def _add_terms(term: np.ndarray, total: np.ndarray, factors: np.ndarray
-               ) -> tuple[np.ndarray, np.ndarray]:
-    """One block of a series: term is multiplied by each row of factors in
-    turn and each product is added to total.  Returns the last term and the
-    new total.  Up to _NARROW columns this is one accumulate along the block
-    for the products and one for the sums; numpy runs an accumulate column
-    by column, so wider batches go row by row.  Both make the same products
-    and sums in the same order, and neither writes to its arguments."""
-    if term.size > _NARROW:
-        for factor in factors:
-            term = term * factor
-            total = total + term
-        return term, total
-    block = np.multiply.accumulate(np.concatenate((term[None], factors)), axis=0)
-    term = block[-1].copy()
-    block[0] = total
-    return term, np.add.accumulate(block, axis=0, out=block)[-1]
-
-
 def lower_tail_batch(k: int, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(P(k+1, x), Q(k+1, x)) for an array of nonnegative x at fixed k.
 
     Each entry is computed on the side where it is small (series below the
     crossover, Poisson tail above), so both returned arrays are relatively
-    accurate wherever they are meaningfully nonzero.  Both sums run in
-    blocks of _CHECK_EVERY terms: one division gives a block's factors,
-    _add_terms its products and running sums in term order, and the block's
-    last term is tested for convergence.
+    accurate wherever they are meaningfully nonzero.
     """
     k = _validate_k(k)
     x = np.asarray(x, dtype=float)
@@ -586,9 +552,11 @@ def lower_tail_batch(k: int, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     if np.any(low):
         xs = x[low]
         total = np.full_like(xs, 1.0 / a)
-        term = total
+        term = total.copy()
         for first in range(k + 2, k + 2 + _MAX_ITER, _CHECK_EVERY):
-            term, total = _add_terms(term, total, xs / (first + _STEPS))
+            for factor in xs / (first + _STEPS):
+                term = term * factor
+                total = total + term
             if not np.any(term > total * 1e-17):
                 break
         else:
@@ -601,9 +569,12 @@ def lower_tail_batch(k: int, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     if np.any(high):
         xt = x[high]
         # x >= k+1 puts the largest Poisson term at n = k; recurse downward.
-        total = term = np.ones_like(xt)
+        total = np.ones_like(xt)
+        term = np.ones_like(xt)
         for n in range(k, 0, -_CHECK_EVERY):
-            term, total = _add_terms(term, total, (n - _STEPS[:n]) / xt)
+            for factor in (n - _STEPS[:n]) / xt:
+                term = term * factor
+                total = total + term
             if not np.any(term > 1e-18):
                 break
         log_q = log_density(k, xt) + np.log(total)

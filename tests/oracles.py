@@ -9,7 +9,7 @@ in rational arithmetic, the first eigenvalue from exponential sums over
 those blocks, and any eigenvalue from mpmath's incomplete gamma function
 over the exact blocks around the mode.  The one exception is
 lower_tail_loop, the term-by-term form of cantorloc's own series, which
-its block accumulation must match bit for bit.
+lower_tail_batch must match bit for bit.
 """
 
 from __future__ import annotations

@@ -292,6 +292,15 @@ def test_truncation_matches_a_linear_scan():
         while regularized_lower_gamma(k, rho) >= threshold:
             k += 1
         assert _truncation(rho, norm) == k
+    # Near the deepest sweep radii a scan from rho is too long; the result
+    # must still be the first such k: P(k+1, rho) below the threshold and
+    # P(k, rho) not.
+    for rho in (3.0 ** 14, 3.0 ** 14 * (1.0 + 1e-9), 3.0 ** 14.5, 3.0 ** 14.5 * (1.0 - 1e-9)):
+        for norm in (1e-6, 0.5):
+            threshold = max(TAIL_ABSOLUTE, TAIL_RELATIVE * norm)
+            k = _truncation(rho, norm)
+            assert k - 1 > rho and regularized_lower_gamma(k, rho) < threshold
+            assert regularized_lower_gamma(k - 1, rho) >= threshold
 
 
 def test_norm_scan_beats_nearby_orders():

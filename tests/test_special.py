@@ -23,7 +23,7 @@ from cantorloc import (
     segment_mass_batch,
     special,
 )
-from cantorloc.special import _NARROW, _phi, _prefactor_error
+from cantorloc.special import _phi, _prefactor_error
 
 # mpmath at 40 significant digits, rounded to nearest double.
 FROZEN_LOWER = [
@@ -419,13 +419,12 @@ def test_batch_lower_tail_matches_scalar():
 
 @pytest.mark.parametrize("k", [0, 1, 15, 16, 17, 20, 21, 200, 1967, 6561, 20000])
 def test_lower_tail_blocks_match_the_term_by_term_loop(k):
-    # Each block of 16 terms is added by accumulating along it (or row by
-    # row past _NARROW arguments); both must give the bits of a loop that
-    # multiplies and adds one term at a time, at x = 0, at the crossover
-    # x = k + 1 and on both sides of it.
+    # The kernel divides a block of 16 factors at once; it must give the
+    # bits of a loop that forms, multiplies and adds one term at a time, at
+    # x = 0, at the crossover x = k + 1 and on both sides of it.
     rng = np.random.default_rng(k)
     x = np.concatenate(([0.0, k + 1.0, float(k), k + 2.0, 0.5 * k],
-                        rng.uniform(0.0, 2.0 * k + 40.0, 3 * _NARROW),
+                        rng.uniform(0.0, 2.0 * k + 40.0, 384),
                         10.0 ** rng.uniform(-12.0, 0.0, 8)))
     for part in (x[:1], x[1:2], x[:5], x[5:40], x):
         p, q = lower_tail_batch(k, part)

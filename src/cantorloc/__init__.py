@@ -11,6 +11,9 @@ iteration depth and the localization radius.
 
 __version__ = "0.1.0"
 
+import importlib.util
+import sys
+
 from .cantor import (
     CantorSpec,
     CapExceededError,
@@ -25,21 +28,6 @@ from .cantor import (
     resolve_max_intervals,
     reverse_canonical_of,
     shift_decomposition,
-)
-from .experiments import (
-    DecayParams,
-    HypothesisViolationError,
-    IndexedCounterexampleResult,
-    IndexedDecayResult,
-    PositiveMeasureResult,
-    RadiusSchedule,
-    ScheduleError,
-    SweepRow,
-    positive_measure_demo,
-    sweep_fixed,
-    sweep_indexed_counterexample,
-    sweep_indexed_decay,
-    sweep_reverse_counterexample,
 )
 from .operator import (
     DegenerateMassError,
@@ -67,13 +55,33 @@ from .special import (
 )
 
 
+def _lazy_submodule(name: str):
+    """The submodule *name*, entered in sys.modules without running its
+    code, which runs on first attribute access (importlib.util.LazyLoader)."""
+    spec = importlib.util.find_spec(f"{__name__}.{name}")
+    spec.loader = importlib.util.LazyLoader(spec.loader)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module
+    spec.loader.exec_module(module)
+    return module
+
+
+# Only the sweep subcommand runs the experiments, so eigs and norm neither
+# compile nor run the module; it stays in sys.modules for code that looks
+# it up there.
+experiments = _lazy_submodule("experiments")
+
+
 def __getattr__(name):
-    # The verify suites load on first use, so the CLI's other subcommands
-    # do not import them.
+    # The verify suites and the experiments load on first use, so the CLI's
+    # other subcommands do not import them.  The exports not defined here
+    # are the experiments'.
     if name in ("PropertyCheck", "run_suites"):
         from . import verify
 
         return getattr(verify, name)
+    if name in __all__:
+        return getattr(experiments, name)
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 

@@ -34,16 +34,6 @@ from .cantor import (
     cantor_function,
     resolve_max_intervals,
 )
-from .experiments import (
-    SWEEP_COLUMNS,
-    DecayParams,
-    RadiusSchedule,
-    positive_measure_demo,
-    sweep_fixed,
-    sweep_indexed_counterexample,
-    sweep_indexed_decay,
-    sweep_reverse_counterexample,
-)
 from .operator import (
     TAIL_ABSOLUTE,
     TAIL_RELATIVE,
@@ -275,6 +265,18 @@ def _reject_fixed_spec_flags(args: argparse.Namespace, experiment: str) -> None:
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
+    # Imported here: no other subcommand runs the experiments.
+    from .experiments import (
+        SWEEP_COLUMNS,
+        DecayParams,
+        RadiusSchedule,
+        positive_measure_demo,
+        sweep_fixed,
+        sweep_indexed_counterexample,
+        sweep_indexed_decay,
+        sweep_reverse_counterexample,
+    )
+
     exp = args.experiment
     gamma = args.gamma
 

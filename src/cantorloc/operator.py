@@ -364,13 +364,13 @@ def operator_norm(problem: LocalizationProblem) -> NormResult:
     target move into their group's fixed sum, and a group whose fixed sum
     plus block bounds is at most the target is certified: none of its
     eigenvalues exceeds the target, the largest value - err of the exact
-    rows so far, starting with k = 0.  Exact rows come from _tree_masses in
-    batches of _ROWS: at each depth for the uncertified group of largest
-    bound while the next depth would hold more than RAISE_PAIRS (group,
-    block) pairs, which raises the target before the pairs multiply; for
-    any group whose blocks at the next depth would cost more than its rows
-    (ROW_COST); and at depth n, where blocks cannot split, for every group
-    left.  The norm is the largest exact row (see _select for value_err),
+    rows so far, starting with k = 0.  Exact rows come from _tree_masses,
+    one walk per set of rows: at each depth for the uncertified group of
+    largest bound while the next depth would hold more than RAISE_PAIRS
+    (group, block) pairs, which raises the target before the pairs
+    multiply; for any group whose blocks at the next depth would cost more
+    than its rows (ROW_COST); and at depth n, where blocks cannot split,
+    for every group left.  The norm is the largest exact row (see _select for value_err),
     and k_truncation (past rho) follows from it.  Nothing is enumerated,
     but the arrays grow with rho: floor(rho) + 2 indices are held to the cap.
     """

@@ -22,9 +22,10 @@ Segment masses over [a, b] (segment_mass_batch) are formed from whichever
 cumulative difference (lower masses or tail masses) cancels less.  Where
 both would lose more than ~40 bits, and for log_segment_mass and the far
 tail of relative_area, they come from the package's one quadrature: the
-walk over a block tree (_tree_masses), which expands each block's density
-in a Taylor series around its centre, splits the blocks where that does
-not converge and prunes the negligible ones, with a certified bound.
+walk over a block tree (_tree_masses), which takes all rows of a call
+down the tree together, expands each block's density in a Taylor series
+around its centre, splits the blocks where that does not converge and
+prunes the negligible ones, with a certified bound.
 Eigenvalues walk the Cantor iterate's tree (operator.py); a segment walks
 the tree of the full alphabet {0, 1} in base 2 stretched onto [a, b],
 relative to f_k at its maximum there, so masses below the double range
@@ -327,9 +328,10 @@ BLOCK_TOL = 1e-18
 _MASS_FLOOR = 1e-305
 # Radii of the circles |u| = R that bound the Taylor remainder.
 _CAUCHY_RADII = (2.0, 4.0, 8.0)
-_LOG_DIAMETERS = np.log(2.0 * np.array(_CAUCHY_RADII))[:, None, None]
-# Rows walked together.
-_ROWS = 64
+_LOG_DIAMETERS = np.log(2.0 * np.array(_CAUCHY_RADII))[:, None]
+# Expanded (row, block) pairs per call of expansion_sums, whose (pairs,
+# TAYLOR_ORDER + 1) arrays are the walk's largest.
+_SUM_PAIRS = 512
 
 
 @functools.lru_cache(maxsize=1)
@@ -338,39 +340,36 @@ def _segment_tree() -> BlockTree:
     return block_tree(CantorSpec(2, (0, 1)), 62, 1.0, TAYLOR_ORDER)
 
 
-def _row_sums(mask: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Sum of x over each row's entries in mask, added in column order, so a
-    row's sum does not depend on the other rows."""
-    rows, cols = np.nonzero(mask)
-    return np.bincount(rows, x[rows, cols], minlength=x.shape[0])
-
-
-def _log_sum(mask: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """log of the sum of exp(x) over each row's entries in mask, as
-    _row_sums adds them; -inf for a row with none."""
-    top = np.where(mask, x, -np.inf).max(axis=1)
+def _log_sum(rows: np.ndarray, x: np.ndarray, count: int) -> np.ndarray:
+    """log of the sum of exp(x) over each row's pairs, added in pair order by
+    np.bincount, so a row's sum does not depend on the other rows; -inf for
+    a row with none."""
+    top = np.full(count, -np.inf)
+    np.maximum.at(top, rows, x)
     top = np.where(np.isfinite(top), top, 0.0)
     with np.errstate(divide="ignore", over="ignore"):
-        return top + np.log(_row_sums(mask, np.exp(x - top[:, None])))
+        return top + np.log(np.bincount(rows, np.exp(x - top[rows]), minlength=count))
 
 
 def _tree_masses(tree: BlockTree, ks: np.ndarray, place=None
                  ) -> tuple[np.ndarray, np.ndarray]:
-    """Masses of f_k over the set of a block tree, one row per k in ks, in
-    batches of _ROWS: (values, absolute error bounds).  Quadrature by
-    self-similarity (Strichartz 2000, Amer. Math. Monthly 107:316).
+    """Masses of f_k over the set of a block tree, one row per k in ks:
+    (values, absolute error bounds).  Quadrature by self-similarity
+    (Strichartz 2000, Amer. Math. Monthly 107:316).
 
     A depth-m block B = c + W (S_m - 1/2) carries the mass W f_k(c) sum_p
     a_p mu_p, with a_p the Taylor coefficients of f_k(c + W u) / f_k(c)
-    (expansion_sums) and mu_p the block's centred moments.  From the root,
-    at each depth and for each row, a block is expanded where W <= MAX_STEP
-    c (any W at k = 0) and its Cauchy remainder is below BLOCK_TOL of a
-    lower bound on the row's mass (the blocks so far, each at the minimum
-    of f_k on it), pruned where sup f_k times its measure is below that,
-    and split otherwise.  A row's blocks and sums depend on that row alone,
-    so a row is the same in any batch.  err adds each block's remainder or
-    pruned mass and the rounding of its coefficients, moments, sum,
-    prefactor, centre and width (through the mass's derivatives in c, W).
+    (expansion_sums) and mu_p the block's centred moments.  All rows go
+    through one walk over the live (row, block) pairs, kept in (row, digit
+    prefix) order.  From the root, at each depth and for each row, a block
+    is expanded where W <= MAX_STEP c (any W at k = 0) and its Cauchy
+    remainder is below BLOCK_TOL of a lower bound on the row's mass (the
+    blocks so far, each at the minimum of f_k on it), pruned where sup f_k
+    times its measure is below that, and split otherwise.  A row's blocks
+    and sums depend on that row alone, so a row is the same in any call.
+    err adds each block's remainder or pruned mass and the rounding of its
+    coefficients, moments, sum, prefactor, centre and width (through the
+    mass's derivatives in c, W).
 
     With place None the rows are eigenvalues over the tree's own set, and a
     depth-n block that still splits is an exact interval: err adds
@@ -383,84 +382,86 @@ def _tree_masses(tree: BlockTree, ks: np.ndarray, place=None
     a pruned one, so the walk always ends.
     """
     count = ks.size
-    if count > _ROWS:
-        batches = [_tree_masses(tree, ks[i:i + _ROWS], place and [v[i:i + _ROWS] for v in place])
-                   for i in range(0, count, _ROWS)]
-        return tuple(np.concatenate(v) for v in zip(*batches))
-    kcol = ks.astype(float)[:, None]
+    kf = ks.astype(float)
     leaves = place is None
-    log_m = _log_orders(kcol + 1.0) if leaves else None
-    origin, scale, ref = (np.broadcast_to(np.asarray(v, dtype=float), (count,))[:, None]
+    log_m = _log_orders(kf + 1.0) if leaves else None
+    origin, scale, ref = (np.broadcast_to(np.asarray(v, dtype=float), (count,))
                           for v in place or (0.0, 1.0, 0.0))
     n = tree.depth
     log_acc = np.full(count, -np.inf)
     err = np.zeros(count)
     parts = [(ks[:0], np.zeros(0))]  # (rows, values) of the summed blocks
     expanded = []  # (rows, centres, widths, depths, g0, its error, centre errors / eps)
-    prefixes = tree.root()
-    need = np.ones((count, 1), dtype=bool)
+    rows = np.arange(count)
+    prefixes = np.repeat(tree.root(), count)
     for m in range(n + 1):
         unit = float(tree.widths[m])
-        w = unit * scale
-        p = scale * tree.centres(m, prefixes)
-        c = origin + p
+        k, s = kf[rows], scale[rows]
+        w = unit * s
+        p = s * tree.centres(m, prefixes)
+        c = origin[rows] + p
         if leaves:
-            g0 = _log_density(kcol, c, log_m)
+            g0 = _log_density(k, c, log_m[rows])
         else:
-            d = (origin - ref) + p
+            d = (origin - ref)[rows] + p
             with np.errstate(divide="ignore", invalid="ignore"):
-                g0 = np.where(kcol > 0.0, kcol * np.log1p(d / ref), 0.0) - d
-        log_scale = g0 + ((math.log(unit) + math.log(tree.moments[m, 0])) + np.log(scale))
-        low, high = expansion_range(kcol, c, w)
+                g0 = np.where(k > 0.0, k * np.log1p(d / ref[rows]), 0.0) - d
+        log_scale = g0 + ((math.log(unit) + math.log(tree.moments[m, 0])) + np.log(s))
+        low, high = expansion_range(k, c, w)
         lower = log_scale + low
         upper = log_scale + high
-        log_lower = np.logaddexp(log_acc, _log_sum(need, lower))
-        tol = np.maximum(log_lower + math.log(BLOCK_TOL), math.log(_MASS_FLOOR))[:, None]
-        tails = log_scale + expansion_tails(kcol, c, w, _CAUCHY_RADII)
+        log_lower = np.logaddexp(log_acc, _log_sum(rows, lower, count))
+        tol = np.maximum(log_lower + math.log(BLOCK_TOL), math.log(_MASS_FLOOR))[rows]
+        tails = log_scale + expansion_tails(k, c, w, _CAUCHY_RADII)
         rem = (tails - (TAYLOR_ORDER + 1) * _LOG_DIAMETERS).min(axis=0)
-        expand = need & ((w <= MAX_STEP * c) | (kcol == 0.0)) & (rem <= tol)
-        prune = need & ~expand & ((upper <= tol) | (m == n and not leaves))
-        split = need & ~(expand | prune)
-        log_acc = np.logaddexp(log_acc, _log_sum(expand, lower))
-        err += _row_sums(prune, np.exp(upper))
-        rows, cols = np.nonzero(expand)
-        if rows.size:
-            err += np.bincount(rows, np.exp(rem[rows, cols]), minlength=count)
-            kr, cr, gr = kcol[rows, 0], c[rows, cols], g0[rows, cols]
+        expand = ((w <= MAX_STEP * c) | (k == 0.0)) & (rem <= tol)
+        prune = ~expand & ((upper <= tol) | (m == n and not leaves))
+        split = ~(expand | prune)
+        log_acc = np.logaddexp(log_acc, _log_sum(rows[expand], lower[expand], count))
+        err += np.bincount(rows[prune], np.exp(upper[prune]), minlength=count)
+        if expand.any():
+            er = rows[expand]
+            err += np.bincount(er, np.exp(rem[expand]), minlength=count)
+            kr, cr, gr = k[expand], c[expand], g0[expand]
             if leaves:
-                rounding = _prefactor_error(kr, cr, gr, log_m[rows, 0])
+                rounding = _prefactor_error(kr, cr, gr, log_m[er])
                 reach, slack = 2.0 * cr, 0.0 * cr
             else:
                 # k log1p(d / ref), the quotient's rounding (k |d| / c) and the
                 # subtraction; d is off by eps (|origin - ref| + 3 p + |d|) / 2
                 # and c by eps (c + 2 p) / 2.
-                dr, pr = d[rows, cols], p[rows, cols]
+                dr, pr = d[expand], p[expand]
                 rounding = _EPS * (2.0 * np.abs(gr + dr) + kr * np.abs(dr) / cr + np.abs(gr))
-                reach = np.abs(origin - ref)[rows, 0] + 2.0 * pr + np.abs(dr)
+                reach = np.abs(origin - ref)[er] + 2.0 * pr + np.abs(dr)
                 slack = reach + cr + pr
-            expanded.append((rows, cr, w[rows, 0], np.full(rows.size, m), gr, rounding,
+            expanded.append((er, cr, w[expand], np.full(er.size, m), gr, rounding,
                              reach, slack))
         if m == n:
-            for row in np.flatnonzero(split.any(axis=1)):
-                sel = np.flatnonzero(split[row])
-                lo = prefixes[sel].astype(float) * unit
-                hi = (prefixes[sel] + 1).astype(float) * unit
+            sr, sp, su = rows[split], prefixes[split], upper[split]
+            starts = np.flatnonzero(np.diff(sr, prepend=-1))
+            for row, sel, top in zip(sr[starts], np.split(sp, starts[1:]),
+                                     np.split(su, starts[1:])):
+                lo = sel.astype(float) * unit
+                hi = (sel + 1).astype(float) * unit
                 vals, rels = segment_mass_batch(int(ks[row]), lo, hi, np.full(sel.size, unit))
-                endpoints = 3.0 * _EPS * hi / unit * np.exp(upper[row, sel])
+                endpoints = 3.0 * _EPS * hi / unit * np.exp(top)
                 err[row] += float(np.sum(vals * rels + endpoints))
                 parts.append((np.full(sel.size, row), vals))
             break
-        keep = split.any(axis=0)
-        if not keep.any():
+        if not split.any():
             break
-        prefixes = tree.children(m, prefixes[keep])
-        need = np.repeat(split[:, keep], tree.levels[m].size, axis=1)
+        prefixes = tree.children(m, prefixes[split])
+        rows = np.repeat(rows[split], tree.levels[m].size)
     if expanded:
         rows, c, w, depth, g0, rounding, reach, slack = map(np.concatenate, zip(*expanded))
-        kp = ks[rows].astype(float)
-        mu = tree.moments[depth]
-        weight = tree.moment_err[depth] + (TAYLOR_ORDER + 2) * _UNIT * np.abs(mu)
-        sums, sums_err, d_centre, d_width = expansion_sums(kp, c, w, mu, weight)
+        kp = kf[rows]
+        sums = np.empty((4, rows.size))
+        for i in range(0, rows.size, _SUM_PAIRS):
+            part = slice(i, i + _SUM_PAIRS)
+            mu = tree.moments[depth[part]]
+            weight = tree.moment_err[depth[part]] + (TAYLOR_ORDER + 2) * _UNIT * np.abs(mu)
+            sums[:, part] = expansion_sums(kp[part], c[part], w[part], mu, weight)
+        sums, sums_err, d_centre, d_width = sums
         front = np.exp(g0)
         vals = front * (w * sums)
         # The mass moves by D_c per unit shift of the centre and by S + D_w

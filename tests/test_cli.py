@@ -431,18 +431,24 @@ def test_cli_runs_without_scipy():
     # sweep, quadrature included, leave scipy unimported, and numpy's
     # polynomial package too (it once supplied Gauss-Legendre nodes).  They
     # leave numpy.ma (which a bare np.unique imports) and the verify suites
-    # unimported as well.
+    # unimported as well.  The experiments module is entered in sys.modules
+    # but runs only when the sweep needs it: eigs and norm leave it a lazy
+    # module, whose class becomes types.ModuleType once it has run.
     src = str(Path(cli.__file__).resolve().parent.parent)
     script = (
-        "import sys\n"
+        "import sys, types\n"
         "from cantorloc import cli\n"
+        "def loaded():\n"
+        "    return type(sys.modules['cantorloc.experiments']) is types.ModuleType\n"
         "for argv in (['eigs', '--base', '3', '--alphabet', '0,2', '--iterate', '6',\n"
         "              '--rho', '27', '--kmax', 'auto'],\n"
         "             ['norm', '--base', '3', '--alphabet', '1,2', '--iterate', '8',\n"
-        "              '--rho', '81'],\n"
-        "             ['sweep', '--experiment', 'precise', '--base', '3',\n"
-        "              '--alphabet', '0,2', '--nmax', '6']):\n"
+        "              '--rho', '81']):\n"
         "    assert cli.main(argv) == 0\n"
+        "assert not loaded()\n"
+        "assert cli.main(['sweep', '--experiment', 'precise', '--base', '3',\n"
+        "                 '--alphabet', '0,2', '--nmax', '6']) == 0\n"
+        "assert loaded()\n"
         "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'\n"
         "             or m.startswith('numpy.polynomial')\n"
         "             or m.split('.')[:2] in (['numpy', 'ma'], ['cantorloc', 'verify'])))\n")

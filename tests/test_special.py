@@ -2,6 +2,7 @@
 batch/scalar agreement, and hypothesis invariants."""
 
 import math
+import tracemalloc
 
 import mpmath
 import numpy as np
@@ -12,6 +13,7 @@ from hypothesis import strategies as st
 import oracles
 from cantorloc import (
     CantorSpec,
+    eigenvalue_table,
     gamma_tail_mass,
     localization_problem,
     log_density,
@@ -205,18 +207,30 @@ def test_segment_bound_holds_at_the_ends_of_the_double_range(k, a, b):
 
 
 def _record_depths(monkeypatch):
-    # Shapes (rows, blocks) of the arrays the walk bounds the Taylor
-    # remainders of: one per depth of each walk, with one column per block
-    # in play.
-    shapes = []
+    # The (row, block) pairs in play at each depth of each walk: the size
+    # of the array the walk bounds the Taylor remainders of.
+    pairs = []
     real = special.expansion_tails
 
     def recorded(k, c, w, radii):
-        shapes.append(np.shape(c))
+        pairs.append(np.size(c))
         return real(k, c, w, radii)
 
     monkeypatch.setattr(special, "expansion_tails", recorded)
-    return shapes
+    return pairs
+
+
+def _record_rows(monkeypatch):
+    # The rows of each walk.
+    rows = []
+    real = special._tree_masses
+
+    def recorded(tree, ks, place=None):
+        rows.append(ks.size)
+        return real(tree, ks, place)
+
+    monkeypatch.setattr(special, "_tree_masses", recorded)
+    return rows
 
 
 @pytest.mark.parametrize("rho, k", [(3856.1790282438915, 1967),
@@ -225,24 +239,25 @@ def test_reverse_argmax_needs_no_adaptive_fallback(monkeypatch, rho, k):
     # k is the argmax of `norm --base 3 --alphabet 1,2 --iterate 15 --rho
     # <rho>`, and the segments are that iterate's merged intervals.  The
     # thin ones cancel in the cumulative difference and take the walk,
-    # which expands every one of them at its root: one depth per batch of
-    # rows, one block per row.
+    # which expands every one of them at its root: one walk of one depth,
+    # one block per row.
     ivals = localization_problem(CantorSpec(3, (1, 2)), 15, rho).intervals
-    shapes = _record_depths(monkeypatch)
+    pairs = _record_depths(monkeypatch)
+    rows = _record_rows(monkeypatch)
     segment_mass_batch(k, ivals.lows, ivals.highs, ivals.widths)
-    assert shapes and all(blocks == 1 for _, blocks in shapes)
-    assert sum(rows for rows, _ in shapes) > 1000
+    assert len(rows) == 1 and rows[0] > 1000
+    assert pairs == rows
 
 
 def test_thin_segments_below_mode_need_no_fallback(monkeypatch):
     # Masses near 1e-240: the log-density rounding (~1e-13) once sent these
     # to seconds of bisection on noise.  Each is expanded at its root.
-    shapes = _record_depths(monkeypatch)
+    pairs = _record_depths(monkeypatch)
     for a in (0.1753561, 0.18284164):
         m = segment_mass(100, a, a + 1e-8)
         ref = oracles.segment_mass_mp(100, a, a + 1e-8)
         assert abs(m.value - ref) <= m.value * m.rel_err_bound
-    assert shapes == [(1, 1)] * 2
+    assert pairs == [1, 1]
 
 
 @pytest.mark.parametrize("k, a, b", [(5000, 0.0, 1.0e4), (2000, 1500.0, 2600.0),
@@ -252,9 +267,9 @@ def test_wide_segments_bisect_to_mpmath(monkeypatch, k, a, b):
     # split them.  The last two are e^-100, which Gauss-Legendre panels
     # once put at zero, and e^-771, whose panels kept bisecting until the
     # memory ran out.
-    shapes = _record_depths(monkeypatch)
+    pairs = _record_depths(monkeypatch)
     log_v, rel = log_segment_mass(k, a, b)
-    assert len(shapes) > 1
+    assert len(pairs) > 1
     ref = oracles.log_segment_mass_mp(k, a, b)
     assert abs(math.expm1(log_v - ref)) <= rel
 
@@ -264,10 +279,10 @@ def test_negligible_blocks_are_pruned(monkeypatch):
     # so the far tails of f_5000 on [0, 1e4] stop being split: seven
     # depths with at most 12 blocks in play, where the whole tree holds 64
     # blocks at depth 6.
-    shapes = _record_depths(monkeypatch)
+    pairs = _record_depths(monkeypatch)
     log_segment_mass(5000, 0.0, 1.0e4)
-    assert 1 < len(shapes) <= 8
-    assert max(blocks for _, blocks in shapes) <= 16
+    assert 1 < len(pairs) <= 8
+    assert max(pairs) <= 16
 
 
 @pytest.mark.parametrize("b", [40.0, 800.0])
@@ -288,9 +303,9 @@ def test_far_tail_relative_area_bisects_to_mpmath(monkeypatch, k, s, T, base,
                                                   alphabet):
     # Every mass here is below 1e-250, so the areas come from the walk,
     # scaled by f_k at s; the blocks over [s, s+T] need splitting.
-    shapes = _record_depths(monkeypatch)
+    pairs = _record_depths(monkeypatch)
     area = relative_area(CantorSpec(base, alphabet), k, s, T)
-    assert len(shapes) > 1
+    assert len(pairs) > 1
     ref = oracles.relative_area_mp(k, s, T, base, alphabet)
     assert abs(area - ref) <= 1e-13 * ref
 
@@ -435,7 +450,7 @@ def test_lower_tail_blocks_match_the_term_by_term_loop(k):
 def test_batch_segment_mass_matches_scalar(monkeypatch):
     rng = np.random.default_rng(12)
     thin = np.random.default_rng(14)
-    shapes = _record_depths(monkeypatch)
+    pairs = _record_depths(monkeypatch)
     for k in (0, 6, 120, 1500):
         lo = rng.uniform(0.0, 2.0 * (k + 1), size=48)
         hi = lo + rng.uniform(0.0, 0.3 * (k + 1), size=48)
@@ -445,14 +460,34 @@ def test_batch_segment_mass_matches_scalar(monkeypatch):
         off = k + 1.0 + thin.choice([-1.0, 1.0], 24) * thin.uniform(3.0, 8.0, 24) * sigma
         lo = np.concatenate([lo, np.maximum(off, 0.0)])
         hi = np.concatenate([hi, lo[48:] + 10.0 ** thin.uniform(-8.0, -3.0, 24) * sigma])
-        del shapes[:]
+        del pairs[:]
         values, errs = segment_mass_batch(k, lo, hi)
-        # The first depth of the batch's walk holds the walked rows.
-        assert shapes and shapes[0][0] >= 12
+        # The first depth of the batch's walk holds the walked rows, one
+        # block each; a segment's mass and bound do not depend on the others.
+        assert pairs and pairs[0] >= 12
         for i in range(lo.size):
             m = segment_mass(k, float(lo[i]), float(hi[i]))
-            tol = (errs[i] + m.rel_err_bound) * max(m.value, 1e-300)
-            assert abs(values[i] - m.value) <= tol + 1e-13 * m.value + 1e-300
+            assert values[i] == m.value and errs[i] == m.rel_err_bound
+
+
+def test_walk_memory_stays_bounded():
+    # One walk takes all rows of a call; it sums the Taylor series of its
+    # expanded pairs in chunks, since their (pairs, 41) arrays are its
+    # largest.  Summed in one piece they took 4.7 MB on the table and 29 MB
+    # on the segments; walked in batches of 64 rows, 1.2 MB and 9.5 MB.
+    table = localization_problem(CantorSpec(3, (0, 2)), 11, 3.0 ** 5.5)
+    ivals = localization_problem(CantorSpec(3, (1, 2)), 15, 3856.1790282438915).intervals
+    calls = [(lambda: eigenvalue_table(table, 559), 1.6e6),
+             (lambda: segment_mass_batch(1967, ivals.lows, ivals.highs, ivals.widths), 12e6)]
+    for call, bound in calls:
+        call()  # builds the cached trees and moments
+        tracemalloc.start()
+        try:
+            call()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= bound
 
 
 def _phi_reference(d):

@@ -37,6 +37,8 @@ from .cantor import (
 from .operator import (
     TAIL_ABSOLUTE,
     TAIL_RELATIVE,
+    _norm_walk,
+    _truncation,
     eigenvalue_table,
     localization_problem,
     operator_norm,
@@ -218,7 +220,11 @@ def _h_equivalent(spec, n: int) -> float:
 def cmd_eigs(args: argparse.Namespace) -> int:
     spec = _spec_from(args)
     problem = localization_problem(spec, args.iterate, args.rho)
-    k_hi = operator_norm(problem).k_truncation if args.kmax == "auto" else args.kmax
+    if args.kmax == "auto":
+        # operator_norm's k_truncation, without the tail bound it reports
+        k_hi = _truncation(problem.rho, _norm_walk(problem)[0].value)
+    else:
+        k_hi = args.kmax
     table = eigenvalue_table(problem, k_hi)
     rows = [(r.k, r.value, r.err) for r in table]
     md = _metadata(args, spec=spec,

@@ -30,10 +30,10 @@ import numpy as np
 from .cantor import (CantorSpec, CapExceededError, IndexedCantorSpec, canonical_of,
                      reverse_canonical_of)
 from .operator import (
+    _norm_walk,
     lambda0_canonical_levels,
     lambda0_closed_form,
     localization_problem,
-    operator_norm,
 )
 
 
@@ -70,9 +70,10 @@ class SweepRow:
     """One depth of a fixed-base sweep.
 
     norm and its derived columns are None where the norm's indices pass
-    the cap (operator_norm raises CapExceededError), which blanks the depth
-    in both fixed-base sweeps; the first-eigenvalue column for the
-    canonical sibling is always present.
+    the cap (the norm's walk, operator._norm_walk, raises
+    CapExceededError), which blanks the depth in both fixed-base sweeps;
+    the first-eigenvalue column for the canonical sibling is always
+    present.
     scaled_norm = norm * (M/|A|)^n * rho^(d-1) with d = ln|A|/ln M;
     thm32_ratio = (rho+1)^d / (|A|^n (1 - e^(-M^-n rho))) * norm.
     """
@@ -89,7 +90,9 @@ SWEEP_COLUMNS = ("n", "rho", "norm", "lambda0_canonical", "scaled_norm", "thm32_
 
 
 def sweep_fixed(spec: CantorSpec, schedule: RadiusSchedule, n_max: int) -> list[SweepRow]:
-    """Norm and scaling columns for iterates 0..n_max of one spec."""
+    """Norm and scaling columns for iterates 0..n_max of one spec; each norm
+    is the certified value of operator._norm_walk, without the truncation
+    that operator_norm adds for its report."""
     if n_max < 0:
         raise ValueError("n_max must be nonnegative")
     dim = spec.dimension
@@ -98,7 +101,7 @@ def sweep_fixed(spec: CantorSpec, schedule: RadiusSchedule, n_max: int) -> list[
         rho = schedule.rho(spec.base, n)
         l0_can = lambda0_closed_form(canonical_of(spec), n, rho)
         try:
-            norm = operator_norm(localization_problem(spec, n, rho)).value
+            norm = _norm_walk(localization_problem(spec, n, rho))[0].value
         except CapExceededError:
             norm = scaled = ratio = None
         else:

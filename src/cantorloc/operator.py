@@ -18,8 +18,10 @@ relative areas.  The operator norm is the supremum over k, certified by
 branch and bound over the same tree: a group of consecutive k is bounded
 on each block by sup f_k times the block's measure (Part I's estimate),
 groups whose summed bound stays below an exact eigenvalue are dropped, and
-the rest get exact rows.  Its truncation is certified by lambda_k <=
-P(k+1, rho).
+the rest get exact rows.  The walk covers every k up to _last_index, past
+which lambda_k <= P(k+1, rho) is far below the least subnormal; the
+truncation that operator_norm reports is the first k > rho with a tail
+under the policy's threshold.
 """
 
 from __future__ import annotations
@@ -261,12 +263,15 @@ RAISE_PAIRS = 3000
 
 @dataclass(frozen=True)
 class NormResult:
-    """Certified operator norm: max eigenvalue over k <= k_truncation.
+    """Certified operator norm: sup of lambda_k over all k >= 0.
 
-    value is the eigenvalue at argmax_k.  value_err bounds |norm - value|:
-    it is that row's err, widened to cover the runner-up's value + err when
-    that reaches the winner's value - err, so an argmax closer to another
-    index than their errors still gives a certified value.  tail_bound =
+    value is the eigenvalue at argmax_k, certified by the walk alone
+    (_norm_walk); k_truncation and tail_bound are a report of where the
+    spectrum's tail falls below the truncation policy and play no part in
+    the value.  value_err bounds |norm - value|: it is that row's err,
+    widened to cover the runner-up's value + err when that reaches the
+    winner's value - err, so an argmax closer to another index than their
+    errors still gives a certified value.  tail_bound =
     P(k_truncation + 2, rho), i.e. regularized_lower_gamma(k_truncation + 1,
     rho), dominates every eigenvalue past the truncation and satisfies
     tail_bound < max(TAIL_ABSOLUTE, TAIL_RELATIVE * value).
@@ -328,7 +333,13 @@ def _select(rows: Sequence[EigenvalueResult]) -> tuple[EigenvalueResult, float]:
 
 def _last_index(rho: float) -> int:
     """An index past every truncation: P(k+1, rho) falls below even
-    TAIL_ABSOLUTE within O(sqrt(rho)) indices past rho."""
+    TAIL_ABSOLUTE within O(sqrt(rho)) indices past rho.
+
+    Past it, lambda_k <= P(k+1, rho) <= P(K, rho) with K = _last_index + 1,
+    and the Poisson Chernoff bound P(K, rho) <= e^(-rho) (e rho / K)^K is
+    below 10^-703 for every rho (largest near rho = 305), far below the
+    least subnormal; so a walk over k <= _last_index bounds the sup over
+    all k."""
     return int(rho + 60.0 * math.sqrt(rho + 1.0) + 400.0)
 
 
@@ -355,8 +366,9 @@ def _truncation(rho: float, norm: float) -> int:
     return k
 
 
-def operator_norm(problem: LocalizationProblem) -> NormResult:
-    """sup_k lambda_k, certified by branch and bound over the block tree.
+def _norm_walk(problem: LocalizationProblem) -> tuple[EigenvalueResult, float]:
+    """The row of sup_k lambda_k and its value_err (_select), certified by
+    branch and bound over the block tree.
 
     The indices 1 .. _last_index are split into groups (GROUP, SINGLES),
     and the tree is walked from the root with, per group, the blocks still
@@ -370,9 +382,10 @@ def operator_norm(problem: LocalizationProblem) -> NormResult:
     (group, block) pairs, which raises the target before the pairs
     multiply; for any group whose blocks at the next depth would cost more
     than its rows (ROW_COST); and at depth n, where blocks cannot split,
-    for every group left.  The norm is the largest exact row (see _select for value_err),
-    and k_truncation (past rho) follows from it.  Nothing is enumerated,
-    but the arrays grow with rho: floor(rho) + 2 indices are held to the cap.
+    for every group left.  The norm is the largest exact row, and no
+    index past _last_index can exceed it.  Nothing is enumerated, but the
+    arrays grow with rho: floor(rho) + 2 indices are held to the cap, so a
+    larger rho raises CapExceededError.
     """
     rho = problem.rho
     check_cap(math.floor(rho) + 2, "norm indices")
@@ -412,8 +425,14 @@ def operator_norm(problem: LocalizationProblem) -> NormResult:
             break
         prefixes = tree.children(m, prefixes[keep])
         group = np.repeat(group[keep], tree.levels[m].size)
-    best, value_err = _select(rows)
-    k_trunc = _truncation(rho, best.value)
+    return _select(rows)
+
+
+def operator_norm(problem: LocalizationProblem) -> NormResult:
+    """sup_k lambda_k from _norm_walk, with the truncation past rho
+    (_truncation) and its tail bound P(k_truncation + 2, rho) reported."""
+    best, value_err = _norm_walk(problem)
+    k_trunc = _truncation(problem.rho, best.value)
     return NormResult(value=best.value, argmax_k=best.k, k_truncation=k_trunc,
-                      tail_bound=regularized_lower_gamma(k_trunc + 1, rho),
+                      tail_bound=regularized_lower_gamma(k_trunc + 1, problem.rho),
                       value_err=value_err)

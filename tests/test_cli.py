@@ -366,8 +366,8 @@ GOLDEN = Path(__file__).parent / "golden"
     # interval at the origin.
     ("eigs --base 3 --alphabet 0,2 --iterate 8 --rho 81 --kmax auto",
      "eigs_mid_third_n8.csv"),
-    # Argmax 1967: a scan over 32,768 merged intervals, the value from the
-    # block tree.
+    # Argmax 1967, certified by the branch-and-bound walk over the block
+    # tree; nothing is enumerated.
     ("norm --base 3 --alphabet 1,2 --iterate 15 --rho 3856.1790282438915",
      "norm_reverse_n15.csv"),
     # The benchmark's sweep-precise and eigs-auto commands, pinned bit for

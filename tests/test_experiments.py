@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+import cantorloc.operator as op
 import oracles
 from cantorloc import (
     CantorSpec,
@@ -100,6 +101,28 @@ def test_sweep_fixed_reaches_past_the_old_interval_gate(monkeypatch):
         assert res.argmax_k == 0
         exact = lambda0_closed_form(spec, r.n, r.rho)
         assert abs(r.norm - exact) <= res.value_err
+
+
+def test_sweep_norms_come_from_the_walk_alone(monkeypatch):
+    # The sweep prints only the norm's value, which the walk certifies; the
+    # truncation and its tail bound are operator_norm's report, so the sweep
+    # must not reach them.  The reverse set {1, 2} has argmax != 0, so its
+    # walk takes exact rows past k = 0.
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the sweep computed a truncation")
+
+    specs = (MID_THIRD, CantorSpec(3, (1, 2)))
+    monkeypatch.setattr(op, "_truncation", forbidden)
+    monkeypatch.setattr(op, "regularized_lower_gamma", forbidden)
+    sweeps = [sweep_fixed(spec, POWER_HALF, 10) for spec in specs]
+    monkeypatch.undo()
+    argmax = []
+    for spec, rows in zip(specs, sweeps):
+        for r in rows:
+            res = operator_norm(localization_problem(spec, r.n, r.rho))
+            assert r.norm == res.value
+            argmax.append(res.argmax_k)
+    assert any(argmax)
 
 
 def test_sweep_fixed_canonical_band():

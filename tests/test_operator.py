@@ -3,6 +3,7 @@ block sums, relative areas, and the certified norm."""
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -26,6 +27,7 @@ from cantorloc.operator import (
     TAIL_ABSOLUTE,
     TAIL_RELATIVE,
     EigenvalueResult,
+    _last_index,
     _select,
     _truncation,
 )
@@ -301,6 +303,21 @@ def test_truncation_matches_a_linear_scan():
             k = _truncation(rho, norm)
             assert k - 1 > rho and regularized_lower_gamma(k, rho) < threshold
             assert regularized_lower_gamma(k - 1, rho) >= threshold
+
+
+def test_walk_bounds_every_index_past_the_last():
+    # The walk bounds k <= _last_index; past it lambda_k <= P(K, rho) with
+    # K = _last_index + 1, whose Poisson Chernoff bound
+    # e^(-rho) (e rho / K)^K must stay far below the least subnormal.  Its
+    # log peaks near rho = 305, 875.9 below that of the least subnormal.
+    for rho in np.logspace(-9.0, 9.0, 401):
+        rho = float(rho)
+        K = _last_index(rho) + 1
+        assert -rho + K * (1.0 + math.log(rho / K)) < math.log(5e-324) - 870.0
+    with mpmath.workdps(30):
+        for rho in (0.5, 303.0, 3.0 ** 8, 1e6):
+            K = _last_index(rho) + 1
+            assert mpmath.gammainc(K, 0, rho, regularized=True) < mpmath.mpf("1e-700")
 
 
 def test_norm_scan_beats_nearby_orders():

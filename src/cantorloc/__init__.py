@@ -27,7 +27,6 @@ from .cantor import (
     inner_rho,
     resolve_max_intervals,
     reverse_canonical_of,
-    shift_decomposition,
 )
 from .operator import (
     DegenerateMassError,
@@ -127,7 +126,6 @@ __all__ = [
     "resolve_max_intervals",
     "segment_mass",
     "segment_mass_batch",
-    "shift_decomposition",
     "sweep_fixed",
     "sweep_indexed_counterexample",
     "sweep_indexed_decay",

@@ -138,9 +138,6 @@ class IndexedCantorSpec:
     def base_product(self, n: int) -> int:
         return math.prod(lv.base for lv in self.levels[:n])
 
-    def size_product(self, n: int) -> int:
-        return math.prod(lv.size for lv in self.levels[:n])
-
 
 @dataclass(frozen=True, eq=False)
 class IterateIntervals:
@@ -391,18 +388,3 @@ def inner_rho(spec: CantorSpec, n: int, rho: float) -> float:
         raise ValueError(f"iterate depth must be nonnegative, got {n}")
     geom = (1.0 - float(spec.base) ** -n) / (spec.base - 1)
     return float(rho) * (spec.base - spec.size) * geom
-
-
-def shift_decomposition(spec: CantorSpec, n: int, scale: float) -> tuple[float, IterateIntervals]:
-    """Reverse-canonical iterate as a rigid shift of the canonical one.
-
-    Returns (inner_rho(spec, n, scale), canonical iterate); translating the
-    canonical intervals by that shift reproduces the reverse-canonical
-    iterate.
-    """
-    if not spec.is_reverse_canonical:
-        raise ValueError("shift decomposition applies to reverse-canonical alphabets")
-    if not spec.is_proper:
-        raise ValueError("shift decomposition needs a proper alphabet")
-    shift = inner_rho(spec, n, scale)
-    return shift, continuous_iterate(canonical_of(spec), n, scale)

@@ -37,8 +37,6 @@ from .cantor import (
 from .operator import (
     TAIL_ABSOLUTE,
     TAIL_RELATIVE,
-    _norm_walk,
-    _truncation,
     eigenvalue_table,
     localization_problem,
     operator_norm,
@@ -221,8 +219,7 @@ def cmd_eigs(args: argparse.Namespace) -> int:
     spec = _spec_from(args)
     problem = localization_problem(spec, args.iterate, args.rho)
     if args.kmax == "auto":
-        # operator_norm's k_truncation, without the tail bound it reports
-        k_hi = _truncation(problem.rho, _norm_walk(problem)[0].value)
+        k_hi = operator_norm(problem).k_truncation
     else:
         k_hi = args.kmax
     table = eigenvalue_table(problem, k_hi)

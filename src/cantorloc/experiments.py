@@ -23,17 +23,17 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from .cantor import (CantorSpec, CapExceededError, IndexedCantorSpec, canonical_of,
                      reverse_canonical_of)
 from .operator import (
-    _norm_walk,
     lambda0_canonical_levels,
     lambda0_closed_form,
     localization_problem,
+    operator_norm,
 )
 
 
@@ -69,8 +69,8 @@ class RadiusSchedule:
 class SweepRow:
     """One depth of a fixed-base sweep.
 
-    norm and its derived columns are None where the norm's indices pass
-    the cap (the norm's walk, operator._norm_walk, raises
+    norm is operator_norm's value.  It and its derived columns are None
+    where the norm's indices pass the cap (operator_norm raises
     CapExceededError), which blanks the depth in both fixed-base sweeps;
     the first-eigenvalue column for the canonical sibling is always
     present.
@@ -91,8 +91,8 @@ SWEEP_COLUMNS = ("n", "rho", "norm", "lambda0_canonical", "scaled_norm", "thm32_
 
 def sweep_fixed(spec: CantorSpec, schedule: RadiusSchedule, n_max: int) -> list[SweepRow]:
     """Norm and scaling columns for iterates 0..n_max of one spec; each norm
-    is the certified value of operator._norm_walk, without the truncation
-    that operator_norm adds for its report."""
+    is operator_norm's certified value, and its truncation report, never
+    read, is never computed."""
     if n_max < 0:
         raise ValueError("n_max must be nonnegative")
     dim = spec.dimension
@@ -101,7 +101,7 @@ def sweep_fixed(spec: CantorSpec, schedule: RadiusSchedule, n_max: int) -> list[
         rho = schedule.rho(spec.base, n)
         l0_can = lambda0_closed_form(canonical_of(spec), n, rho)
         try:
-            norm = _norm_walk(localization_problem(spec, n, rho))[0].value
+            norm = operator_norm(localization_problem(spec, n, rho)).value
         except CapExceededError:
             norm = scaled = ratio = None
         else:
@@ -162,22 +162,6 @@ class DecayParams:
             raise ValueError("n_max must be at least 2")
 
 
-def default_level_generator(rng: np.random.Generator,
-                            params: DecayParams) -> list[CantorSpec]:
-    """Draw n_max canonical levels meeting the decay hypotheses."""
-    top = int(math.floor(float(params.M) ** (1.0 + params.delta)))
-    levels = []
-    for _ in range(params.n_max):
-        base = int(rng.integers(params.M, top + 1))
-        largest = int(math.floor(params.epsilon * base))
-        if largest < 1:
-            raise HypothesisViolationError(
-                f"epsilon={params.epsilon} admits no alphabet for base {base}")
-        size = int(rng.integers(1, largest + 1))
-        levels.append(CantorSpec(base, tuple(range(size))))
-    return levels
-
-
 @dataclass(frozen=True)
 class IndexedDecayResult:
     """rows = (n, lambda0, fitted_beta) with the common fitted rate; the
@@ -189,27 +173,20 @@ class IndexedDecayResult:
     levels: IndexedCantorSpec
 
 
-def sweep_indexed_decay(params: DecayParams,
-                        level_generator: Callable[[np.random.Generator, DecayParams],
-                                                  Sequence[CantorSpec]] | None = None,
-                        seed: int = 0) -> IndexedDecayResult:
-    """First-eigenvalue decay along random levels meeting the hypotheses."""
+def sweep_indexed_decay(params: DecayParams, seed: int = 0) -> IndexedDecayResult:
+    """First-eigenvalue decay along n_max random canonical levels meeting
+    the hypotheses: each base uniform in [M, floor(M^(1+delta))], then
+    each size uniform in [1, floor(epsilon * base)]."""
     rng = np.random.default_rng(seed)
-    generator = level_generator or default_level_generator
-    levels = list(generator(rng, params))
-    if len(levels) < params.n_max:
-        raise HypothesisViolationError(
-            f"generator produced {len(levels)} levels, need {params.n_max}")
-    top = float(params.M) ** (1.0 + params.delta)
-    for j, lv in enumerate(levels, start=1):
-        if not (params.M <= lv.base <= top * (1.0 + 1e-12)):
+    top = int(math.floor(float(params.M) ** (1.0 + params.delta)))
+    levels = []
+    for _ in range(params.n_max):
+        base = int(rng.integers(params.M, top + 1))
+        largest = int(math.floor(params.epsilon * base))
+        if largest < 1:
             raise HypothesisViolationError(
-                f"level {j} base {lv.base} outside [{params.M}, M^(1+delta)={top:.6g}]")
-        if lv.size / lv.base > params.epsilon * (1.0 + 1e-12):
-            raise HypothesisViolationError(
-                f"level {j} density {lv.size}/{lv.base} exceeds epsilon={params.epsilon}")
-        if not lv.is_canonical:
-            raise HypothesisViolationError(f"level {j} alphabet is not canonical")
+                f"epsilon={params.epsilon} admits no alphabet for base {base}")
+        levels.append(CantorSpec(base, tuple(range(int(rng.integers(1, largest + 1))))))
     spec = IndexedCantorSpec(tuple(levels))
     pairs = []
     for n in range(params.n_max + 1):

@@ -20,8 +20,8 @@ on each block by sup f_k times the block's measure (Part I's estimate),
 groups whose summed bound stays below an exact eigenvalue are dropped, and
 the rest get exact rows.  The walk covers every k up to _last_index, past
 which lambda_k <= P(k+1, rho) is far below the least subnormal; the
-truncation that operator_norm reports is the first k > rho with a tail
-under the policy's threshold.
+truncation that the norm reports, computed only when read, is the first
+k > rho with a tail under the policy's threshold.
 """
 
 from __future__ import annotations
@@ -259,29 +259,41 @@ ROW_COST = 50
 # While the next depth would hold more (group, block) pairs than this, the
 # target is raised by the exact rows of the group of largest bound.
 RAISE_PAIRS = 3000
+# Rows per walk over the block tree.  A walk holds the live (row, block)
+# pairs of all its rows, and rows are independent, so this bounds its
+# memory without changing a row.
+WALK_ROWS = 2048
 
 
 @dataclass(frozen=True)
 class NormResult:
     """Certified operator norm: sup of lambda_k over all k >= 0.
 
-    value is the eigenvalue at argmax_k, certified by the walk alone
-    (_norm_walk); k_truncation and tail_bound are a report of where the
-    spectrum's tail falls below the truncation policy and play no part in
-    the value.  value_err bounds |norm - value|: it is that row's err,
-    widened to cover the runner-up's value + err when that reaches the
-    winner's value - err, so an argmax closer to another index than their
-    errors still gives a certified value.  tail_bound =
-    P(k_truncation + 2, rho), i.e. regularized_lower_gamma(k_truncation + 1,
-    rho), dominates every eigenvalue past the truncation and satisfies
-    tail_bound < max(TAIL_ABSOLUTE, TAIL_RELATIVE * value).
+    value is the eigenvalue at argmax_k, certified by operator_norm's walk
+    alone.  value_err bounds |norm - value|: it is that row's err, widened
+    to cover the runner-up's value + err when that reaches the winner's
+    value - err, so an argmax closer to another index than their errors
+    still gives a certified value.  k_truncation and tail_bound report where
+    the spectrum's tail falls below the truncation policy, play no part in
+    the value, and are computed when first read: k_truncation is
+    _truncation(rho, value), and tail_bound = P(k_truncation + 2, rho), i.e.
+    regularized_lower_gamma(k_truncation + 1, rho), dominates every
+    eigenvalue past the truncation and satisfies tail_bound <
+    max(TAIL_ABSOLUTE, TAIL_RELATIVE * value).
     """
 
     value: float
     argmax_k: int
-    k_truncation: int
-    tail_bound: float
     value_err: float
+    rho: float
+
+    @functools.cached_property
+    def k_truncation(self) -> int:
+        return _truncation(self.rho, self.value)
+
+    @functools.cached_property
+    def tail_bound(self) -> float:
+        return regularized_lower_gamma(self.k_truncation + 1, self.rho)
 
 
 def group_bound(tree: BlockTree, m: int, prefixes: np.ndarray, first: np.ndarray,
@@ -314,11 +326,17 @@ def group_bound(tree: BlockTree, m: int, prefixes: np.ndarray, first: np.ndarray
 
 
 def _rows(tree: BlockTree, ks: np.ndarray) -> list[EigenvalueResult]:
-    """lambda_k for each k in ks from the walk over the block tree
-    (special._tree_masses)."""
-    values, errs = _tree_masses(tree, ks)
-    return [EigenvalueResult(k=int(k), value=float(v), err=float(e) + 1e-300)
-            for k, v, e in zip(ks, values, errs)]
+    """lambda_k for each k in ks from walks over the block tree
+    (special._tree_masses), WALK_ROWS rows at a time.  A value that rounds
+    above 1 is set to 1: lambda_k <= 1, as f_k is a probability density,
+    so err still bounds the error."""
+    rows = []
+    for start in range(0, ks.size, WALK_ROWS):
+        part = ks[start:start + WALK_ROWS]
+        values, errs = _tree_masses(tree, part)
+        rows += [EigenvalueResult(k=int(k), value=min(float(v), 1.0), err=float(e) + 1e-300)
+                 for k, v, e in zip(part, values, errs)]
+    return rows
 
 
 def _select(rows: Sequence[EigenvalueResult]) -> tuple[EigenvalueResult, float]:
@@ -366,9 +384,9 @@ def _truncation(rho: float, norm: float) -> int:
     return k
 
 
-def _norm_walk(problem: LocalizationProblem) -> tuple[EigenvalueResult, float]:
-    """The row of sup_k lambda_k and its value_err (_select), certified by
-    branch and bound over the block tree.
+def operator_norm(problem: LocalizationProblem) -> NormResult:
+    """sup_k lambda_k at argmax_k with its value_err (_select), certified
+    by branch and bound over the block tree.
 
     The indices 1 .. _last_index are split into groups (GROUP, SINGLES),
     and the tree is walked from the root with, per group, the blocks still
@@ -376,16 +394,17 @@ def _norm_walk(problem: LocalizationProblem) -> tuple[EigenvalueResult, float]:
     target move into their group's fixed sum, and a group whose fixed sum
     plus block bounds is at most the target is certified: none of its
     eigenvalues exceeds the target, the largest value - err of the exact
-    rows so far, starting with k = 0.  Exact rows come from _tree_masses,
-    one walk per set of rows: at each depth for the uncertified group of
-    largest bound while the next depth would hold more than RAISE_PAIRS
-    (group, block) pairs, which raises the target before the pairs
-    multiply; for any group whose blocks at the next depth would cost more
-    than its rows (ROW_COST); and at depth n, where blocks cannot split,
-    for every group left.  The norm is the largest exact row, and no
-    index past _last_index can exceed it.  Nothing is enumerated, but the
-    arrays grow with rho: floor(rho) + 2 indices are held to the cap, so a
-    larger rho raises CapExceededError.
+    rows so far, starting with k = 0.  Exact rows come from _rows: at each
+    depth for the uncertified group of largest bound while the next depth
+    would hold more than RAISE_PAIRS (group, block) pairs, which raises the
+    target before the pairs multiply; for any group whose blocks at the
+    next depth would cost more than its rows (ROW_COST); and at depth n,
+    where blocks cannot split, for every group left.  The norm is the
+    largest exact row, and no index past _last_index can exceed it.
+    Nothing is enumerated, but the arrays grow with rho: floor(rho) + 2
+    indices are held to the cap, so a larger rho raises CapExceededError.
+    The truncation report (NormResult.k_truncation, tail_bound) is left to
+    the caller's first read.
     """
     rho = problem.rho
     check_cap(math.floor(rho) + 2, "norm indices")
@@ -425,14 +444,5 @@ def _norm_walk(problem: LocalizationProblem) -> tuple[EigenvalueResult, float]:
             break
         prefixes = tree.children(m, prefixes[keep])
         group = np.repeat(group[keep], tree.levels[m].size)
-    return _select(rows)
-
-
-def operator_norm(problem: LocalizationProblem) -> NormResult:
-    """sup_k lambda_k from _norm_walk, with the truncation past rho
-    (_truncation) and its tail bound P(k_truncation + 2, rho) reported."""
-    best, value_err = _norm_walk(problem)
-    k_trunc = _truncation(problem.rho, best.value)
-    return NormResult(value=best.value, argmax_k=best.k, k_truncation=k_trunc,
-                      tail_bound=regularized_lower_gamma(k_trunc + 1, problem.rho),
-                      value_err=value_err)
+    best, value_err = _select(rows)
+    return NormResult(value=best.value, argmax_k=best.k, value_err=value_err, rho=rho)

@@ -18,9 +18,9 @@ from cantorloc import (
     continuous_iterate,
     discrete_iterate,
     indexed_intervals,
+    inner_rho,
     resolve_max_intervals,
     reverse_canonical_of,
-    shift_decomposition,
 )
 from cantorloc.cantor import DEFAULT_MAX_INTERVALS, MAX_INTERVALS_ENV
 
@@ -204,33 +204,16 @@ def test_spec_validation_and_flags():
     assert full.is_canonical
 
 
-def test_shift_decomposition_partial_geometric_sum():
-    spec = CantorSpec(3, (1, 2))
-    shift, base_it = shift_decomposition(spec, 2, 1.0)
-    assert shift == pytest.approx(4.0 / 9.0, rel=1e-15)
-    assert base_it.depth == 2
-
-
-def test_shift_decomposition_depth_zero():
-    shift, it = shift_decomposition(CantorSpec(3, (1, 2)), 0, 1.0)
-    assert shift == 0.0
-    assert it.count == 1
-
-
-def test_shift_decomposition_reproduces_reverse_iterate():
-    spec = CantorSpec(4, (2, 3))
-    shift, base_it = shift_decomposition(spec, 3, 1.0)
-    rev = continuous_iterate(spec, 3, 1.0)
-    assert rev.count == base_it.count
-    assert np.max(np.abs(base_it.lows + shift - rev.lows)) <= 1e-14
-    assert np.max(np.abs(base_it.highs + shift - rev.highs)) <= 1e-14
-
-
-def test_shift_decomposition_rejects_other_alphabets():
-    with pytest.raises(ValueError):
-        shift_decomposition(CantorSpec(3, (0, 1)), 2, 1.0)
-    with pytest.raises(ValueError):
-        shift_decomposition(CantorSpec(3, (0, 1, 2)), 2, 1.0)
+@pytest.mark.parametrize("base,size,n", [(3, 2, 2), (4, 2, 3), (5, 3, 4), (7, 4, 5)])
+def test_reverse_iterate_is_the_canonical_shifted_by_inner_rho(base, size, n):
+    # A reverse-canonical letter is a canonical one plus M - |A|, so every
+    # block of the reverse iterate is the canonical block moved by inner_rho.
+    scale = 7.3
+    rev_lo, rev_hi = oracles.iterate_blocks(base, range(base - size, base), n, scale)
+    can_lo, can_hi = oracles.iterate_blocks(base, range(size), n, scale)
+    shift = inner_rho(CantorSpec(base, tuple(range(base - size, base))), n, scale)
+    assert np.max(np.abs(can_lo + shift - rev_lo)) <= 1e-15 * scale
+    assert np.max(np.abs(can_hi + shift - rev_hi)) <= 1e-15 * scale
 
 
 def test_enumeration_cap_raises(monkeypatch):
@@ -259,7 +242,6 @@ def test_indexed_constant_levels_match_fixed_spec():
     assert np.array_equal(fixed.lows, indexed.lows)
     assert np.array_equal(fixed.highs, indexed.highs)
     assert levels.base_product(4) == 81
-    assert levels.size_product(3) == 8
     assert levels.depth == 4
 
 

@@ -384,6 +384,20 @@ def test_golden_stdout(capsys, monkeypatch, argv, golden):
     assert out == (GOLDEN / golden).read_text(encoding="utf-8")
 
 
+def test_eigs_auto_reads_no_tail_bound(capsys, monkeypatch):
+    # --kmax auto needs the norm's k_truncation alone.
+    from cantorloc.operator import NormResult
+
+    def forbidden(self):
+        raise AssertionError("eigs read the norm's tail bound")
+
+    monkeypatch.setattr(NormResult, "tail_bound", property(forbidden))
+    code, out, err = run_cli(capsys, "eigs", "--base", "3", "--alphabet", "0,2", "--iterate",
+                             "11", "--rho", "420.8883462392372", "--kmax", "auto")
+    assert (code, err) == (0, "")
+    assert out == (GOLDEN / "eigs_mid_third_n11.csv").read_text(encoding="utf-8")
+
+
 def test_verify_report_is_deterministic(capsys):
     argv = ("verify", "--suite", "cantor", "--seed", "42", "--samples", "60")
     code1, out1, _ = run_cli(capsys, *argv)

@@ -192,17 +192,11 @@ def test_decay_params_validation():
 
 
 def test_indexed_decay_constant_levels_match_fixed_sweep():
-    spec = CantorSpec(3, (0, 1))
-    params = DecayParams(M=3, delta=0.0, epsilon=2.0 / 3.0, gamma=1.0, n_max=6)
-
-    def constant(rng, p):
-        return [spec] * p.n_max
-
-    result = sweep_indexed_decay(params, level_generator=constant)
-    fixed = sweep_fixed(spec, POWER_HALF, 6)
-    for (n, l0, _), row in zip(result.rows, fixed):
-        assert n == row.n
-        assert l0 == pytest.approx(row.lambda0_canonical, rel=1e-12)
+    # Bases in [3, 3] and density at most 1/3 leave {0} as the only draw.
+    result = sweep_indexed_decay(DecayParams(M=3, delta=0.0, epsilon=1.0 / 3.0, n_max=6))
+    assert result.levels.levels == (CantorSpec(3, (0,)),) * 6
+    fixed = sweep_fixed(CantorSpec(3, (0,)), POWER_HALF, 6)
+    assert [(n, l0) for n, l0, _ in result.rows] == [(r.n, r.lambda0_canonical) for r in fixed]
 
 
 def test_indexed_decay_fitted_rate_is_positive():
@@ -212,21 +206,10 @@ def test_indexed_decay_fitted_rate_is_positive():
     assert all(beta == result.fitted_beta for _, _, beta in result.rows)
 
 
-def test_indexed_decay_rejects_bad_generators():
-    params = DecayParams(M=3, n_max=4)
+def test_indexed_decay_rejects_an_epsilon_without_alphabets():
+    # floor(0.4 * 2) = 0 letters fit in base 2.
     with pytest.raises(HypothesisViolationError):
-        sweep_indexed_decay(params, level_generator=lambda rng, p: [MID_THIRD] * 2)
-    with pytest.raises(HypothesisViolationError):
-        # Base below M.
-        sweep_indexed_decay(params,
-                            level_generator=lambda rng, p: [CantorSpec(2, (0,))] * 4)
-    with pytest.raises(HypothesisViolationError):
-        # Density 2/3 exceeds epsilon = 0.4.
-        sweep_indexed_decay(DecayParams(M=3, epsilon=0.4, n_max=4),
-                            level_generator=lambda rng, p: [CantorSpec(3, (0, 1))] * 4)
-    with pytest.raises(HypothesisViolationError):
-        # Non-canonical level.
-        sweep_indexed_decay(params, level_generator=lambda rng, p: [MID_THIRD] * 4)
+        sweep_indexed_decay(DecayParams(M=2, delta=0.0, epsilon=0.4))
 
 
 def test_indexed_counterexample_construction_arithmetic():

@@ -357,6 +357,74 @@ def test_norm_matches_brute_force(spec, n, rho):
     assert abs(res.value - max(values)) <= res.value_err
 
 
+def test_norm_report_is_computed_on_first_read(monkeypatch):
+    # The walk certifies the value alone; k_truncation and tail_bound are
+    # computed when first read, so a caller that reads only the value
+    # reaches neither the truncation nor the gamma kernel.
+    import cantorloc.operator as op
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the norm computed its report unread")
+
+    cases = [(MID_THIRD, 8), (CantorSpec(3, (1, 2)), 10)]
+    plain = [operator_norm(localization_problem(spec, n, 3.0 ** (n / 2))) for spec, n in cases]
+    monkeypatch.setattr(op, "_truncation", forbidden)
+    monkeypatch.setattr(op, "regularized_lower_gamma", forbidden)
+    for (spec, n), ref in zip(cases, plain):
+        res = operator_norm(localization_problem(spec, n, 3.0 ** (n / 2)))
+        assert (res.value, res.argmax_k, res.value_err) == (ref.value, ref.argmax_k,
+                                                            ref.value_err)
+        with pytest.raises(AssertionError, match="unread"):
+            res.k_truncation
+    monkeypatch.undo()
+
+    calls = []
+
+    def counted(rho, norm):
+        calls.append(rho)
+        return _truncation(rho, norm)
+
+    monkeypatch.setattr(op, "_truncation", counted)
+    res = operator_norm(localization_problem(MID_THIRD, 8, 81.0))
+    assert res.k_truncation == res.k_truncation == _truncation(81.0, res.value)
+    assert res.tail_bound == regularized_lower_gamma(res.k_truncation + 1, 81.0)
+    assert len(calls) == 1
+
+
+def test_no_eigenvalue_or_norm_above_one():
+    # The full alphabet fills [0, 50], so lambda_k = P(k+1, 50) <= 1, yet
+    # the leaf sums of the first rows round to 1 + 2 eps and more.
+    problem = localization_problem(CantorSpec(5, (0, 1, 2, 3, 4)), 2, 50.0)
+    res = operator_norm(problem)
+    assert res.value <= 1.0
+    assert abs(res.value - -math.expm1(-50.0)) <= res.value_err
+    assert all(r.value <= 1.0 for r in eigenvalue_table(problem, res.k_truncation))
+
+
+def test_table_walks_are_bounded_in_rows(monkeypatch):
+    # A walk holds the live (row, block) pairs of all its rows, so a table
+    # walks WALK_ROWS rows at a time: 8,001 rows at mid-third n = 16 peak
+    # near 4.5 MB, against 9.5 MB in one walk.  Rows are independent, so
+    # the split changes none of them.
+    import tracemalloc
+
+    import cantorloc.operator as op
+
+    problem = localization_problem(MID_THIRD, 16, 3.0 ** 8)
+    problem.tree
+    tracemalloc.start()
+    try:
+        rows = eigenvalue_table(problem, 8000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(rows) == 8001
+    assert peak <= 6e6
+    whole = eigenvalue_table(problem, 40)
+    monkeypatch.setattr(op, "WALK_ROWS", 7)
+    assert eigenvalue_table(problem, 40) == whole == rows[:41]
+
+
 def test_selection_error_covers_a_close_runner_up():
     # Closer than their errors: either row may hold the norm, so value_err
     # must reach the runner-up's value + err.

@@ -31,6 +31,5 @@ def test_readme_library_section_is_true():
             params.update(inspect.signature(obj).parameters)
     for name in re.findall(r"`(\w+)`", section.replace(code, "")):
         assert name in cantorloc.__all__ or name in params or name == MAX_INTERVALS_ENV, name
-    for name in ("discrete_iterate", "continuous_iterate", "shift_decomposition",
-                 "lambda0_closed_form"):
+    for name in ("discrete_iterate", "continuous_iterate", "lambda0_closed_form"):
         assert name in cantorloc.__all__ and f"`{name}`" in section, name

@@ -87,11 +87,6 @@ class CantorSpec:
         return len(self.alphabet)
 
     @property
-    def ratio(self) -> float:
-        """Per-level measure ratio |A| / M."""
-        return self.size / self.base
-
-    @property
     def dimension(self) -> float:
         """ln|A| / ln M, the similarity dimension of the limit set."""
         return math.log(self.size) / math.log(self.base)
@@ -159,10 +154,22 @@ class IterateIntervals:
         return int(self.lows.size)
 
 
-def _levels_of(spec: Union[CantorSpec, IndexedCantorSpec], n: int) -> list[CantorSpec]:
-    """The levels of the n-th iterate; the one check of an iterate depth."""
-    if n < 0:
-        raise ValueError(f"iterate depth must be nonnegative, got {n}")
+def check_depth(n) -> int:
+    """An iterate depth as an int, checked to be a nonnegative integer the
+    way special._validate_k checks an index (3.0 passes); the package's one
+    check of a depth, called by _levels_of and by entry points with no levels."""
+    try:
+        depth = int(n)
+    except (TypeError, ValueError, OverflowError):
+        depth = -1  # fails the test below
+    if depth < 0 or depth != n:
+        raise ValueError(f"iterate depth must be nonnegative and integral, got {n!r}")
+    return depth
+
+
+def _levels_of(spec: Union[CantorSpec, IndexedCantorSpec], n) -> list[CantorSpec]:
+    """The levels of the n-th iterate, after check_depth."""
+    n = check_depth(n)
     if isinstance(spec, IndexedCantorSpec):
         if n > spec.depth:
             raise ValueError(f"iterate depth {n} exceeds the {spec.depth} stored levels")
@@ -349,8 +356,7 @@ def cantor_function(spec: CantorSpec, n: int, x: float) -> float:
     a point exactly on a block boundary belongs to the block on its right,
     which does not change the value.
     """
-    if n < 0:
-        raise ValueError(f"iterate depth must be nonnegative, got {n}")
+    n = check_depth(n)
     x = float(x)
     if math.isnan(x):
         raise ValueError("x must not be NaN")
@@ -384,7 +390,5 @@ def inner_rho(spec: CantorSpec, n: int, rho: float) -> float:
     For reverse-canonical alphabets this is where the n-th iterate starts;
     the largest eigenvalue then has index at least floor(inner_rho).
     """
-    if n < 0:
-        raise ValueError(f"iterate depth must be nonnegative, got {n}")
-    geom = (1.0 - float(spec.base) ** -n) / (spec.base - 1)
+    geom = (1.0 - float(spec.base) ** -check_depth(n)) / (spec.base - 1)
     return float(rho) * (spec.base - spec.size) * geom

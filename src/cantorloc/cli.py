@@ -344,10 +344,9 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         rows = result.rows
         columns = ("n", "measure", "lambda0", "norm_lower_bound")
         md = _metadata(
-            args, gamma=gamma,
-            extra={"measure_limit_estimate": result.measure_limit_estimate,
-                   "norm_lower_bound": result.norm_lower_bound,
-                   "rho": result.rho})
+            args, extra={"measure_limit_estimate": result.measure_limit_estimate,
+                         "norm_lower_bound": result.norm_lower_bound,
+                         "rho": result.rho})
 
     _emit(_table(args, columns, rows, md), args.out)
     return 0
@@ -398,12 +397,9 @@ def _kmax_flag(text: str):
     if text == "auto":
         return text
     try:
-        k = int(text)
+        return int(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"expected integer or auto, got {text!r}")
-    if k < 0:
-        raise argparse.ArgumentTypeError("kmax must be nonnegative")
-    return k
 
 
 def build_parser() -> argparse.ArgumentParser:

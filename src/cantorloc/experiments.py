@@ -28,7 +28,7 @@ from typing import Sequence
 import numpy as np
 
 from .cantor import (CantorSpec, CapExceededError, IndexedCantorSpec, canonical_of,
-                     reverse_canonical_of)
+                     check_depth, reverse_canonical_of)
 from .operator import (
     lambda0_canonical_levels,
     lambda0_closed_form,
@@ -45,6 +45,21 @@ class HypothesisViolationError(ValueError):
     """A generated level sequence broke the experiment's hypotheses."""
 
 
+def _check_gamma(gamma: float) -> None:
+    """The one check of a radius prefactor: positive and finite."""
+    if not (gamma > 0.0) or not math.isfinite(gamma):
+        raise ValueError(f"gamma must be positive and finite, got {gamma!r}")
+
+
+def _check_proper_size(base: int, size: int) -> None:
+    """The one check of a base and a proper alphabet size in it, base first."""
+    if base < 2:
+        raise ValueError(f"base must be at least 2, got {base}")
+    if not (1 <= size <= base - 1):
+        raise ValueError(
+            f"alphabet size must lie in [1, {base - 1}] for base {base}, got {size}")
+
+
 @dataclass(frozen=True)
 class RadiusSchedule:
     """Radius-squared schedule rho(n) = gamma * M^(n/2), the critical growth
@@ -53,8 +68,7 @@ class RadiusSchedule:
     gamma: float = 1.0
 
     def __post_init__(self):
-        if not (self.gamma > 0.0) or not math.isfinite(self.gamma):
-            raise ValueError(f"gamma must be positive and finite, got {self.gamma!r}")
+        _check_gamma(self.gamma)
 
     def rho(self, base: int, n: int) -> float:
         """rho(n) for a fixed base, validated against the cap M^n."""
@@ -93,8 +107,7 @@ def sweep_fixed(spec: CantorSpec, schedule: RadiusSchedule, n_max: int) -> list[
     """Norm and scaling columns for iterates 0..n_max of one spec; each norm
     is operator_norm's certified value, and its truncation report, never
     read, is never computed."""
-    if n_max < 0:
-        raise ValueError("n_max must be nonnegative")
+    n_max = check_depth(n_max)
     dim = spec.dimension
     rows = []
     for n in range(n_max + 1):
@@ -122,11 +135,7 @@ def sweep_reverse_counterexample(base: int, size: int, schedule: RadiusSchedule,
     depth's norms pass the cap.  The ratio tending to zero is what rules
     out a two-sided sibling comparison at the critical radius.
     """
-    if base < 2:
-        raise ValueError(f"base must be at least 2, got {base}")
-    if not (1 <= size <= base - 1):
-        raise ValueError(
-            f"alphabet size must lie in [1, {base - 1}] for base {base}, got {size}")
+    _check_proper_size(base, size)
     rev = reverse_canonical_of(CantorSpec(base, tuple(range(size))))
     return [(r.n, None if r.norm is None else r.norm / c.norm)
             for r, c in zip(sweep_fixed(rev, schedule, n_max),
@@ -156,8 +165,7 @@ class DecayParams:
             raise ValueError("delta must be nonnegative")
         if not (0.0 < self.epsilon < 1.0):
             raise ValueError("epsilon must lie in (0, 1)")
-        if not (self.gamma > 0.0):
-            raise ValueError("gamma must be positive")
+        _check_gamma(self.gamma)
         if self.n_max < 2:
             raise ValueError("n_max must be at least 2")
 
@@ -217,32 +225,22 @@ def sweep_indexed_counterexample(base: int, size: int, gamma: float = 1.0,
                                  n_max: int = 5) -> IndexedCounterexampleResult:
     """Doubly-exponential bases M_j = M_1 ... M_{j-1} at fixed density.
 
-    Every level keeps |A_j| = theta M_j with theta = size/base, which must
-    be integral at every level; base products square at each step, so n_max
-    is capped at 6 to stay within float range.
+    Every level keeps |A_j| = theta M_j with theta = size/base, an integer
+    since every M_j is a multiple of M_1 = base; base products square at
+    each step, so n_max is capped at 6 to stay within float range.
     """
-    if base < 2:
-        raise ValueError("base must be at least 2")
-    if not (1 <= size <= base - 1):
-        raise ValueError(
-            f"alphabet size must lie in [1, {base - 1}] for base {base}, got {size}")
-    if not (0 <= n_max <= 6):
+    _check_proper_size(base, size)
+    n_max = check_depth(n_max)
+    if n_max > 6:
         raise ValueError("n_max must lie in [0, 6]")
-    if not (gamma > 0.0):
-        raise ValueError("gamma must be positive")
+    _check_gamma(gamma)
     bases = []
     sizes = []
     prod = 1
     for j in range(1, n_max + 1):
         b = base if j == 1 else prod
-        if (size * b) % base != 0:
-            raise ValueError(
-                f"theta = {size}/{base} gives a non-integral alphabet at level {j}")
-        a = size * b // base
-        if a < 1:
-            raise ValueError(f"theta = {size}/{base} empties level {j}")
         bases.append(b)
-        sizes.append(a)
+        sizes.append(size * b // base)
         prod *= b
     theta = size / base
     root = math.sqrt(base)

@@ -41,18 +41,16 @@ from .cantor import (
     _levels_of,
     block_tree,
     check_cap,
+    check_depth,
     check_scale,
     continuous_iterate,
 )
 from .special import (
-    _EPS,
     TAYLOR_ORDER,
-    _log_density,
-    _log_orders,
-    _prefactor_error,
     _scaled_masses,
     _tree_masses,
     _validate_k,
+    group_bound,
     log_density,
     regularized_lower_gamma,
     segment_mass_batch,
@@ -76,12 +74,12 @@ def ball_bound(measure: float) -> float:
 class LocalizationProblem:
     """The n-th iterate of *spec* scaled to [0, rho], rho = pi R^2.
 
-    Construction checks the depth (cantor._levels_of) and the scale
-    (cantor.check_scale), so rho is a positive float.  Eigenvalues and the
-    norm work on the iterate's block tree (`tree`), which enumerates
-    nothing.  The merged intervals (`intervals`) are enumerated on first
-    use, up to the cap (cantor.check_cap), and kept; nothing in this module
-    reads them.
+    Construction checks the depth (cantor.check_depth) and the scale
+    (cantor.check_scale), so n is an int and rho a positive float.
+    Eigenvalues and the norm work on the iterate's block tree (`tree`),
+    which enumerates nothing.  The merged intervals (`intervals`) are
+    enumerated on first use, up to the cap (cantor.check_cap), and kept;
+    nothing in this module reads them.
     """
 
     spec: AnySpec
@@ -89,6 +87,7 @@ class LocalizationProblem:
     rho: float
 
     def __post_init__(self):
+        object.__setattr__(self, "n", check_depth(self.n))
         levels = _levels_of(self.spec, self.n)
         object.__setattr__(self, "rho", check_scale(levels, self.rho))
 
@@ -103,7 +102,7 @@ class LocalizationProblem:
 
 def localization_problem(spec: AnySpec, n: int, rho: float) -> LocalizationProblem:
     """Problem whose set is the n-th iterate of *spec* scaled to [0, rho]."""
-    return LocalizationProblem(spec=spec, n=int(n), rho=rho)
+    return LocalizationProblem(spec=spec, n=n, rho=rho)
 
 
 @dataclass(frozen=True)
@@ -122,8 +121,7 @@ def eigenvalue(problem: LocalizationProblem, k: int) -> EigenvalueResult:
 def eigenvalue_table(problem: LocalizationProblem, k_max: int) -> list[EigenvalueResult]:
     """lambda_0 .. lambda_{k_max}; each row equals eigenvalue(problem, k).
     More rows than the cap raise CapExceededError."""
-    if k_max < 0:
-        raise ValueError("k_max must be nonnegative")
+    k_max = _validate_k(k_max)
     check_cap(k_max + 1, "eigenvalue table rows")
     return _rows(problem.tree, np.arange(k_max + 1))
 
@@ -294,35 +292,6 @@ class NormResult:
     @functools.cached_property
     def tail_bound(self) -> float:
         return regularized_lower_gamma(self.k_truncation + 1, self.rho)
-
-
-def group_bound(tree: BlockTree, m: int, prefixes: np.ndarray, first: np.ndarray,
-                last: np.ndarray) -> np.ndarray:
-    """Upper bound on the mass of f_k over the depth-m block of each digit
-    prefix, for every k in first .. last (broadcast against the prefixes).
-
-    The mass is at most sup f_k on the block [L, L + W] times its measure
-    W mu_0.  With j = floor(L), the sup over the block and the group is
-    f_k(clip(k, L, L + W)) at k = clip(j, first, last): up to j it is
-    f_k(L), which rises with k since f_(k+1)(L) / f_k(L) = L / (k+1); past
-    j no f_k exceeds f_k(k), which falls with k, and f_(j+1)(j+1) =
-    f_j(j+1) <= f_j(L).  A rounded L on the other side of an integer i
-    moves j by one, which changes the sup by a factor L / i within 3 eps
-    of 1.  Rounding goes outward: f_k's prefactor error, the ends' 3 eps
-    through d log f_k / dx = k/x - 1 and that factor, the sums in log
-    space, mu_0's moment_err and the last products.
-    """
-    w = float(tree.widths[m])
-    low = prefixes.astype(float) * w
-    k = np.clip(np.floor(low), first, last)
-    x = np.clip(k, low, (prefixes + 1).astype(float) * w)
-    log_m = _log_orders(k + 1.0)
-    log_f = _log_density(k, x, log_m)
-    log_sup = (log_f + np.log1p(_prefactor_error(k, x, log_f, log_m))
-               + _EPS * (4.0 * np.abs(k - x) + 2.0 * np.abs(log_f) + 8.0))
-    measure = w * (tree.moments[m, 0] + tree.moment_err[m, 0]) * (1.0 + 8.0 * _EPS)
-    # An exp that underflows is off by at most the least subnormal.
-    return np.exp(log_sup) * measure + 5e-324
 
 
 def _rows(tree: BlockTree, ks: np.ndarray) -> list[EigenvalueResult]:

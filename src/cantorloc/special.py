@@ -30,6 +30,7 @@ Eigenvalues walk the Cantor iterate's tree (operator.py); a segment walks
 the tree of the full alphabet {0, 1} in base 2 stretched onto [a, b],
 relative to f_k at its maximum there, so masses below the double range
 keep their digits.  log_density takes an array of k as well as one k.
+group_bound bounds a block's mass over a range of k, for the norm's walk.
 """
 
 from __future__ import annotations
@@ -481,6 +482,35 @@ def _tree_masses(tree: BlockTree, ks: np.ndarray, place=None
     vals = vals[order].tolist()
     values = np.array([math.fsum(vals[bounds[row]:bounds[row + 1]]) for row in range(count)])
     return values, err + _UNIT * np.abs(values)
+
+
+def group_bound(tree: BlockTree, m: int, prefixes: np.ndarray, first: np.ndarray,
+                last: np.ndarray) -> np.ndarray:
+    """Upper bound on the mass of f_k over the depth-m block of each digit
+    prefix, for every k in first .. last (broadcast against the prefixes).
+
+    The mass is at most sup f_k on the block [L, L + W] times its measure
+    W mu_0.  With j = floor(L), the sup over the block and the group is
+    f_k(clip(k, L, L + W)) at k = clip(j, first, last): up to j it is
+    f_k(L), which rises with k since f_(k+1)(L) / f_k(L) = L / (k+1); past
+    j no f_k exceeds f_k(k), which falls with k, and f_(j+1)(j+1) =
+    f_j(j+1) <= f_j(L).  A rounded L on the other side of an integer i
+    moves j by one, which changes the sup by a factor L / i within 3 eps
+    of 1.  Rounding goes outward: f_k's prefactor error, the ends' 3 eps
+    through d log f_k / dx = k/x - 1 and that factor, the sums in log
+    space, mu_0's moment_err and the last products.
+    """
+    w = float(tree.widths[m])
+    low = prefixes.astype(float) * w
+    k = np.clip(np.floor(low), first, last)
+    x = np.clip(k, low, (prefixes + 1).astype(float) * w)
+    log_m = _log_orders(k + 1.0)
+    log_f = _log_density(k, x, log_m)
+    log_sup = (log_f + np.log1p(_prefactor_error(k, x, log_f, log_m))
+               + _EPS * (4.0 * np.abs(k - x) + 2.0 * np.abs(log_f) + 8.0))
+    measure = w * (tree.moments[m, 0] + tree.moment_err[m, 0]) * (1.0 + 8.0 * _EPS)
+    # An exp that underflows is off by at most the least subnormal.
+    return np.exp(log_sup) * measure + 5e-324
 
 
 def _scaled_masses(k: int, lo: np.ndarray, width: np.ndarray, ref: np.ndarray

@@ -37,7 +37,6 @@ from .experiments import (
 from .operator import (
     GROUP,
     eigenvalue,
-    group_bound,
     lambda0_closed_form,
     limit_relative_area,
     localization_problem,
@@ -46,6 +45,7 @@ from .operator import (
 )
 from .special import (
     gamma_tail_mass,
+    group_bound,
     regularized_lower_gamma,
     segment_mass,
     segment_mass_batch,

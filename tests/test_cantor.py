@@ -13,14 +13,20 @@ from cantorloc import (
     CantorSpec,
     CapExceededError,
     IndexedCantorSpec,
+    RadiusSchedule,
     cantor_function,
     canonical_of,
     continuous_iterate,
     discrete_iterate,
     indexed_intervals,
     inner_rho,
+    lambda0_closed_form,
+    localization_problem,
+    operator_norm,
     resolve_max_intervals,
     reverse_canonical_of,
+    sweep_fixed,
+    sweep_indexed_counterexample,
 )
 from cantorloc.cantor import DEFAULT_MAX_INTERVALS, MAX_INTERVALS_ENV
 
@@ -249,6 +255,37 @@ def test_indexed_depth_is_bounded_by_levels():
     levels = IndexedCantorSpec((MID_THIRD, CantorSpec(4, (0, 1))))
     with pytest.raises(ValueError):
         indexed_intervals(levels, 3, 1.0)
+
+
+def _problem_at(n):
+    problem = localization_problem(MID_THIRD, n, 9.0)
+    return type(problem.n), problem.n, operator_norm(problem)
+
+
+# Every entry point that takes an iterate depth, as a function of the depth
+# alone, returning something comparable with ==.
+DEPTH_ENTRY_POINTS = {
+    "discrete_iterate": lambda n: discrete_iterate(MID_THIRD, n).tolist(),
+    "continuous_iterate": lambda n: continuous_iterate(MID_THIRD, n, 9.0).lows.tolist(),
+    "lambda0_closed_form": lambda n: lambda0_closed_form(MID_THIRD, n, 9.0),
+    "cantor_function": lambda n: cantor_function(MID_THIRD, n, 0.3),
+    "inner_rho": lambda n: inner_rho(MID_THIRD, n, 9.0),
+    "localization_problem": _problem_at,
+    "sweep_fixed": lambda n: sweep_fixed(MID_THIRD, RadiusSchedule(), n),
+    "sweep_indexed_counterexample": lambda n: sweep_indexed_counterexample(4, 2, n_max=n),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(DEPTH_ENTRY_POINTS))
+def test_depth_is_a_nonnegative_integer_at_every_entry_point(entry):
+    # A depth of 2.5 once built depth 2 in localization_problem, gave a
+    # value in inner_rho and a TypeError elsewhere; 3.0 was a TypeError in
+    # most places.
+    call = DEPTH_ENTRY_POINTS[entry]
+    for bad in (2.5, -1):
+        with pytest.raises(ValueError, match="iterate depth must be nonnegative"):
+            call(bad)
+    assert call(3.0) == call(3)
 
 
 @given(

@@ -304,6 +304,17 @@ def test_sweep_positive_measure_rows(capsys):
             math.exp(-1.5) * measure, rel=1e-12)
 
 
+def test_sweep_positive_measure_records_no_gamma(capsys):
+    # The experiment's radius is --rho; the metadata once echoed --gamma's
+    # default, which it never reads.
+    code, out, _ = run_cli(
+        capsys, "sweep", "--experiment", "positive-measure", "--levels", "3",
+        "--rho", "1.0", "--gamma", "0.5", "--format", "json")
+    assert code == 0
+    metadata = json.loads(out)["metadata"]
+    assert metadata["gamma"] is None and metadata["schedule"] is None
+
+
 def test_levels_file_round_trip(capsys, tmp_path):
     path = tmp_path / "levels.txt"
     path.write_text("# two level spec\n3;0,2\n\n4;1,3\n")

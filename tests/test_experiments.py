@@ -187,6 +187,9 @@ def test_decay_params_validation():
         DecayParams(epsilon=1.0)
     with pytest.raises(ValueError):
         DecayParams(gamma=0.0)
+    # Infinite gamma once passed here while RadiusSchedule refused it.
+    with pytest.raises(ValueError, match="gamma must be positive and finite"):
+        DecayParams(gamma=math.inf)
     with pytest.raises(ValueError):
         DecayParams(n_max=1)
 

@@ -247,6 +247,15 @@ def test_table_and_norm_are_held_to_the_cap(monkeypatch):
         operator_norm(localization_problem(MID_THIRD, 3, 10.0))
 
 
+def test_table_checks_k_max_as_an_index():
+    # k_max = 2.5 once gave the four rows 0 .. 3.
+    problem = localization_problem(MID_THIRD, 3, 9.0)
+    for bad in (2.5, -1):
+        with pytest.raises(ValueError, match="index k must be a nonnegative integer"):
+            eigenvalue_table(problem, bad)
+    assert eigenvalue_table(problem, 3.0) == eigenvalue_table(problem, 3)
+
+
 @pytest.mark.parametrize("spec, n, rho, k_max", [
     (CantorSpec(3, (1, 2)), 9, 140.0, 200),
     # One block per index at the root, expanded at once.

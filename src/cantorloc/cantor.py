@@ -131,7 +131,7 @@ class IndexedCantorSpec:
         return len(self.levels)
 
     def base_product(self, n: int) -> int:
-        return math.prod(lv.base for lv in self.levels[:n])
+        return math.prod(lv.base for lv in _levels_of(self, n))
 
 
 @dataclass(frozen=True, eq=False)

@@ -255,16 +255,15 @@ def cmd_cantor_fn(args: argparse.Namespace) -> int:
     return 0
 
 
-def _default(value, default):
-    """value, or default when the flag was not given; a given 0 is kept,
-    so validation sees it."""
-    return default if value is None else value
-
-
-def _reject_fixed_spec_flags(args: argparse.Namespace, experiment: str) -> None:
-    if args.alphabet is not None or args.levels_file:
-        raise ValueError(f"{experiment} sweeps take --base and --size, "
-                         "not --alphabet/--levels-file")
+# The flags each sweep experiment reads, by dest, with their defaults (None:
+# no default); cmd_sweep refuses every other sweep flag.
+SWEEP_FLAGS = {
+    "precise": {"base": None, "alphabet": None, "nmax": 8, "gamma": 1.0},
+    "reverse": {"base": 3, "size": 2, "nmax": 10, "gamma": 1.0},
+    "indexed-decay": {"base": 3, "nmax": 20, "delta": 0.5, "epsilon": 2 / 3, "gamma": 1.0},
+    "indexed-counterexample": {"base": 4, "size": 2, "nmax": 5, "gamma": 1.0},
+    "positive-measure": {"levels_file": None, "levels": 12, "rho": 1.0},
+}
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
@@ -281,13 +280,19 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     )
 
     exp = args.experiment
-    gamma = args.gamma
+    reads = SWEEP_FLAGS[exp]
+    refused = sorted("--" + dest.replace("_", "-")
+                     for dest in set().union(*SWEEP_FLAGS.values()) - reads.keys()
+                     if getattr(args, dest) is not None)
+    if refused:
+        raise ValueError(f"{exp} sweeps do not read {', '.join(refused)}")
+    for dest, default in reads.items():
+        if getattr(args, dest) is None:
+            setattr(args, dest, default)
+    gamma, n_max = args.gamma, args.nmax
 
     if exp == "precise":
-        if args.levels_file:
-            raise ValueError("precise sweeps take --base/--alphabet")
         spec = _spec_from(args)
-        n_max = _default(args.nmax, 8)
         schedule = RadiusSchedule(gamma)
         rows = [(r.n, r.rho, r.norm, r.lambda0_canonical, r.scaled_norm,
                  r.thm32_ratio) for r in sweep_fixed(spec, schedule, n_max)]
@@ -296,20 +301,15 @@ def cmd_sweep(args: argparse.Namespace) -> int:
                        h_equivalent=_h_equivalent(spec, n_max))
 
     elif exp == "reverse":
-        _reject_fixed_spec_flags(args, "reverse")
-        base, size = _default(args.base, 3), _default(args.size, 2)
-        n_max = _default(args.nmax, 10)
         schedule = RadiusSchedule(gamma)
-        rows = sweep_reverse_counterexample(base, size, schedule, n_max)
+        rows = sweep_reverse_counterexample(args.base, args.size, schedule, n_max)
         columns = ("n", "ratio")
         md = _metadata(args, schedule="power_half", gamma=gamma,
-                       h_equivalent=float(base) ** -n_max,
-                       extra={"params": {"base": base, "size": size}})
+                       h_equivalent=float(args.base) ** -n_max,
+                       extra={"params": {"base": args.base, "size": args.size}})
 
     elif exp == "indexed-decay":
-        _reject_fixed_spec_flags(args, "indexed-decay")
-        n_max = _default(args.nmax, 20)
-        params = DecayParams(M=_default(args.base, 3), delta=args.delta,
+        params = DecayParams(M=args.base, delta=args.delta,
                              epsilon=args.epsilon, gamma=gamma, n_max=n_max)
         result = sweep_indexed_decay(params, seed=args.seed)
         rows = result.rows
@@ -322,10 +322,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
                                          "epsilon": params.epsilon}})
 
     elif exp == "indexed-counterexample":
-        _reject_fixed_spec_flags(args, "indexed-counterexample")
-        base, size = _default(args.base, 4), _default(args.size, 2)
-        n_max = _default(args.nmax, 5)
-        result = sweep_indexed_counterexample(base, size, gamma=gamma,
+        result = sweep_indexed_counterexample(args.base, args.size, gamma=gamma,
                                               n_max=n_max)
         rows = result.rows
         columns = ("n", "lambda0", "lower_bound_product")
@@ -333,7 +330,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         md = _metadata(args, schedule="indexed_sqrt", gamma=gamma,
                        h_equivalent=math.exp(log_h),
                        extra={"lower_bound_product": result.lower_bound_product,
-                              "params": {"base": base, "size": size}})
+                              "params": {"base": args.base, "size": args.size}})
 
     else:  # positive-measure
         if args.levels_file:
@@ -451,24 +448,27 @@ def build_parser() -> argparse.ArgumentParser:
     p_fn.add_argument("--x", type=float, required=True)
     p_fn.set_defaults(func=cmd_cantor_fn)
 
-    p_sweep = sub.add_parser("sweep", parents=[common, spec_flags],
+    p_sweep = sub.add_parser("sweep", parents=[common],
                              help="asymptotic experiment drivers")
-    p_sweep.add_argument("--experiment", required=True,
-                         choices=("precise", "reverse", "indexed-decay",
-                                  "indexed-counterexample", "positive-measure"))
-    p_sweep.add_argument("--nmax", type=int, default=None)
-    p_sweep.add_argument("--gamma", type=float, default=1.0,
-                         help="schedule prefactor, rho(n) = gamma M^(n/2)")
-    p_sweep.add_argument("--size", type=int, default=None,
-                         help="alphabet size for reverse/indexed experiments")
-    p_sweep.add_argument("--delta", type=float, default=0.5,
-                         help="indexed-decay base spread, M_j <= M^(1+delta)")
-    p_sweep.add_argument("--epsilon", type=float, default=2.0 / 3.0,
-                         help="indexed-decay density cap, size_j/M_j <= epsilon")
-    p_sweep.add_argument("--rho", type=float, default=1.0,
-                         help="fixed radius for positive-measure")
-    p_sweep.add_argument("--levels", type=int, default=12,
-                         help="level count for positive-measure")
+    p_sweep.add_argument("--experiment", required=True, choices=tuple(SWEEP_FLAGS),
+                         help="each reads the flags that name it below; any other exits 2")
+
+    def sweep_flag(flag, text, **kwargs):
+        dest = flag[2:].replace("-", "_")
+        readers = [exp if flags[dest] is None else f"{exp} ({flags[dest]:g})"
+                   for exp, flags in SWEEP_FLAGS.items() if dest in flags]
+        p_sweep.add_argument(flag, help=f"{text}; read by {', '.join(readers)}", **kwargs)
+
+    sweep_flag("--base", "base", type=int, metavar="M")
+    sweep_flag("--alphabet", "digits, e.g. 0,2", type=_alphabet_flag, metavar="A")
+    sweep_flag("--levels-file", "levels M;a1,a2,..., one per line", metavar="PATH")
+    sweep_flag("--nmax", "last depth", type=int)
+    sweep_flag("--gamma", "schedule prefactor, rho(n) = gamma M^(n/2)", type=float)
+    sweep_flag("--size", "alphabet size", type=int)
+    sweep_flag("--delta", "base spread, M_j <= M^(1+delta)", type=float)
+    sweep_flag("--epsilon", "density cap, size_j/M_j <= epsilon", type=float)
+    sweep_flag("--rho", "fixed radius", type=float)
+    sweep_flag("--levels", "level count", type=int)
     p_sweep.set_defaults(func=cmd_sweep)
 
     p_verify = sub.add_parser("verify", parents=[common],

@@ -72,7 +72,7 @@ class RadiusSchedule:
 
     def rho(self, base: int, n: int) -> float:
         """rho(n) for a fixed base, validated against the cap M^n."""
-        value = self.gamma * float(base) ** (0.5 * n)
+        value = self.gamma * float(base) ** (0.5 * check_depth(n))
         if not (value > 0.0) or value > float(base) ** n * (1.0 + 1e-12):
             raise ScheduleError(
                 f"schedule emitted rho({n}) = {value!r} outside (0, {base}^{n}]")
@@ -166,6 +166,7 @@ class DecayParams:
         if not (0.0 < self.epsilon < 1.0):
             raise ValueError("epsilon must lie in (0, 1)")
         _check_gamma(self.gamma)
+        object.__setattr__(self, "n_max", check_depth(self.n_max))
         if self.n_max < 2:
             raise ValueError("n_max must be at least 2")
 
@@ -283,11 +284,11 @@ def positive_measure_demo(levels: int | Sequence[CantorSpec],
     """
     if not (rho_fixed > 0.0) or not math.isfinite(rho_fixed):
         raise ValueError(f"rho_fixed must be positive and finite, got {rho_fixed!r}")
-    if isinstance(levels, int):
-        if levels < 1:
+    if not isinstance(levels, Sequence):
+        bases = [2 ** j for j in range(1, check_depth(levels) + 1)]
+        if not bases:
             raise ValueError("level count must be positive")
-        bases = [2 ** j for j in range(1, levels + 1)]
-        sizes = [2 ** j - 1 for j in range(1, levels + 1)]
+        sizes = [b - 1 for b in bases]
     else:
         bases = [lv.base for lv in levels]
         sizes = [lv.size for lv in levels]

@@ -310,9 +310,9 @@ def _rows(tree: BlockTree, ks: np.ndarray) -> list[EigenvalueResult]:
 
 def _select(rows: Sequence[EigenvalueResult]) -> tuple[EigenvalueResult, float]:
     """The row of largest value (the least k among equal values) and the
-    error bound of the norm when every index outside rows is certified below
-    some row's value - err: the winner's err, or the distance to the highest
-    value + err among the other rows where that is larger."""
+    error bound of the norm when every index outside rows is certified at
+    most some row's value + err: the winner's err, or the distance to the
+    highest value + err among the other rows where that is larger."""
     best = max(rows, key=lambda r: (r.value, -r.k))
     reach = max((r.value + r.err for r in rows if r is not best), default=-math.inf)
     return best, max(best.err, reach - best.value)
@@ -360,20 +360,19 @@ def operator_norm(problem: LocalizationProblem) -> NormResult:
     The indices 1 .. _last_index are split into groups (GROUP, SINGLES),
     and the tree is walked from the root with, per group, the blocks still
     in play, each bounded by group_bound.  Blocks below PRUNE_SHARE of the
-    target move into their group's fixed sum, and a group whose fixed sum
-    plus block bounds is at most the target is certified: none of its
-    eigenvalues exceeds the target, the largest value - err of the exact
-    rows so far, starting with k = 0.  Exact rows come from _rows: at each
-    depth for the uncertified group of largest bound while the next depth
-    would hold more than RAISE_PAIRS (group, block) pairs, which raises the
-    target before the pairs multiply; for any group whose blocks at the
-    next depth would cost more than its rows (ROW_COST); and at depth n,
-    where blocks cannot split, for every group left.  The norm is the
-    largest exact row, and no index past _last_index can exceed it.
-    Nothing is enumerated, but the arrays grow with rho: floor(rho) + 2
-    indices are held to the cap, so a larger rho raises CapExceededError.
-    The truncation report (NormResult.k_truncation, tail_bound) is left to
-    the caller's first read.
+    target, the largest value - err of the exact rows so far (k = 0 first),
+    move into their group's fixed sum.  A group whose fixed sum plus block
+    bounds, clamped at 1 (lambda_k <= 1), is at most the fold, value + err
+    of _select's row, is certified within value_err.  Exact rows come from
+    _rows: at each depth for the uncertified group of largest bound while
+    the next depth would hold more than RAISE_PAIRS (group, block) pairs,
+    which raises the target before the pairs multiply; for any group whose
+    blocks at the next depth would cost more than its rows (ROW_COST); and
+    at depth n, where blocks cannot split, for every group left.  No index
+    past _last_index can exceed the norm.  Nothing is enumerated, but the
+    arrays grow with rho: floor(rho) + 2 indices are held to the cap, so a
+    larger rho raises CapExceededError.  The truncation report
+    (NormResult.k_truncation, tail_bound) is left to the caller's first read.
     """
     rho = problem.rho
     check_cap(math.floor(rho) + 2, "norm indices")
@@ -381,6 +380,7 @@ def operator_norm(problem: LocalizationProblem) -> NormResult:
     k_last = _last_index(rho)
     rows = _rows(tree, np.zeros(1, dtype=int))
     target = rows[0].value - rows[0].err
+    fold = rows[0].value + rows[0].err
     first = np.append(np.arange(1.0, SINGLES), np.arange(SINGLES, k_last + 1.0, GROUP))
     last = np.append(first[1:] - 1.0, k_last)
     count = first.size
@@ -394,7 +394,7 @@ def operator_norm(problem: LocalizationProblem) -> NormResult:
         live = np.bincount(group[~prune], minlength=count)
         total = fixed + np.bincount(group[~prune], bound[~prune], minlength=count)
         alive = np.zeros(count, dtype=bool)
-        alive[group] = total[group] > target
+        alive[group] = np.minimum(total[group], 1.0) > fold
         if m == tree.depth:
             exact = alive
         else:
@@ -407,7 +407,9 @@ def operator_norm(problem: LocalizationProblem) -> NormResult:
                                  zip(first[exact].astype(int), last[exact].astype(int))])
             rows += _rows(tree, ks)
             target = max(r.value - r.err for r in rows)
-            alive &= ~exact & (total > target)
+            best = _select(rows)[0]
+            fold = best.value + best.err
+            alive &= ~exact & (np.minimum(total, 1.0) > fold)
         keep = alive[group] & ~prune
         if not keep.any():
             break

@@ -12,6 +12,7 @@ import oracles
 from cantorloc import (
     CantorSpec,
     CapExceededError,
+    DecayParams,
     IndexedCantorSpec,
     RadiusSchedule,
     cantor_function,
@@ -23,10 +24,12 @@ from cantorloc import (
     lambda0_closed_form,
     localization_problem,
     operator_norm,
+    positive_measure_demo,
     resolve_max_intervals,
     reverse_canonical_of,
     sweep_fixed,
     sweep_indexed_counterexample,
+    sweep_indexed_decay,
 )
 from cantorloc.cantor import DEFAULT_MAX_INTERVALS, MAX_INTERVALS_ENV
 
@@ -273,14 +276,19 @@ DEPTH_ENTRY_POINTS = {
     "localization_problem": _problem_at,
     "sweep_fixed": lambda n: sweep_fixed(MID_THIRD, RadiusSchedule(), n),
     "sweep_indexed_counterexample": lambda n: sweep_indexed_counterexample(4, 2, n_max=n),
+    "radius_schedule": lambda n: RadiusSchedule().rho(3, n),
+    "base_product": lambda n: IndexedCantorSpec((MID_THIRD,) * 3).base_product(n),
+    "decay_params": lambda n: sweep_indexed_decay(DecayParams(n_max=n)).rows,
+    "positive_measure_demo": lambda n: positive_measure_demo(n, 1.0).rows,
 }
 
 
 @pytest.mark.parametrize("entry", sorted(DEPTH_ENTRY_POINTS))
 def test_depth_is_a_nonnegative_integer_at_every_entry_point(entry):
     # A depth of 2.5 once built depth 2 in localization_problem, gave a
-    # value in inner_rho and a TypeError elsewhere; 3.0 was a TypeError in
-    # most places.
+    # value in inner_rho and RadiusSchedule.rho and a TypeError elsewhere;
+    # 3.0 was a TypeError in most places, and base_product(-1) dropped the
+    # last level.
     call = DEPTH_ENTRY_POINTS[entry]
     for bad in (2.5, -1):
         with pytest.raises(ValueError, match="iterate depth must be nonnegative"):

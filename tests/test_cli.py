@@ -227,6 +227,61 @@ def test_sweep_rejects_alphabet_for_size_experiments(capsys):
     assert "error:" in err
 
 
+# The flags each sweep experiment reads, and a valid value of each sweep
+# flag; --levels-file is a path filled in by the test.
+SWEEP_READS = {
+    "precise": ("--base", "--alphabet", "--nmax", "--gamma"),
+    "reverse": ("--base", "--size", "--nmax", "--gamma"),
+    "indexed-decay": ("--base", "--nmax", "--delta", "--epsilon", "--gamma"),
+    "indexed-counterexample": ("--base", "--size", "--nmax", "--gamma"),
+    "positive-measure": ("--levels-file", "--levels", "--rho"),
+}
+SWEEP_VALUES = {"--base": "3", "--alphabet": "0,2", "--levels-file": None, "--nmax": "3",
+                "--gamma": "0.5", "--size": "1", "--delta": "0.5", "--epsilon": "0.5",
+                "--rho": "2", "--levels": "2"}
+SWEEP_REQUIRED = {"precise": ["--base", "3", "--alphabet", "0,2"]}
+
+
+@pytest.mark.parametrize("experiment, flag",
+                         [(e, f) for e in SWEEP_READS for f in SWEEP_VALUES])
+def test_sweep_takes_only_the_flags_it_reads(capsys, tmp_path, experiment, flag):
+    # Each experiment once accepted every sweep flag and ignored those it
+    # does not read, printing numbers for a set or schedule nobody asked for.
+    levels = tmp_path / "levels.txt"
+    levels.write_text("2;0\n4;0,1,2\n")
+    value = SWEEP_VALUES[flag] or str(levels)
+    code, out, err = run_cli(capsys, "sweep", "--experiment", experiment,
+                             *SWEEP_REQUIRED.get(experiment, []), flag, value)
+    if flag in SWEEP_READS[experiment]:
+        assert (code, err) == (0, "") and out
+    else:
+        assert (code, out) == (2, "")
+        assert err == f"error: {experiment} sweeps do not read {flag}\n"
+
+
+def test_sweep_names_every_refused_flag(capsys):
+    code, out, err = run_cli(capsys, "sweep", "--experiment", "positive-measure",
+                             "--levels", "3", "--base", "5", "--nmax", "9", "--gamma", "7")
+    assert (code, out) == (2, "")
+    assert err == "error: positive-measure sweeps do not read --base, --gamma, --nmax\n"
+
+
+@pytest.mark.parametrize("given, left_out", [
+    ("precise --base 3 --alphabet 0,2 --nmax 3 --gamma 1",
+     "precise --base 3 --alphabet 0,2 --nmax 3"),
+    ("reverse --base 3 --size 2 --nmax 3 --gamma 1", "reverse --nmax 3"),
+    ("indexed-decay --base 3 --nmax 4 --delta 0.5 --epsilon 0.6666666666666666 --gamma 1",
+     "indexed-decay --nmax 4"),
+    ("indexed-counterexample --base 4 --size 2 --nmax 3 --gamma 1",
+     "indexed-counterexample --nmax 3"),
+    ("positive-measure --levels 12 --rho 1", "positive-measure"),
+])
+def test_sweep_defaults_are_the_flags_given(capsys, given, left_out):
+    outputs = [run_cli(capsys, "sweep", "--format", "json", "--experiment", *argv.split())
+               for argv in (given, left_out)]
+    assert outputs[0] == outputs[1] and outputs[0][0] == 0
+
+
 def test_sweep_reverse_blanks_capped_depths(capsys, monkeypatch):
     # Depths 9 and 10 need 142 and 245 norm indices.  Past a cap of 100 the
     # reverse sweep blanks them and keeps its other rows, as the precise
@@ -305,11 +360,13 @@ def test_sweep_positive_measure_rows(capsys):
 
 
 def test_sweep_positive_measure_records_no_gamma(capsys):
-    # The experiment's radius is --rho; the metadata once echoed --gamma's
-    # default, which it never reads.
-    code, out, _ = run_cli(
-        capsys, "sweep", "--experiment", "positive-measure", "--levels", "3",
-        "--rho", "1.0", "--gamma", "0.5", "--format", "json")
+    # The experiment's radius is --rho: it refuses --gamma, and its metadata
+    # once echoed --gamma's default.
+    argv = ("sweep", "--experiment", "positive-measure", "--levels", "3",
+            "--rho", "1.0", "--format", "json")
+    code, out, err = run_cli(capsys, *argv, "--gamma", "0.5")
+    assert (code, out) == (2, "") and "--gamma" in err
+    code, out, _ = run_cli(capsys, *argv)
     assert code == 0
     metadata = json.loads(out)["metadata"]
     assert metadata["gamma"] is None and metadata["schedule"] is None

@@ -410,6 +410,24 @@ def test_no_eigenvalue_or_norm_above_one():
     assert all(r.value <= 1.0 for r in eigenvalue_table(problem, res.k_truncation))
 
 
+@pytest.mark.parametrize("rho", [1e3, 1e5])
+def test_near_tie_needs_no_row_past_the_first(monkeypatch, rho):
+    # The full alphabet at n = 3 fills [0, rho], so lambda_k rounds to 1 for
+    # every k well below rho.  Each group's bound, clamped at 1, is within
+    # row 0's value + err, so the walk folds it into value_err; it once took
+    # an exact row for nearly every k <= rho (984 rows at 10^3, and more
+    # than 300 s at 10^5).
+    import cantorloc.operator as op
+
+    sizes = []
+    rows = op._rows
+    monkeypatch.setattr(op, "_rows", lambda tree, ks: sizes.append(ks.size) or rows(tree, ks))
+    res = operator_norm(localization_problem(CantorSpec(3, (0, 1, 2)), 3, rho))
+    assert sizes == [1]
+    # The norm is lambda_0 = 1 - e^(-rho).
+    assert res.value == 1.0 and math.exp(-rho) <= res.value_err
+
+
 def test_table_walks_are_bounded_in_rows(monkeypatch):
     # A walk holds the live (row, block) pairs of all its rows, so a table
     # walks WALK_ROWS rows at a time: 8,001 rows at mid-third n = 16 peak

@@ -87,7 +87,6 @@ def __getattr__(name):
 __all__ = [
     "CantorSpec",
     "CapExceededError",
-    "DecayParams",
     "DegenerateMassError",
     "EigenvalueResult",
     "HypothesisViolationError",
@@ -99,8 +98,6 @@ __all__ = [
     "NormResult",
     "PositiveMeasureResult",
     "PropertyCheck",
-    "RadiusSchedule",
-    "ScheduleError",
     "SegmentMass",
     "SweepRow",
     "ball_bound",

@@ -200,8 +200,9 @@ def _spec_from(args: argparse.Namespace):
             raise ValueError("--levels-file excludes --base/--alphabet")
         return parse_levels_file(args.levels_file)
     if args.base is None or args.alphabet is None:
-        raise ValueError("--base and --alphabet are required "
-                         "(or pass --levels-file)")
+        # the precise sweep refuses --levels-file; eigs and norm read it
+        raise ValueError("--base and --alphabet are required" + (
+            "" if args.command == "sweep" else " (or pass --levels-file)"))
     return CantorSpec(args.base, args.alphabet)
 
 
@@ -269,9 +270,7 @@ SWEEP_FLAGS = {
 def cmd_sweep(args: argparse.Namespace) -> int:
     # Imported here: no other subcommand runs the experiments.
     from .experiments import (
-        SWEEP_COLUMNS,
-        DecayParams,
-        RadiusSchedule,
+        SweepRow,
         positive_measure_demo,
         sweep_fixed,
         sweep_indexed_counterexample,
@@ -286,6 +285,9 @@ def cmd_sweep(args: argparse.Namespace) -> int:
                      if getattr(args, dest) is not None)
     if refused:
         raise ValueError(f"{exp} sweeps do not read {', '.join(refused)}")
+    # Asked before the defaults fill in --levels, which positive-measure reads.
+    if args.levels_file is not None and args.levels is not None:
+        raise ValueError("--levels-file excludes --levels")
     for dest, default in reads.items():
         if getattr(args, dest) is None:
             setattr(args, dest, default)
@@ -293,33 +295,29 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
     if exp == "precise":
         spec = _spec_from(args)
-        schedule = RadiusSchedule(gamma)
-        rows = [(r.n, r.rho, r.norm, r.lambda0_canonical, r.scaled_norm,
-                 r.thm32_ratio) for r in sweep_fixed(spec, schedule, n_max)]
-        columns = SWEEP_COLUMNS
+        rows = sweep_fixed(spec, n_max, gamma)
+        columns = SweepRow._fields
         md = _metadata(args, spec=spec, schedule="power_half", gamma=gamma,
                        h_equivalent=_h_equivalent(spec, n_max))
 
     elif exp == "reverse":
-        schedule = RadiusSchedule(gamma)
-        rows = sweep_reverse_counterexample(args.base, args.size, schedule, n_max)
+        rows = sweep_reverse_counterexample(args.base, args.size, n_max, gamma)
         columns = ("n", "ratio")
         md = _metadata(args, schedule="power_half", gamma=gamma,
                        h_equivalent=float(args.base) ** -n_max,
                        extra={"params": {"base": args.base, "size": args.size}})
 
     elif exp == "indexed-decay":
-        params = DecayParams(M=args.base, delta=args.delta,
-                             epsilon=args.epsilon, gamma=gamma, n_max=n_max)
-        result = sweep_indexed_decay(params, seed=args.seed)
+        result = sweep_indexed_decay(M=args.base, delta=args.delta, epsilon=args.epsilon,
+                                     gamma=gamma, n_max=n_max, seed=args.seed)
         rows = result.rows
         columns = ("n", "lambda0", "fitted_beta")
         md = _metadata(args, spec=result.levels, schedule="indexed_sqrt",
                        gamma=gamma,
                        h_equivalent=1.0 / float(result.levels.base_product(n_max)),
                        extra={"fitted_beta": result.fitted_beta,
-                              "params": {"M": params.M, "delta": params.delta,
-                                         "epsilon": params.epsilon}})
+                              "params": {"M": args.base, "delta": args.delta,
+                                         "epsilon": args.epsilon}})
 
     elif exp == "indexed-counterexample":
         result = sweep_indexed_counterexample(args.base, args.size, gamma=gamma,
@@ -463,7 +461,8 @@ def build_parser() -> argparse.ArgumentParser:
     sweep_flag("--alphabet", "digits, e.g. 0,2", type=_alphabet_flag, metavar="A")
     sweep_flag("--levels-file", "levels M;a1,a2,..., one per line", metavar="PATH")
     sweep_flag("--nmax", "last depth", type=int)
-    sweep_flag("--gamma", "schedule prefactor, rho(n) = gamma M^(n/2)", type=float)
+    sweep_flag("--gamma", "radius prefactor, in (0, 1] for precise and reverse "
+               "(rho = gamma M^(n/2)), positive and finite for the indexed sweeps", type=float)
     sweep_flag("--size", "alphabet size", type=int)
     sweep_flag("--delta", "base spread, M_j <= M^(1+delta)", type=float)
     sweep_flag("--epsilon", "density cap, size_j/M_j <= epsilon", type=float)

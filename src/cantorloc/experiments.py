@@ -3,11 +3,11 @@
 Four families of experiments:
 
 * fixed-base sweeps: norm, first-eigenvalue, and two normalized statistics
-  (a dimension-scaled norm and a bounded-ratio witness) along a radius
-  schedule rho(n);
+  (a dimension-scaled norm and a bounded-ratio witness) along
+  rho(n) = gamma * M^(n/2);
 * reverse-canonical counterexample: the norm ratio reverse/canonical of two
-  fixed-base sweeps along the critical schedule, which decays instead of
-  staying comparable;
+  fixed-base sweeps at gamma * M^(n/2), which decays instead of staying
+  comparable;
 * indexed decay: per-level random bases within [M, M^(1+delta)] and
   densities at most epsilon give exponentially decaying first eigenvalues,
   summarized by a fitted rate beta;
@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -35,10 +35,6 @@ from .operator import (
     localization_problem,
     operator_norm,
 )
-
-
-class ScheduleError(ValueError):
-    """A radius schedule emitted a value outside its cap."""
 
 
 class HypothesisViolationError(ValueError):
@@ -60,27 +56,7 @@ def _check_proper_size(base: int, size: int) -> None:
             f"alphabet size must lie in [1, {base - 1}] for base {base}, got {size}")
 
 
-@dataclass(frozen=True)
-class RadiusSchedule:
-    """Radius-squared schedule rho(n) = gamma * M^(n/2), the critical growth
-    rate, checked against the bounded-ratio hypothesis cap rho(n) <= M^n."""
-
-    gamma: float = 1.0
-
-    def __post_init__(self):
-        _check_gamma(self.gamma)
-
-    def rho(self, base: int, n: int) -> float:
-        """rho(n) for a fixed base, validated against the cap M^n."""
-        value = self.gamma * float(base) ** (0.5 * check_depth(n))
-        if not (value > 0.0) or value > float(base) ** n * (1.0 + 1e-12):
-            raise ScheduleError(
-                f"schedule emitted rho({n}) = {value!r} outside (0, {base}^{n}]")
-        return value
-
-
-@dataclass(frozen=True)
-class SweepRow:
+class SweepRow(NamedTuple):
     """One depth of a fixed-base sweep.
 
     norm is operator_norm's value.  It and its derived columns are None
@@ -100,18 +76,21 @@ class SweepRow:
     thm32_ratio: float | None
 
 
-SWEEP_COLUMNS = ("n", "rho", "norm", "lambda0_canonical", "scaled_norm", "thm32_ratio")
+def sweep_fixed(spec: CantorSpec, n_max: int, gamma: float = 1.0) -> list[SweepRow]:
+    """Norm and scaling columns for iterates 0..n_max of one spec at
+    rho(n) = gamma * M^(n/2); each norm is operator_norm's certified value,
+    and its truncation report, never read, is never computed.
 
-
-def sweep_fixed(spec: CantorSpec, schedule: RadiusSchedule, n_max: int) -> list[SweepRow]:
-    """Norm and scaling columns for iterates 0..n_max of one spec; each norm
-    is operator_norm's certified value, and its truncation report, never
-    read, is never computed."""
+    gamma must lie in (0, 1]: exactly the gammas for which the
+    bounded-ratio hypothesis rho(n) <= M^n holds at every depth.
+    """
+    if not (0.0 < gamma <= 1.0):
+        raise ValueError(f"gamma must lie in (0, 1], got {gamma!r}")
     n_max = check_depth(n_max)
     dim = spec.dimension
     rows = []
     for n in range(n_max + 1):
-        rho = schedule.rho(spec.base, n)
+        rho = gamma * float(spec.base) ** (0.5 * n)
         l0_can = lambda0_closed_form(canonical_of(spec), n, rho)
         try:
             norm = operator_norm(localization_problem(spec, n, rho)).value
@@ -127,9 +106,9 @@ def sweep_fixed(spec: CantorSpec, schedule: RadiusSchedule, n_max: int) -> list[
     return rows
 
 
-def sweep_reverse_counterexample(base: int, size: int, schedule: RadiusSchedule,
-                                 n_max: int) -> list[tuple[int, float | None]]:
-    """(n, norm ratio reverse-canonical / canonical) along the schedule.
+def sweep_reverse_counterexample(base: int, size: int, n_max: int, gamma: float = 1.0
+                                 ) -> list[tuple[int, float | None]]:
+    """(n, norm ratio reverse-canonical / canonical) at rho(n) = gamma * M^(n/2).
 
     The ratio of two sweep_fixed norm columns, so it is None where a
     depth's norms pass the cap.  The ratio tending to zero is what rules
@@ -138,38 +117,13 @@ def sweep_reverse_counterexample(base: int, size: int, schedule: RadiusSchedule,
     _check_proper_size(base, size)
     rev = reverse_canonical_of(CantorSpec(base, tuple(range(size))))
     return [(r.n, None if r.norm is None else r.norm / c.norm)
-            for r, c in zip(sweep_fixed(rev, schedule, n_max),
-                            sweep_fixed(canonical_of(rev), schedule, n_max))]
+            for r, c in zip(sweep_fixed(rev, n_max, gamma),
+                            sweep_fixed(canonical_of(rev), n_max, gamma))]
 
 
 # ----------------------------------------------------------------------
 # Indexed constructions
 # ----------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class DecayParams:
-    """Hypotheses for the indexed decay experiment: bases in
-    [M, M^(1+delta)], densities |A_j|/M_j <= epsilon, radius
-    rho(n) = gamma * sqrt(M_1 ... M_n)."""
-
-    M: int = 3
-    delta: float = 0.5
-    epsilon: float = 2.0 / 3.0
-    gamma: float = 1.0
-    n_max: int = 20
-
-    def __post_init__(self):
-        if self.M < 2:
-            raise ValueError("M must be at least 2")
-        if not (self.delta >= 0.0):
-            raise ValueError("delta must be nonnegative")
-        if not (0.0 < self.epsilon < 1.0):
-            raise ValueError("epsilon must lie in (0, 1)")
-        _check_gamma(self.gamma)
-        object.__setattr__(self, "n_max", check_depth(self.n_max))
-        if self.n_max < 2:
-            raise ValueError("n_max must be at least 2")
-
 
 @dataclass(frozen=True)
 class IndexedDecayResult:
@@ -182,26 +136,39 @@ class IndexedDecayResult:
     levels: IndexedCantorSpec
 
 
-def sweep_indexed_decay(params: DecayParams, seed: int = 0) -> IndexedDecayResult:
+def sweep_indexed_decay(M: int = 3, delta: float = 0.5, epsilon: float = 2.0 / 3.0,
+                        gamma: float = 1.0, n_max: int = 20, seed: int = 0
+                        ) -> IndexedDecayResult:
     """First-eigenvalue decay along n_max random canonical levels meeting
     the hypotheses: each base uniform in [M, floor(M^(1+delta))], then
-    each size uniform in [1, floor(epsilon * base)]."""
+    each size uniform in [1, floor(epsilon * base)], so the densities
+    |A_j|/M_j stay at most epsilon; rho(n) = gamma * sqrt(M_1 ... M_n)."""
+    if M < 2:
+        raise ValueError("M must be at least 2")
+    if not (delta >= 0.0):
+        raise ValueError("delta must be nonnegative")
+    if not (0.0 < epsilon < 1.0):
+        raise ValueError("epsilon must lie in (0, 1)")
+    _check_gamma(gamma)
+    n_max = check_depth(n_max)
+    if n_max < 2:
+        raise ValueError("n_max must be at least 2")
     rng = np.random.default_rng(seed)
-    top = int(math.floor(float(params.M) ** (1.0 + params.delta)))
+    top = int(math.floor(float(M) ** (1.0 + delta)))
     levels = []
-    for _ in range(params.n_max):
-        base = int(rng.integers(params.M, top + 1))
-        largest = int(math.floor(params.epsilon * base))
+    for _ in range(n_max):
+        base = int(rng.integers(M, top + 1))
+        largest = int(math.floor(epsilon * base))
         if largest < 1:
             raise HypothesisViolationError(
-                f"epsilon={params.epsilon} admits no alphabet for base {base}")
+                f"epsilon={epsilon} admits no alphabet for base {base}")
         levels.append(CantorSpec(base, tuple(range(int(rng.integers(1, largest + 1))))))
     spec = IndexedCantorSpec(tuple(levels))
     pairs = []
-    for n in range(params.n_max + 1):
-        rho = params.gamma * math.sqrt(float(spec.base_product(n)))
+    for n in range(n_max + 1):
+        rho = gamma * math.sqrt(float(spec.base_product(n)))
         pairs.append((n, lambda0_closed_form(spec, n, rho)))
-    tail = pairs[-math.ceil(params.n_max / 2):]
+    tail = pairs[-math.ceil(n_max / 2):]
     ns = np.array([p[0] for p in tail], dtype=float)
     logs = np.log(np.array([p[1] for p in tail], dtype=float))
     slope = float(np.polyfit(ns, logs, 1)[0])

@@ -13,8 +13,6 @@ import numpy as np
 import oracles
 from cantorloc import (
     CantorSpec,
-    DecayParams,
-    RadiusSchedule,
     cantor_function,
     canonical_of,
     eigenvalue,
@@ -34,7 +32,6 @@ from cantorloc import (
 
 GRID_SEED = 20240817
 SAMPLER_SEED = 20240818
-POWER_HALF = RadiusSchedule()
 
 
 @functools.lru_cache(maxsize=None)
@@ -43,12 +40,12 @@ def problem_grid():
 
 
 def fixed_sweep(base, letters):
-    return sweep_fixed(CantorSpec(base, letters), POWER_HALF, 10)
+    return sweep_fixed(CantorSpec(base, letters), 10)
 
 
 @functools.lru_cache(maxsize=None)
 def reverse_sweep(base):
-    return dict(sweep_reverse_counterexample(base, 2, POWER_HALF, 10))
+    return dict(sweep_reverse_counterexample(base, 2, 10))
 
 
 def _draw_spec(rng):
@@ -215,7 +212,7 @@ def test_indexed_decay_and_lower_bound():
     # construction keeps its first eigenvalue above half the depth-1
     # value, with its closed lower-bound product converged to 1e-12.
     for seed in (0, 1, 2):
-        result = sweep_indexed_decay(DecayParams(n_max=20), seed=seed)
+        result = sweep_indexed_decay(n_max=20, seed=seed)
         assert result.fitted_beta > 0.0, (
             f"seed {seed}: fitted rate {result.fitted_beta:.6f} not positive")
 

@@ -12,9 +12,7 @@ import oracles
 from cantorloc import (
     CantorSpec,
     CapExceededError,
-    DecayParams,
     IndexedCantorSpec,
-    RadiusSchedule,
     cantor_function,
     canonical_of,
     continuous_iterate,
@@ -274,11 +272,10 @@ DEPTH_ENTRY_POINTS = {
     "cantor_function": lambda n: cantor_function(MID_THIRD, n, 0.3),
     "inner_rho": lambda n: inner_rho(MID_THIRD, n, 9.0),
     "localization_problem": _problem_at,
-    "sweep_fixed": lambda n: sweep_fixed(MID_THIRD, RadiusSchedule(), n),
+    "sweep_fixed": lambda n: sweep_fixed(MID_THIRD, n),
     "sweep_indexed_counterexample": lambda n: sweep_indexed_counterexample(4, 2, n_max=n),
-    "radius_schedule": lambda n: RadiusSchedule().rho(3, n),
     "base_product": lambda n: IndexedCantorSpec((MID_THIRD,) * 3).base_product(n),
-    "decay_params": lambda n: sweep_indexed_decay(DecayParams(n_max=n)).rows,
+    "sweep_indexed_decay": lambda n: sweep_indexed_decay(n_max=n).rows,
     "positive_measure_demo": lambda n: positive_measure_demo(n, 1.0).rows,
 }
 
@@ -286,7 +283,8 @@ DEPTH_ENTRY_POINTS = {
 @pytest.mark.parametrize("entry", sorted(DEPTH_ENTRY_POINTS))
 def test_depth_is_a_nonnegative_integer_at_every_entry_point(entry):
     # A depth of 2.5 once built depth 2 in localization_problem, gave a
-    # value in inner_rho and RadiusSchedule.rho and a TypeError elsewhere;
+    # value in inner_rho and the fixed-base sweep's radius and a TypeError
+    # elsewhere;
     # 3.0 was a TypeError in most places, and base_product(-1) dropped the
     # last level.
     call = DEPTH_ENTRY_POINTS[entry]

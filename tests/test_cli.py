@@ -12,7 +12,7 @@ from pathlib import Path
 
 import pytest
 
-from cantorloc import (CantorSpec, RadiusSchedule, cli, lambda0_closed_form,
+from cantorloc import (CantorSpec, cli, lambda0_closed_form,
                        sweep_reverse_counterexample)
 
 
@@ -296,7 +296,7 @@ def test_sweep_reverse_blanks_capped_depths(capsys, monkeypatch):
     assert (code, err) == (0, "")
     golden = json.loads((GOLDEN / "sweep_reverse_base3.json").read_text())
     assert json.loads(out)["rows"] == golden["rows"][:9] + [[9, None], [10, None]]
-    ratios = dict(sweep_reverse_counterexample(3, 2, RadiusSchedule(), 10))
+    ratios = dict(sweep_reverse_counterexample(3, 2, 10))
     assert [n for n, r in ratios.items() if r is None] == [9, 10]
 
 
@@ -372,6 +372,42 @@ def test_sweep_positive_measure_records_no_gamma(capsys):
     assert metadata["gamma"] is None and metadata["schedule"] is None
 
 
+def test_sweep_positive_measure_refuses_a_file_and_a_count(capsys, tmp_path):
+    # Given both, the file once won and --levels was ignored without a word.
+    path = tmp_path / "levels.txt"
+    path.write_text("2;0\n4;0,1,2\n")
+    code, out, err = run_cli(capsys, "sweep", "--experiment", "positive-measure",
+                             "--levels-file", str(path), "--levels", "7")
+    assert (code, out) == (2, "")
+    assert err == "error: --levels-file excludes --levels\n"
+
+
+def test_required_spec_flags_name_levels_file_only_where_it_is_read(capsys):
+    # The precise sweep refuses --levels-file, yet its message once offered it.
+    code, out, err = run_cli(capsys, "sweep", "--experiment", "precise", "--nmax", "2")
+    assert (code, out, err) == (2, "", "error: --base and --alphabet are required\n")
+    code, out, err = run_cli(capsys, "norm", "--iterate", "2", "--rho", "1")
+    assert (code, out) == (2, "")
+    assert err == "error: --base and --alphabet are required (or pass --levels-file)\n"
+
+
+@pytest.mark.parametrize("experiment", ["precise --base 3 --alphabet 0,2", "reverse"])
+def test_sweep_refuses_gamma_above_one(capsys, monkeypatch, experiment):
+    # rho(0) = gamma must not pass M^0 = 1.  The check once ran per depth
+    # and failed at n = 0 with a message about rho(0), not about gamma.
+    import cantorloc.experiments as experiments
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the sweep computed a norm")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(experiments, "operator_norm", forbidden)
+        code, out, err = run_cli(capsys, "sweep", "--experiment", *experiment.split(),
+                                 "--nmax", "3", "--gamma", "2")
+    assert (code, out) == (2, "")
+    assert err == "error: gamma must lie in (0, 1], got 2.0\n"
+
+
 def test_levels_file_round_trip(capsys, tmp_path):
     path = tmp_path / "levels.txt"
     path.write_text("# two level spec\n3;0,2\n\n4;1,3\n")
@@ -427,6 +463,9 @@ GOLDEN = Path(__file__).parent / "golden"
     ("sweep --experiment positive-measure --levels 8 --rho 1.0",
      "sweep_positive_measure.csv"),
     ("sweep --experiment reverse --base 3 --size 2 --nmax 10 --format json",
+     "sweep_reverse_base3.json"),
+    # gamma = 1, the top of the range the fixed-base sweeps accept.
+    ("sweep --experiment reverse --base 3 --size 2 --nmax 10 --format json --gamma 1",
      "sweep_reverse_base3.json"),
     ("norm --base 3 --alphabet 1,2 --iterate 6 --rho 27 --format json",
      "norm_reverse_base3.json"),

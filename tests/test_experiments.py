@@ -1,4 +1,4 @@
-"""Sweep tests: radius schedules, fixed-base and reverse sweeps, indexed
+"""Sweep tests: the radius gamma M^(n/2), fixed-base and reverse sweeps, indexed
 constructions, and the positive-measure demonstration."""
 
 import math
@@ -6,14 +6,12 @@ import math
 import numpy as np
 import pytest
 
+import cantorloc.experiments as experiments
 import cantorloc.operator as op
 import oracles
 from cantorloc import (
     CantorSpec,
-    DecayParams,
     HypothesisViolationError,
-    RadiusSchedule,
-    ScheduleError,
     lambda0_closed_form,
     localization_problem,
     operator_norm,
@@ -25,40 +23,47 @@ from cantorloc import (
 )
 
 MID_THIRD = CantorSpec(3, (0, 2))
-POWER_HALF = RadiusSchedule()
 
 
 def test_schedule_power_half_values():
-    sched = RadiusSchedule(gamma=0.8)
-    assert sched.rho(3, 0) == 0.8
-    assert sched.rho(3, 4) == pytest.approx(0.8 * 9.0, rel=1e-15)
-    assert sched.rho(5, 3) == pytest.approx(0.8 * 5.0**1.5, rel=1e-15)
+    rows = sweep_fixed(MID_THIRD, 4, gamma=0.8)
+    assert rows[0].rho == 0.8
+    assert rows[4].rho == pytest.approx(0.8 * 9.0, rel=1e-15)
+    assert sweep_fixed(CantorSpec(5, (0, 2)), 3, gamma=0.8)[3].rho == pytest.approx(
+        0.8 * 5.0**1.5, rel=1e-15)
 
 
-def test_schedule_rejects_radius_above_hypothesis_cap():
+def test_schedule_rejects_radius_above_hypothesis_cap(monkeypatch):
     # The two-sided bounds assume rho(n) <= M^n; at n = 0 that already
-    # rules out gamma above one.
-    with pytest.raises(ScheduleError):
-        RadiusSchedule(gamma=2.0).rho(3, 0)
+    # rules out gamma above one, so the sweep refuses it before any row.
+    # Gammas in (1, 1 + 1e-12] once passed a rounding slack in that cap.
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the sweep computed a norm")
+
+    monkeypatch.setattr(experiments, "operator_norm", forbidden)
+    for gamma in (2.0, 1.0 + 1e-12):
+        with pytest.raises(ValueError, match=r"gamma must lie in \(0, 1\]"):
+            sweep_fixed(CantorSpec(3, (0, 2)), 4, gamma=gamma)
+        with pytest.raises(ValueError, match=r"gamma must lie in \(0, 1\]"):
+            sweep_reverse_counterexample(3, 2, 4, gamma=gamma)
 
 
 def test_schedule_validation():
-    with pytest.raises(ValueError):
-        RadiusSchedule(gamma=0.0)
-    with pytest.raises(ValueError):
-        RadiusSchedule(gamma=math.inf)
+    for gamma in (0.0, -1.0, math.inf, math.nan):
+        with pytest.raises(ValueError):
+            sweep_fixed(MID_THIRD, 2, gamma=gamma)
 
 
 def test_sweep_fixed_ball_row():
     for gamma in (0.25, 0.7, 1.0):
-        rows = sweep_fixed(MID_THIRD, RadiusSchedule(gamma=gamma), 2)
+        rows = sweep_fixed(MID_THIRD, 2, gamma=gamma)
         assert rows[0].n == 0
         assert rows[0].rho == gamma
         assert rows[0].norm == pytest.approx(-math.expm1(-gamma), rel=1e-12)
 
 
 def test_sweep_fixed_row_shape():
-    rows = sweep_fixed(MID_THIRD, POWER_HALF, 4)
+    rows = sweep_fixed(MID_THIRD, 4)
     assert [r.n for r in rows] == [0, 1, 2, 3, 4]
     for r in rows:
         assert r.rho == pytest.approx(3.0 ** (r.n / 2.0), rel=1e-15)
@@ -75,7 +80,7 @@ def test_sweep_fixed_caps_norm_columns_only(monkeypatch):
     # The norm sizes its arrays by its floor(rho) + 2 indices: with a cap of
     # 8, rho = 3^(n/2) admits n <= 3 and blanks n = 4 and 5.
     monkeypatch.setenv("CTFL_MAX_INTERVALS", "8")
-    rows = sweep_fixed(MID_THIRD, POWER_HALF, 5)
+    rows = sweep_fixed(MID_THIRD, 5)
     assert [r.norm is not None for r in rows] == [True] * 4 + [False] * 2
     for r in rows:
         assert r.lambda0_canonical > 0.0
@@ -93,7 +98,7 @@ def test_sweep_fixed_reaches_past_the_old_interval_gate(monkeypatch):
     # floor(rho) + 2 indices, here under 20,000.
     monkeypatch.delenv("CTFL_MAX_INTERVALS", raising=False)
     spec = CantorSpec(7, (0, 1, 2, 3, 4, 5))
-    rows = sweep_fixed(spec, POWER_HALF, 10)
+    rows = sweep_fixed(spec, 10)
     assert all(r.norm is not None for r in rows)
     for r in rows[9:]:
         res = operator_norm(localization_problem(spec, r.n, r.rho))
@@ -114,7 +119,7 @@ def test_sweep_norms_come_from_the_walk_alone(monkeypatch):
     specs = (MID_THIRD, CantorSpec(3, (1, 2)))
     monkeypatch.setattr(op, "_truncation", forbidden)
     monkeypatch.setattr(op, "regularized_lower_gamma", forbidden)
-    sweeps = [sweep_fixed(spec, POWER_HALF, 10) for spec in specs]
+    sweeps = [sweep_fixed(spec, 10) for spec in specs]
     monkeypatch.undo()
     argmax = []
     for spec, rows in zip(specs, sweeps):
@@ -126,7 +131,7 @@ def test_sweep_norms_come_from_the_walk_alone(monkeypatch):
 
 
 def test_sweep_fixed_canonical_band():
-    rows = sweep_fixed(CantorSpec(3, (0, 1)), POWER_HALF, 10)
+    rows = sweep_fixed(CantorSpec(3, (0, 1)), 10)
     scaled = [r.scaled_norm for r in rows if r.n >= 2]
     assert max(scaled) / min(scaled) <= 10.0
 
@@ -134,7 +139,7 @@ def test_sweep_fixed_canonical_band():
 def test_reverse_sweep_ratio_is_one_at_depth_zero():
     # Positivity and decrease past n = 1 are sampled by the experiments
     # verify suite (tests/test_verify.py).
-    ratios = dict(sweep_reverse_counterexample(3, 2, POWER_HALF, 8))
+    ratios = dict(sweep_reverse_counterexample(3, 2, 8))
     assert ratios[0] == pytest.approx(1.0, rel=1e-12)
 
 
@@ -144,7 +149,7 @@ def test_reverse_sweep_halves_by_depth_ten():
     # inside a factor-1.5 band over n = 2..10.  A flat ratio would spread
     # the band by (3/2)^2 = 2.25.  Halving itself comes between depths 10
     # and 11.
-    rows = dict(sweep_reverse_counterexample(3, 2, POWER_HALF, 10))
+    rows = dict(sweep_reverse_counterexample(3, 2, 10))
     assert all(rows[n + 1] < rows[n] for n in range(1, 10))
     normalized = [rows[n] * 1.5 ** (n / 4.0) for n in range(2, 11)]
     assert max(normalized) / min(normalized) <= 1.5
@@ -153,9 +158,9 @@ def test_reverse_sweep_halves_by_depth_ten():
 def test_reverse_sweep_matches_block_oracle():
     # The sweep's ratio and argmax against scipy tails summed over the
     # unmerged blocks, scanning every k up to rho + 20 sqrt(rho) + 40.
-    rows = dict(sweep_reverse_counterexample(3, 2, POWER_HALF, 10))
+    rows = dict(sweep_reverse_counterexample(3, 2, 10))
     for n in (2, 10):
-        rho = POWER_HALF.rho(3, n)
+        rho = 3.0 ** (0.5 * n)
         kmax = int(rho + 20.0 * math.sqrt(rho) + 40.0)
         norms = {}
         for letters in ((1, 2), (0, 1)):
@@ -171,39 +176,42 @@ def test_reverse_sweep_matches_block_oracle():
 
 def test_reverse_sweep_validation():
     with pytest.raises(ValueError):
-        sweep_reverse_counterexample(3, 0, POWER_HALF, 4)
+        sweep_reverse_counterexample(3, 0, 4)
     with pytest.raises(ValueError):
-        sweep_reverse_counterexample(3, 3, POWER_HALF, 4)
+        sweep_reverse_counterexample(3, 3, 4)
     with pytest.raises(ValueError):
-        sweep_reverse_counterexample(3, 2, POWER_HALF, -1)
+        sweep_reverse_counterexample(3, 2, -1)
 
 
 def test_decay_params_validation():
-    with pytest.raises(ValueError):
-        DecayParams(M=1)
-    with pytest.raises(ValueError):
-        DecayParams(delta=-0.1)
-    with pytest.raises(ValueError):
-        DecayParams(epsilon=1.0)
-    with pytest.raises(ValueError):
-        DecayParams(gamma=0.0)
-    # Infinite gamma once passed here while RadiusSchedule refused it.
+    with pytest.raises(ValueError, match="M must be at least 2"):
+        sweep_indexed_decay(M=1)
+    with pytest.raises(ValueError, match="delta must be nonnegative"):
+        sweep_indexed_decay(delta=-0.1)
+    with pytest.raises(ValueError, match=r"epsilon must lie in \(0, 1\)"):
+        sweep_indexed_decay(epsilon=1.0)
     with pytest.raises(ValueError, match="gamma must be positive and finite"):
-        DecayParams(gamma=math.inf)
-    with pytest.raises(ValueError):
-        DecayParams(n_max=1)
+        sweep_indexed_decay(gamma=0.0)
+    # An infinite gamma once passed here while the fixed-base radius refused it.
+    with pytest.raises(ValueError, match="gamma must be positive and finite"):
+        sweep_indexed_decay(gamma=math.inf)
+    with pytest.raises(ValueError, match="n_max must be at least 2"):
+        sweep_indexed_decay(n_max=1)
+    # The checks run in this order: each bad value is named before the next.
+    with pytest.raises(ValueError, match="M must be at least 2"):
+        sweep_indexed_decay(M=1, delta=-0.1, epsilon=1.0, gamma=0.0, n_max=1)
 
 
 def test_indexed_decay_constant_levels_match_fixed_sweep():
     # Bases in [3, 3] and density at most 1/3 leave {0} as the only draw.
-    result = sweep_indexed_decay(DecayParams(M=3, delta=0.0, epsilon=1.0 / 3.0, n_max=6))
+    result = sweep_indexed_decay(M=3, delta=0.0, epsilon=1.0 / 3.0, n_max=6)
     assert result.levels.levels == (CantorSpec(3, (0,)),) * 6
-    fixed = sweep_fixed(CantorSpec(3, (0,)), POWER_HALF, 6)
+    fixed = sweep_fixed(CantorSpec(3, (0,)), 6)
     assert [(n, l0) for n, l0, _ in result.rows] == [(r.n, r.lambda0_canonical) for r in fixed]
 
 
 def test_indexed_decay_fitted_rate_is_positive():
-    result = sweep_indexed_decay(DecayParams(n_max=20), seed=0)
+    result = sweep_indexed_decay(n_max=20, seed=0)
     assert result.fitted_beta > 0.0
     assert len(result.rows) == 21
     assert all(beta == result.fitted_beta for _, _, beta in result.rows)
@@ -212,7 +220,7 @@ def test_indexed_decay_fitted_rate_is_positive():
 def test_indexed_decay_rejects_an_epsilon_without_alphabets():
     # floor(0.4 * 2) = 0 letters fit in base 2.
     with pytest.raises(HypothesisViolationError):
-        sweep_indexed_decay(DecayParams(M=2, delta=0.0, epsilon=0.4))
+        sweep_indexed_decay(M=2, delta=0.0, epsilon=0.4)
 
 
 def test_indexed_counterexample_construction_arithmetic():

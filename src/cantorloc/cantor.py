@@ -279,10 +279,6 @@ class BlockTree:
         blocks, in order."""
         return _child_prefixes(self.levels[m], prefixes)
 
-    def centres(self, m: int, prefixes: np.ndarray) -> np.ndarray:
-        """(N + 1/2) W_m for each digit prefix N."""
-        return (2 * prefixes + 1).astype(float) * (0.5 * self.widths[m])
-
 
 @functools.lru_cache(maxsize=64)
 def _level_step(level: CantorSpec, order: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

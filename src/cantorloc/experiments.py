@@ -27,13 +27,13 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .cantor import (CantorSpec, CapExceededError, IndexedCantorSpec, canonical_of,
-                     check_depth, reverse_canonical_of)
+from .cantor import (CantorSpec, IndexedCantorSpec, canonical_of, check_depth,
+                     reverse_canonical_of)
 from .operator import (
     lambda0_canonical_levels,
     lambda0_closed_form,
     localization_problem,
-    operator_norm,
+    operator_norms,
 )
 
 
@@ -60,7 +60,7 @@ class SweepRow(NamedTuple):
     """One depth of a fixed-base sweep.
 
     norm is operator_norm's value.  It and its derived columns are None
-    where the norm's indices pass the cap (operator_norm raises
+    where the norm's indices pass the cap (operator_norm would raise
     CapExceededError), which blanks the depth in both fixed-base sweeps;
     the first-eigenvalue column for the canonical sibling is always
     present.
@@ -78,8 +78,9 @@ class SweepRow(NamedTuple):
 
 def sweep_fixed(spec: CantorSpec, n_max: int, gamma: float = 1.0) -> list[SweepRow]:
     """Norm and scaling columns for iterates 0..n_max of one spec at
-    rho(n) = gamma * M^(n/2); each norm is operator_norm's certified value,
-    and its truncation report, never read, is never computed.
+    rho(n) = gamma * M^(n/2); the norms are operator_norms' certified
+    values, whose depths share walks, and their truncation reports, never
+    read, are never computed.
 
     gamma must lie in (0, 1]: exactly the gammas for which the
     bounded-ratio hypothesis rho(n) <= M^n holds at every depth.
@@ -88,15 +89,16 @@ def sweep_fixed(spec: CantorSpec, n_max: int, gamma: float = 1.0) -> list[SweepR
         raise ValueError(f"gamma must lie in (0, 1], got {gamma!r}")
     n_max = check_depth(n_max)
     dim = spec.dimension
+    problems = [localization_problem(spec, n, gamma * float(spec.base) ** (0.5 * n))
+                for n in range(n_max + 1)]
     rows = []
-    for n in range(n_max + 1):
-        rho = gamma * float(spec.base) ** (0.5 * n)
+    for problem, result in zip(problems, operator_norms(problems)):
+        n, rho = problem.n, problem.rho
         l0_can = lambda0_closed_form(canonical_of(spec), n, rho)
-        try:
-            norm = operator_norm(localization_problem(spec, n, rho)).value
-        except CapExceededError:
+        if result is None:
             norm = scaled = ratio = None
         else:
+            norm = result.value
             scaled = norm * (spec.base / spec.size) ** n * rho ** (dim - 1.0)
             ratio = ((rho + 1.0) ** dim
                      / (float(spec.size) ** n * -math.expm1(-rho * float(spec.base) ** -n))

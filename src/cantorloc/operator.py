@@ -21,7 +21,9 @@ groups whose summed bound stays below an exact eigenvalue are dropped, and
 the rest get exact rows.  The walk covers every k up to _last_index, past
 which lambda_k <= P(k+1, rho) is far below the least subnormal; the
 truncation that the norm reports, computed only when read, is the first
-k > rho with a tail under the policy's threshold.
+k > rho with a tail under the policy's threshold.  Norms of one spec at
+several depths and radii (operator_norms, for the sweeps) share walks,
+each certified as it would be alone.
 """
 
 from __future__ import annotations
@@ -36,6 +38,7 @@ import numpy as np
 from .cantor import (
     BlockTree,
     CantorSpec,
+    CapExceededError,
     IndexedCantorSpec,
     IterateIntervals,
     _levels_of,
@@ -50,6 +53,7 @@ from .special import (
     _scaled_masses,
     _tree_masses,
     _validate_k,
+    block_measures,
     group_bound,
     log_density,
     regularized_lower_gamma,
@@ -115,7 +119,7 @@ class EigenvalueResult:
 def eigenvalue(problem: LocalizationProblem, k: int) -> EigenvalueResult:
     """lambda_k, the mass of f_k over the iterate, with an error bound; see
     special._tree_masses."""
-    return _rows(problem.tree, np.array([_validate_k(k)]))[0]
+    return _rows([problem.tree], np.zeros(1, dtype=int), np.array([_validate_k(k)]))[0]
 
 
 def eigenvalue_table(problem: LocalizationProblem, k_max: int) -> list[EigenvalueResult]:
@@ -123,7 +127,7 @@ def eigenvalue_table(problem: LocalizationProblem, k_max: int) -> list[Eigenvalu
     More rows than the cap raise CapExceededError."""
     k_max = _validate_k(k_max)
     check_cap(k_max + 1, "eigenvalue table rows")
-    return _rows(problem.tree, np.arange(k_max + 1))
+    return _rows([problem.tree], np.zeros(k_max + 1, dtype=int), np.arange(k_max + 1))
 
 
 # ----------------------------------------------------------------------
@@ -294,15 +298,16 @@ class NormResult:
         return regularized_lower_gamma(self.k_truncation + 1, self.rho)
 
 
-def _rows(tree: BlockTree, ks: np.ndarray) -> list[EigenvalueResult]:
-    """lambda_k for each k in ks from walks over the block tree
-    (special._tree_masses), WALK_ROWS rows at a time.  A value that rounds
-    above 1 is set to 1: lambda_k <= 1, as f_k is a probability density,
-    so err still bounds the error."""
+def _rows(trees: Sequence[BlockTree], owner: np.ndarray, ks: np.ndarray
+          ) -> list[EigenvalueResult]:
+    """lambda_k for each k in ks over trees[owner[i]], from walks over the
+    block trees (special._tree_masses), WALK_ROWS rows at a time.  A value
+    that rounds above 1 is set to 1: lambda_k <= 1, as f_k is a probability
+    density, so err still bounds the error."""
     rows = []
     for start in range(0, ks.size, WALK_ROWS):
         part = ks[start:start + WALK_ROWS]
-        values, errs = _tree_masses(tree, part)
+        values, errs = _tree_masses(trees, owner[start:start + WALK_ROWS], part)
         rows += [EigenvalueResult(k=int(k), value=min(float(v), 1.0), err=float(e) + 1e-300)
                  for k, v, e in zip(part, values, errs)]
     return rows
@@ -355,65 +360,147 @@ def _truncation(rho: float, norm: float) -> int:
 
 def operator_norm(problem: LocalizationProblem) -> NormResult:
     """sup_k lambda_k at argmax_k with its value_err (_select), certified
-    by branch and bound over the block tree.
+    by branch and bound over the block tree (_walk, on this problem alone).
 
-    The indices 1 .. _last_index are split into groups (GROUP, SINGLES),
-    and the tree is walked from the root with, per group, the blocks still
-    in play, each bounded by group_bound.  Blocks below PRUNE_SHARE of the
-    target, the largest value - err of the exact rows so far (k = 0 first),
-    move into their group's fixed sum.  A group whose fixed sum plus block
-    bounds, clamped at 1 (lambda_k <= 1), is at most the fold, value + err
-    of _select's row, is certified within value_err.  Exact rows come from
-    _rows: at each depth for the uncertified group of largest bound while
-    the next depth would hold more than RAISE_PAIRS (group, block) pairs,
-    which raises the target before the pairs multiply; for any group whose
-    blocks at the next depth would cost more than its rows (ROW_COST); and
-    at depth n, where blocks cannot split, for every group left.  No index
-    past _last_index can exceed the norm.  Nothing is enumerated, but the
-    arrays grow with rho: floor(rho) + 2 indices are held to the cap, so a
-    larger rho raises CapExceededError.  The truncation report
-    (NormResult.k_truncation, tail_bound) is left to the caller's first read.
+    Nothing is enumerated, but the walk's arrays grow with rho: floor(rho)
+    + 2 indices are held to the cap, so a larger rho raises
+    CapExceededError.  The truncation report (NormResult.k_truncation,
+    tail_bound) is left to the caller's first read.
     """
-    rho = problem.rho
-    check_cap(math.floor(rho) + 2, "norm indices")
-    tree = problem.tree
+    check_cap(_index_count(problem), "norm indices")
+    return _walk([problem])[0]
+
+
+def operator_norms(problems: Sequence[LocalizationProblem]) -> list[NormResult | None]:
+    """operator_norm of each of several problems of one spec, None where it
+    would raise CapExceededError; every other result equals operator_norm's.
+
+    Consecutive problems share one walk (_walk) while their summed group
+    counts (_groups) stay within the largest problem's.  A walk holds its
+    (group, block) pairs, one per group at the root, so the walks are fewer
+    than the problems and none holds more than the largest problem alone.
+    """
+    if any(p.spec != problems[0].spec for p in problems):
+        raise ValueError("the problems of operator_norms must share one spec")
+    results: list[NormResult | None] = [None] * len(problems)
+    counts = {}
+    for i, problem in enumerate(problems):
+        try:
+            check_cap(_index_count(problem), "norm indices")
+        except CapExceededError:
+            continue
+        counts[i] = _groups(problem.rho)[0].size
+    top = held = max(counts.values(), default=0)
+    walks: list[list[int]] = []
+    for i, count in counts.items():
+        if held + count > top:
+            walks.append([])
+            held = 0
+        walks[-1].append(i)
+        held += count
+    for walk in walks:
+        for i, result in zip(walk, _walk([problems[i] for i in walk])):
+            results[i] = result
+    return results
+
+
+def _index_count(problem: LocalizationProblem) -> int:
+    """The indices a norm holds to the cap: floor(rho) + 2."""
+    return math.floor(problem.rho) + 2
+
+
+def _groups(rho: float) -> tuple[np.ndarray, np.ndarray]:
+    """First and last index of each group that the norm's walk bounds
+    together: 1 .. _last_index(rho), one index per group below SINGLES and
+    GROUP from there."""
     k_last = _last_index(rho)
-    rows = _rows(tree, np.zeros(1, dtype=int))
-    target = rows[0].value - rows[0].err
-    fold = rows[0].value + rows[0].err
     first = np.append(np.arange(1.0, SINGLES), np.arange(SINGLES, k_last + 1.0, GROUP))
-    last = np.append(first[1:] - 1.0, k_last)
+    return first, np.append(first[1:] - 1.0, k_last)
+
+
+def _walk(problems: Sequence[LocalizationProblem]) -> list[NormResult]:
+    """The norm of each problem, all certified by one branch-and-bound walk
+    over their block trees; each problem's result is what it gives alone.
+
+    For each problem the indices 1 .. _last_index are split into groups
+    (GROUP, SINGLES), and the tree is walked from the root with, per group,
+    the blocks still in play, each bounded by group_bound.  Blocks below
+    PRUNE_SHARE of the target, the largest value - err of the problem's
+    exact rows so far (k = 0 first), move into their group's fixed sum.  A
+    group whose fixed sum plus block bounds, clamped at 1 (lambda_k <= 1),
+    is at most the fold, value + err of _select's row, is certified within
+    value_err.  Exact rows come from _rows: at each depth for the
+    uncertified group of largest bound while the problem's next depth would
+    hold more than RAISE_PAIRS (group, block) pairs, which raises its target
+    before the pairs multiply; for any group whose blocks at the next depth
+    would cost more than its rows (ROW_COST); and at the problem's depth n,
+    where blocks cannot split, for every group left.  No index past
+    _last_index can exceed the norm.
+
+    The problems share their first levels, so their blocks split alike and
+    their groups go down the tree together; every decision above is taken
+    per problem from its own target, fold, pairs and depth, and the exact
+    rows of all problems at a depth take one walk of _rows, whose rows
+    depend on their own problem alone.
+    """
+    trees = [p.tree for p in problems]
+    deepest = max(trees, key=lambda t: t.depth)
+    measures = [block_measures(t) for t in trees]
+    rows = [[row] for row in _rows(trees, np.arange(len(trees)), np.zeros(len(trees), dtype=int))]
+    target = np.array([r[0].value - r[0].err for r in rows])
+    fold = np.array([r[0].value + r[0].err for r in rows])
+    first, last = map(np.concatenate, zip(*[_groups(p.rho) for p in problems]))
+    # Each problem's groups start at index 1.
+    starts = np.append(np.flatnonzero(first == 1.0), first.size)
+    owner = np.repeat(np.arange(len(trees)), np.diff(starts))
+    depths = np.array([t.depth for t in trees])
     count = first.size
     fixed = np.zeros(count)
     group = np.arange(count)
-    prefixes = np.repeat(tree.root(), count)
-    for m in range(tree.depth + 1):
-        bound = group_bound(tree, m, prefixes, first[group], last[group])
-        prune = bound <= PRUNE_SHARE * target
+    prefixes = np.repeat(deepest.root(), count)
+    for m in range(deepest.depth + 1):
+        # Each tree's block width and measure at depth m; a tree that ends
+        # above m has no pairs left.
+        width = np.array([t.widths[min(m, t.depth)] for t in trees])
+        measure = np.array([mu[min(m, t.depth)] for mu, t in zip(measures, trees)])
+        # The pairs are in group order, so each problem's pairs are one run.
+        run = np.diff(np.searchsorted(group, starts))
+        bound = group_bound(np.repeat(width, run), np.repeat(measure, run), prefixes,
+                            first[group], last[group])
+        prune = bound <= PRUNE_SHARE * np.repeat(target, run)
         fixed += np.bincount(group[prune], bound[prune], minlength=count)
         live = np.bincount(group[~prune], minlength=count)
         total = fixed + np.bincount(group[~prune], bound[~prune], minlength=count)
         alive = np.zeros(count, dtype=bool)
-        alive[group] = np.minimum(total[group], 1.0) > fold
-        if m == tree.depth:
-            exact = alive
-        else:
-            pairs = live * tree.levels[m].size
-            exact = alive & ((live == 0) | (pairs > ROW_COST * (last - first + 1)))
-            if pairs[alive].sum() > RAISE_PAIRS:
-                exact[np.argmax(np.where(alive, total, -np.inf))] = True
+        alive[group] = np.minimum(total[group], 1.0) > np.repeat(fold, run)
+        leaf = depths[owner] == m
+        pairs = live * (deepest.levels[m].size if m < deepest.depth else 0)
+        exact = alive & (leaf | (live == 0) | (pairs > ROW_COST * (last - first + 1)))
+        # At a problem's depth n every group alive is exact already, so a
+        # raise there changes nothing.
+        for i in np.flatnonzero(np.bincount(owner[alive], pairs[alive], minlength=len(trees))
+                                > RAISE_PAIRS):
+            span = slice(starts[i], starts[i + 1])
+            exact[starts[i] + np.argmax(np.where(alive[span], total[span], -np.inf))] = True
         if exact.any():
             ks = np.concatenate([np.arange(a, b + 1) for a, b in
                                  zip(first[exact].astype(int), last[exact].astype(int))])
-            rows += _rows(tree, ks)
-            target = max(r.value - r.err for r in rows)
-            best = _select(rows)[0]
-            fold = best.value + best.err
-            alive &= ~exact & (np.minimum(total, 1.0) > fold)
+            whose = np.repeat(owner[exact], (last - first + 1)[exact].astype(int))
+            for i, row in zip(whose, _rows(trees, whose, ks)):
+                rows[i].append(row)
+            for i in set(owner[exact].tolist()):
+                target[i] = max(r.value - r.err for r in rows[i])
+                best = _select(rows[i])[0]
+                fold[i] = best.value + best.err
+            alive &= ~exact & (np.minimum(total, 1.0) > fold[owner])
         keep = alive[group] & ~prune
         if not keep.any():
             break
-        prefixes = tree.children(m, prefixes[keep])
-        group = np.repeat(group[keep], tree.levels[m].size)
-    best, value_err = _select(rows)
-    return NormResult(value=best.value, argmax_k=best.k, value_err=value_err, rho=rho)
+        prefixes = deepest.children(m, prefixes[keep])
+        group = np.repeat(group[keep], deepest.levels[m].size)
+    results = []
+    for problem, found in zip(problems, rows):
+        best, value_err = _select(found)
+        results.append(NormResult(value=best.value, argmax_k=best.k, value_err=value_err,
+                                  rho=problem.rho))
+    return results

@@ -38,6 +38,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -155,7 +156,9 @@ def _log_density(kf: np.ndarray, r: np.ndarray, log_m) -> np.ndarray:
     """log_density of checked float arrays, given log(k + 1) on kf; an
     array of at least one dimension."""
     shape = np.broadcast(kf, r).shape or (1,)
-    kf, log_m, r = (np.full(shape, v) for v in (kf, log_m, r))
+    # Nothing below writes to these, so arrays of the full shape, as the
+    # walks pass, are read as they are.
+    kf, log_m, r = (v if np.shape(v) == shape else np.full(shape, v) for v in (kf, log_m, r))
     out = np.full(shape, -np.inf)
     pos = r > 0.0
     direct = pos & (kf <= 20.0)
@@ -352,11 +355,15 @@ def _log_sum(rows: np.ndarray, x: np.ndarray, count: int) -> np.ndarray:
         return top + np.log(np.bincount(rows, np.exp(x - top[rows]), minlength=count))
 
 
-def _tree_masses(tree: BlockTree, ks: np.ndarray, place=None
-                 ) -> tuple[np.ndarray, np.ndarray]:
-    """Masses of f_k over the set of a block tree, one row per k in ks:
-    (values, absolute error bounds).  Quadrature by self-similarity
-    (Strichartz 2000, Amer. Math. Monthly 107:316).
+def _tree_masses(trees: Sequence[BlockTree], owner: np.ndarray, ks: np.ndarray,
+                 place=None) -> tuple[np.ndarray, np.ndarray]:
+    """Masses of f_k over the set of a block tree, one row per k in ks, row i
+    over the set of trees[owner[i]]: (values, absolute error bounds).
+    Quadrature by self-similarity (Strichartz 2000, Amer. Math. Monthly
+    107:316).  The trees are iterates of one spec at several depths and
+    scales: each one's levels are the first levels of the deepest's, so
+    their blocks split alike and a row takes its own tree's unit width and
+    moments at each depth, and stops at its own tree's depth.
 
     A depth-m block B = c + W (S_m - 1/2) carries the mass W f_k(c) sum_p
     a_p mu_p, with a_p the Taylor coefficients of f_k(c + W u) / f_k(c)
@@ -367,20 +374,22 @@ def _tree_masses(tree: BlockTree, ks: np.ndarray, place=None
     remainder is below BLOCK_TOL of a lower bound on the row's mass (the
     blocks so far, each at the minimum of f_k on it), pruned where sup f_k
     times its measure is below that, and split otherwise.  A row's blocks
-    and sums depend on that row alone, so a row is the same in any call.
-    err adds each block's remainder or pruned mass and the rounding of its
-    coefficients, moments, sum, prefactor, centre and width (through the
-    mass's derivatives in c, W).
+    and sums depend on that row and its tree alone, so a row is the same in
+    any call, beside any other rows and trees.  err adds each block's
+    remainder or pruned mass and the rounding of its coefficients, moments,
+    sum, prefactor, centre and width (through the mass's derivatives in c,
+    W).
 
-    With place None the rows are eigenvalues over the tree's own set, and a
-    depth-n block that still splits is an exact interval: err adds
-    segment_mass_batch's bound on it and 3 eps of its right end times sup
-    f_k for the endpoints.  place = (origin, scale, ref), one entry of each
-    per row, moves a row's set to origin + scale x and divides its f_k by
-    f_k(ref), in offsets d = c - ref: exp(k log1p(d / ref) - d) carries a
-    few eps of each term, where a difference of log-densities would carry
-    eps |log f_k|.  There a depth-n block that still splits is bounded like
-    a pruned one, so the walk always ends.
+    With place None the rows are eigenvalues over their trees' own sets,
+    and a block at its tree's depth that still splits is an exact interval:
+    err adds segment_mass_batch's bound on it and 3 eps of its right end
+    times sup f_k for the endpoints.  place = (origin, scale, ref), one
+    entry of each per row, moves a row's set to origin + scale x and
+    divides its f_k by f_k(ref), in offsets d = c - ref: exp(k log1p(d /
+    ref) - d) carries a few eps of each term, where a difference of
+    log-densities would carry eps |log f_k|.  There a block at its tree's
+    depth that still splits is bounded like a pruned one, so the walk
+    always ends.
     """
     count = ks.size
     kf = ks.astype(float)
@@ -388,18 +397,32 @@ def _tree_masses(tree: BlockTree, ks: np.ndarray, place=None
     log_m = _log_orders(kf + 1.0) if leaves else None
     origin, scale, ref = (np.broadcast_to(np.asarray(v, dtype=float), (count,))
                           for v in place or (0.0, 1.0, 0.0))
-    n = tree.depth
+    deepest = max(trees, key=lambda t: t.depth)
+    depths = np.array([t.depth for t in trees])
+    # Row i stops at depth stop[i], and its moments at depth m are
+    # moments[first_moment[i] + m].
+    stop = depths[owner]
+    first_moment = (np.cumsum(depths + 1) - (depths + 1))[owner]
+    moments = np.concatenate([t.moments for t in trees])
+    moment_err = np.concatenate([t.moment_err for t in trees])
     log_acc = np.full(count, -np.inf)
     err = np.zeros(count)
     parts = [(ks[:0], np.zeros(0))]  # (rows, values) of the summed blocks
-    expanded = []  # (rows, centres, widths, depths, g0, its error, centre errors / eps)
+    expanded = []  # (rows, centres, widths, moment rows, g0, its error, centre errors / eps)
     rows = np.arange(count)
-    prefixes = np.repeat(tree.root(), count)
-    for m in range(n + 1):
-        unit = float(tree.widths[m])
+    prefixes = np.repeat(deepest.root(), count)
+    for m in range(deepest.depth + 1):
+        # Each row's unit width and log(width mu_0) at this depth, taken at
+        # its tree's own depth for trees that end above m (none of their
+        # rows are left).
+        at = [t.widths[min(m, t.depth)] for t in trees]
+        log_front = np.array([math.log(w) + math.log(t.moments[min(m, t.depth), 0])
+                              for w, t in zip(at, trees)])[owner]
+        unit = np.array(at)[owner][rows]
         k, s = kf[rows], scale[rows]
         w = unit * s
-        p = s * tree.centres(m, prefixes)
+        # The block's centre (N + 1/2) W, N its digit prefix.
+        p = s * ((2 * prefixes + 1).astype(float) * (0.5 * unit))
         c = origin[rows] + p
         if leaves:
             g0 = _log_density(k, c, log_m[rows])
@@ -407,7 +430,7 @@ def _tree_masses(tree: BlockTree, ks: np.ndarray, place=None
             d = (origin - ref)[rows] + p
             with np.errstate(divide="ignore", invalid="ignore"):
                 g0 = np.where(k > 0.0, k * np.log1p(d / ref[rows]), 0.0) - d
-        log_scale = g0 + ((math.log(unit) + math.log(tree.moments[m, 0])) + np.log(s))
+        log_scale = g0 + (log_front[rows] + np.log(s))
         low, high = expansion_range(k, c, w)
         lower = log_scale + low
         upper = log_scale + high
@@ -415,8 +438,9 @@ def _tree_masses(tree: BlockTree, ks: np.ndarray, place=None
         tol = np.maximum(log_lower + math.log(BLOCK_TOL), math.log(_MASS_FLOOR))[rows]
         tails = log_scale + expansion_tails(k, c, w, _CAUCHY_RADII)
         rem = (tails - (TAYLOR_ORDER + 1) * _LOG_DIAMETERS).min(axis=0)
+        stopping = stop[rows] == m
         expand = ((w <= MAX_STEP * c) | (k == 0.0)) & (rem <= tol)
-        prune = ~expand & ((upper <= tol) | (m == n and not leaves))
+        prune = ~expand & ((upper <= tol) | (stopping & (not leaves)))
         split = ~(expand | prune)
         log_acc = np.logaddexp(log_acc, _log_sum(rows[expand], lower[expand], count))
         err += np.bincount(rows[prune], np.exp(upper[prune]), minlength=count)
@@ -435,32 +459,33 @@ def _tree_masses(tree: BlockTree, ks: np.ndarray, place=None
                 rounding = _EPS * (2.0 * np.abs(gr + dr) + kr * np.abs(dr) / cr + np.abs(gr))
                 reach = np.abs(origin - ref)[er] + 2.0 * pr + np.abs(dr)
                 slack = reach + cr + pr
-            expanded.append((er, cr, w[expand], np.full(er.size, m), gr, rounding,
+            expanded.append((er, cr, w[expand], first_moment[er] + m, gr, rounding,
                              reach, slack))
-        if m == n:
-            sr, sp, su = rows[split], prefixes[split], upper[split]
+        ends = split & stopping
+        if ends.any():
+            sr, sp, su, sw = rows[ends], prefixes[ends], upper[ends], unit[ends]
             starts = np.flatnonzero(np.diff(sr, prepend=-1))
-            for row, sel, top in zip(sr[starts], np.split(sp, starts[1:]),
-                                     np.split(su, starts[1:])):
-                lo = sel.astype(float) * unit
-                hi = (sel + 1).astype(float) * unit
-                vals, rels = segment_mass_batch(int(ks[row]), lo, hi, np.full(sel.size, unit))
-                endpoints = 3.0 * _EPS * hi / unit * np.exp(top)
+            for row, width, sel, top in zip(sr[starts], sw[starts], np.split(sp, starts[1:]),
+                                            np.split(su, starts[1:])):
+                lo = sel.astype(float) * width
+                hi = (sel + 1).astype(float) * width
+                vals, rels = segment_mass_batch(int(ks[row]), lo, hi, np.full(sel.size, width))
+                endpoints = 3.0 * _EPS * hi / width * np.exp(top)
                 err[row] += float(np.sum(vals * rels + endpoints))
                 parts.append((np.full(sel.size, row), vals))
-            break
+        split &= ~stopping
         if not split.any():
             break
-        prefixes = tree.children(m, prefixes[split])
-        rows = np.repeat(rows[split], tree.levels[m].size)
+        prefixes = deepest.children(m, prefixes[split])
+        rows = np.repeat(rows[split], deepest.levels[m].size)
     if expanded:
         rows, c, w, depth, g0, rounding, reach, slack = map(np.concatenate, zip(*expanded))
         kp = kf[rows]
         sums = np.empty((4, rows.size))
         for i in range(0, rows.size, _SUM_PAIRS):
             part = slice(i, i + _SUM_PAIRS)
-            mu = tree.moments[depth[part]]
-            weight = tree.moment_err[depth[part]] + (TAYLOR_ORDER + 2) * _UNIT * np.abs(mu)
+            mu = moments[depth[part]]
+            weight = moment_err[depth[part]] + (TAYLOR_ORDER + 2) * _UNIT * np.abs(mu)
             sums[:, part] = expansion_sums(kp[part], c[part], w[part], mu, weight)
         sums, sums_err, d_centre, d_width = sums
         front = np.exp(g0)
@@ -484,10 +509,19 @@ def _tree_masses(tree: BlockTree, ks: np.ndarray, place=None
     return values, err + _UNIT * np.abs(values)
 
 
-def group_bound(tree: BlockTree, m: int, prefixes: np.ndarray, first: np.ndarray,
+def block_measures(tree: BlockTree) -> np.ndarray:
+    """Upper bound on the measure W mu_0 of a block, one per depth of a
+    tree: mu_0 widened by its moment_err, and the products rounded
+    outward."""
+    return tree.widths * (tree.moments[:, 0] + tree.moment_err[:, 0]) * (1.0 + 8.0 * _EPS)
+
+
+def group_bound(width, measure, prefixes: np.ndarray, first: np.ndarray,
                 last: np.ndarray) -> np.ndarray:
-    """Upper bound on the mass of f_k over the depth-m block of each digit
-    prefix, for every k in first .. last (broadcast against the prefixes).
+    """Upper bound on the mass of f_k over the block [N W, (N + 1) W] of
+    each digit prefix N, of width W and measure at most `measure`
+    (block_measures), for every k in first .. last; width, measure, first
+    and last broadcast against the prefixes, so each pair may take its own.
 
     The mass is at most sup f_k on the block [L, L + W] times its measure
     W mu_0.  With j = floor(L), the sup over the block and the group is
@@ -498,17 +532,15 @@ def group_bound(tree: BlockTree, m: int, prefixes: np.ndarray, first: np.ndarray
     moves j by one, which changes the sup by a factor L / i within 3 eps
     of 1.  Rounding goes outward: f_k's prefactor error, the ends' 3 eps
     through d log f_k / dx = k/x - 1 and that factor, the sums in log
-    space, mu_0's moment_err and the last products.
+    space and the last product.
     """
-    w = float(tree.widths[m])
-    low = prefixes.astype(float) * w
+    low = prefixes.astype(float) * width
     k = np.clip(np.floor(low), first, last)
-    x = np.clip(k, low, (prefixes + 1).astype(float) * w)
+    x = np.clip(k, low, (prefixes + 1).astype(float) * width)
     log_m = _log_orders(k + 1.0)
     log_f = _log_density(k, x, log_m)
     log_sup = (log_f + np.log1p(_prefactor_error(k, x, log_f, log_m))
                + _EPS * (4.0 * np.abs(k - x) + 2.0 * np.abs(log_f) + 8.0))
-    measure = w * (tree.moments[m, 0] + tree.moment_err[m, 0]) * (1.0 + 8.0 * _EPS)
     # An exp that underflows is off by at most the least subnormal.
     return np.exp(log_sup) * measure + 5e-324
 
@@ -521,8 +553,9 @@ def _scaled_masses(k: int, lo: np.ndarray, width: np.ndarray, ref: np.ndarray
     value, err = np.zeros((2, lo.size))
     live = width > 0.0
     if live.any():
-        value[live], err[live] = _tree_masses(_segment_tree(), np.full(live.sum(), k),
-                                              (lo[live], width[live], ref[live]))
+        count = int(live.sum())
+        value[live], err[live] = _tree_masses([_segment_tree()], np.zeros(count, dtype=int),
+                                              np.full(count, k), (lo[live], width[live], ref[live]))
     return value, err
 
 

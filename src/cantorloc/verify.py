@@ -41,6 +41,7 @@ from .operator import (
     relative_area,
 )
 from .special import (
+    block_measures,
     gamma_tail_mass,
     group_bound,
     regularized_lower_gamma,
@@ -409,7 +410,7 @@ def operator_suite(seed: int, samples: int, tol: float | None = None
         width = float(tree.widths[n])
         lo = prefixes.astype(float) * width
         hi = (prefixes + 1).astype(float) * width
-        bound = group_bound(tree, n, prefixes, float(first), float(last))
+        bound = group_bound(width, block_measures(tree)[n], prefixes, float(first), float(last))
         for k in range(first, last + 1):
             mass, rel = segment_mass_batch(k, lo, hi, np.full(lo.size, width))
             worst = max(worst, float(np.max((mass * (1.0 - rel) - bound) / bound)))

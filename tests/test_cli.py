@@ -401,7 +401,7 @@ def test_sweep_refuses_gamma_above_one(capsys, monkeypatch, experiment):
         raise AssertionError("the sweep computed a norm")
 
     with monkeypatch.context() as patch:
-        patch.setattr(experiments, "operator_norm", forbidden)
+        patch.setattr(experiments, "operator_norms", forbidden)
         code, out, err = run_cli(capsys, "sweep", "--experiment", *experiment.split(),
                                  "--nmax", "3", "--gamma", "2")
     assert (code, out) == (2, "")
@@ -483,10 +483,23 @@ GOLDEN = Path(__file__).parent / "golden"
      "sweep_precise_base3_n16.csv"),
     ("eigs --base 3 --alphabet 0,2 --iterate 11 --rho 420.8883462392372 --kmax auto",
      "eigs_mid_third_n11.csv"),
+    # The benchmark's other five norm-reverse-radii commands.
+    *[(f"norm --base 3 --alphabet 1,2 --iterate 15 --rho {rho}",
+       f"norm_reverse_n15_rho{rho.split('.')[0]}.csv")
+      for rho in ("3674.3552626685405", "3719.8112040623782", "3765.267145456216",
+                  "3810.7230868500537", "3901.6349696377292")],
+    # Depths that share walks, beside the two that the cap blanks (3,790
+    # and 6,563 norm indices).
+    ("CTFL_MAX_INTERVALS=3000 sweep --experiment precise --base 3 --alphabet 0,2 --nmax 16",
+     "sweep_precise_base3_n16_cap3000.csv"),
 ])
 def test_golden_stdout(capsys, monkeypatch, argv, golden):
+    # Leading NAME=value words set the environment, as in a shell.
     monkeypatch.delenv("CTFL_MAX_INTERVALS", raising=False)
-    code, out, err = run_cli(capsys, *argv.split())
+    words = argv.split()
+    while "=" in words[0]:
+        monkeypatch.setenv(*words.pop(0).split("=", 1))
+    code, out, err = run_cli(capsys, *words)
     assert (code, err) == (0, "")
     assert out == (GOLDEN / golden).read_text(encoding="utf-8")
 

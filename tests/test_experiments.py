@@ -40,7 +40,7 @@ def test_schedule_rejects_radius_above_hypothesis_cap(monkeypatch):
     def forbidden(*args, **kwargs):
         raise AssertionError("the sweep computed a norm")
 
-    monkeypatch.setattr(experiments, "operator_norm", forbidden)
+    monkeypatch.setattr(experiments, "operator_norms", forbidden)
     for gamma in (2.0, 1.0 + 1e-12):
         with pytest.raises(ValueError, match=r"gamma must lie in \(0, 1\]"):
             sweep_fixed(CantorSpec(3, (0, 2)), 4, gamma=gamma)
@@ -106,6 +106,28 @@ def test_sweep_fixed_reaches_past_the_old_interval_gate(monkeypatch):
         assert res.argmax_k == 0
         exact = lambda0_closed_form(spec, r.n, r.rho)
         assert abs(r.norm - exact) <= res.value_err
+
+
+def test_sweep_holds_no_more_than_its_deepest_norm():
+    # Depths share walks, but a walk never holds more than the deepest
+    # depth's norm alone: the traced peak of the whole sweep stays within
+    # 10% of that norm's.  Holding every depth in one walk would triple it.
+    import tracemalloc
+
+    def peak(run):
+        tracemalloc.start()
+        try:
+            run()
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    def deepest():
+        operator_norm(localization_problem(MID_THIRD, 14, 3.0 ** 7))
+
+    sweep_fixed(MID_THIRD, 14)
+    deepest()
+    assert peak(lambda: sweep_fixed(MID_THIRD, 14)) <= 1.1 * peak(deepest)
 
 
 def test_sweep_norms_come_from_the_walk_alone(monkeypatch):

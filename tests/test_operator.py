@@ -30,6 +30,7 @@ from cantorloc.operator import (
     _last_index,
     _select,
     _truncation,
+    operator_norms,
 )
 
 MID_THIRD = CantorSpec(3, (0, 2))
@@ -421,7 +422,8 @@ def test_near_tie_needs_no_row_past_the_first(monkeypatch, rho):
 
     sizes = []
     rows = op._rows
-    monkeypatch.setattr(op, "_rows", lambda tree, ks: sizes.append(ks.size) or rows(tree, ks))
+    monkeypatch.setattr(op, "_rows", lambda trees, owner, ks: sizes.append(ks.size)
+                        or rows(trees, owner, ks))
     res = operator_norm(localization_problem(CantorSpec(3, (0, 1, 2)), 3, rho))
     assert sizes == [1]
     # The norm is lambda_0 = 1 - e^(-rho).
@@ -450,6 +452,88 @@ def test_table_walks_are_bounded_in_rows(monkeypatch):
     whole = eigenvalue_table(problem, 40)
     monkeypatch.setattr(op, "WALK_ROWS", 7)
     assert eigenvalue_table(problem, 40) == whole == rows[:41]
+
+
+def _certified(monkeypatch, certify, problems):
+    # What certify(problems) returns, and the exact rows each problem took.
+    import cantorloc.operator as op
+
+    taken = {id(p.tree): [] for p in problems}
+    rows = op._rows
+
+    def recorded(trees, owner, ks):
+        found = rows(trees, owner, ks)
+        for i, row in zip(owner, found):
+            taken[id(trees[i])].append(row)
+        return found
+
+    with monkeypatch.context() as patch:
+        patch.setattr(op, "_rows", recorded)
+        results = certify(problems)
+    return results, [taken[id(p.tree)] for p in problems]
+
+
+# {1, 2} has its argmax past 0 and needs exact rows, with raises at
+# depths 9 to 12; the full alphabet at n = 3 and rho = 10^3 is certified by
+# the fold alone; an indexed spec's trees differ in every level's moments.
+SHARED_WALK_SPECS = [(CantorSpec(3, (1, 2)), [10, 12]), (CantorSpec(3, (0, 1, 2)), [3]),
+                     (MID_THIRD, []), (CantorSpec(4, (1, 3)), []),
+                     (CantorSpec(5, (0, 2, 4)), []),
+                     (IndexedCantorSpec(tuple(CantorSpec(b, a) for b, a in (
+                         (3, (0, 2)), (4, (1, 3)), (5, (0, 1, 4)), (3, (1, 2)),
+                         (4, (0, 3)), (2, (1,)), (3, (0, 1)), (5, (2, 4))))), [])]
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_a_shared_walk_changes_no_problem(monkeypatch, seed):
+    # Problems of one spec at random depths and radii share one walk; each
+    # must get the value, argmax, value_err and exact rows it gets alone.
+    import cantorloc.operator as op
+
+    rng = np.random.default_rng(seed)
+    for spec, fixed_depths in SHARED_WALK_SPECS:
+        depths = fixed_depths + [int(n) for n in rng.integers(0, 9, size=3)]
+        rhos = [1e3 if spec == CantorSpec(3, (0, 1, 2)) and n == 3 else
+                float(3.0 ** (n / 2) * rng.uniform(0.5, 2.0)) for n in depths]
+        problems = [localization_problem(spec, n, rho) for n, rho in zip(depths, rhos)]
+        shared, shared_rows = _certified(monkeypatch, op._walk, problems)
+        for problem, result, rows in zip(problems, shared, shared_rows):
+            alone = localization_problem(spec, problem.n, problem.rho)
+            [single], [single_rows] = _certified(
+                monkeypatch, lambda ps: [operator_norm(ps[0])], [alone])
+            assert (result.value, result.argmax_k, result.value_err) == (
+                single.value, single.argmax_k, single.value_err)
+            assert rows == single_rows
+
+
+def test_a_capped_problem_is_blanked_alone(monkeypatch):
+    # 202 indices at rho = 200 pass a cap of 100; the problems beside it
+    # keep their norms.
+    monkeypatch.setenv("CTFL_MAX_INTERVALS", "100")
+    problems = [localization_problem(MID_THIRD, n, rho)
+                for n, rho in ((2, 3.0), (8, 200.0), (4, 9.0), (6, 27.0))]
+    results = operator_norms(problems)
+    assert [r is None for r in results] == [False, True, False, False]
+    for problem, result in zip(problems, results):
+        if result is not None:
+            assert result == operator_norm(localization_problem(MID_THIRD, problem.n,
+                                                                problem.rho))
+
+
+def test_sweep_depths_share_walks(monkeypatch):
+    # Consecutive depths share a walk while their groups, one (group,
+    # block) pair each at the root, stay within the deepest depth's.
+    import cantorloc.operator as op
+    from cantorloc.experiments import sweep_fixed
+
+    walks = []
+    walk = op._walk
+    monkeypatch.setattr(op, "_walk", lambda ps: walks.append([p.n for p in ps]) or walk(ps))
+    sweep_fixed(MID_THIRD, 16)
+    assert walks == [list(range(10)), [10, 11, 12, 13], [14], [15], [16]]
+    with pytest.raises(ValueError, match="share one spec"):
+        operator_norms([localization_problem(MID_THIRD, 2, 3.0),
+                        localization_problem(CantorSpec(3, (1, 2)), 2, 3.0)])
 
 
 def test_selection_error_covers_a_close_runner_up():

@@ -225,9 +225,9 @@ def _record_rows(monkeypatch):
     rows = []
     real = special._tree_masses
 
-    def recorded(tree, ks, place=None):
+    def recorded(trees, owner, ks, place=None):
         rows.append(ks.size)
-        return real(tree, ks, place)
+        return real(trees, owner, ks, place)
 
     monkeypatch.setattr(special, "_tree_masses", recorded)
     return rows

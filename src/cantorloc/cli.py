@@ -68,42 +68,17 @@ def render_csv(header, rows) -> str:
     return buf.getvalue()
 
 
-def _json_string(s: str) -> str:
-    out = ['"']
-    for ch in s:
-        if ch in '"\\':
-            out.append("\\" + ch)
-        elif ord(ch) < 0x20:
-            out.append(f"\\u{ord(ch):04x}")
-        else:
-            out.append(ch)
-    out.append('"')
-    return "".join(out)
-
-
 def _json_value(v, out: list) -> None:
     # hand-rolled so key order and float formatting never drift between
-    # interpreter versions; floats carry 17 significant digits
+    # interpreter versions; finite floats carry _cell's 17 significant digits
     if v is None:
         out.append("null")
-    elif isinstance(v, bool):
-        out.append("true" if v else "false")
-    elif isinstance(v, int):
-        out.append(str(v))
-    elif isinstance(v, float):
-        if math.isfinite(v):
-            out.append(format(v, ".17g"))
-        else:
-            out.append("NaN" if math.isnan(v) else
-                        ("Infinity" if v > 0 else "-Infinity"))
-    elif isinstance(v, str):
-        out.append(_json_string(v))
     elif isinstance(v, dict):
         out.append("{")
         for i, key in enumerate(sorted(v)):
             if i:
                 out.append(", ")
-            out.append(_json_string(str(key)))
+            _json_value(str(key), out)
             out.append(": ")
             _json_value(v[key], out)
         out.append("}")
@@ -114,6 +89,12 @@ def _json_value(v, out: list) -> None:
                 out.append(", ")
             _json_value(item, out)
         out.append("]")
+    elif isinstance(v, (bool, int)) or (isinstance(v, float) and math.isfinite(v)):
+        out.append(_cell(v))
+    elif isinstance(v, (str, float)):
+        # Imported here, so that CSV output never loads json.
+        import json
+        out.append(json.dumps(v, ensure_ascii=False))
     else:
         raise TypeError(f"cannot serialize {type(v).__name__}")
 
@@ -144,18 +125,20 @@ def _spec_info(spec) -> dict:
     return {"alphabet": list(spec.alphabet), "base": spec.base}
 
 
-def _metadata(args: argparse.Namespace, spec=None, schedule=None, gamma=None,
-              h_equivalent=None, extra=None) -> dict:
+def _metadata(spec=None, schedule=None, gamma=None, h_equivalent=None, seed=0,
+              tol=None, extra=None) -> dict:
+    # Only verify and the indexed-decay sweep read a seed, and only verify a
+    # tolerance; the other commands record these defaults.
     md = {
         "cap": resolve_max_intervals(),
         "gamma": gamma,
         "h_equivalent": h_equivalent,
         "schedule": schedule,
-        "seed": args.seed,
+        "seed": seed,
         "spec": None if spec is None else _spec_info(spec),
         "tolerances": {"tail_absolute": TAIL_ABSOLUTE,
                        "tail_relative": TAIL_RELATIVE,
-                       "tol_override": args.tol},
+                       "tol_override": tol},
         "version": __version__,
     }
     if extra:
@@ -225,8 +208,7 @@ def cmd_eigs(args: argparse.Namespace) -> int:
         k_hi = args.kmax
     table = eigenvalue_table(problem, k_hi)
     rows = [(r.k, r.value, r.err) for r in table]
-    md = _metadata(args, spec=spec,
-                   h_equivalent=_h_equivalent(spec, args.iterate),
+    md = _metadata(spec=spec, h_equivalent=_h_equivalent(spec, args.iterate),
                    extra={"iterate": args.iterate, "rho": args.rho})
     _emit(_table(args, ("k", "lambda", "err"), rows, md), args.out)
     return 0
@@ -239,8 +221,7 @@ def cmd_norm(args: argparse.Namespace) -> int:
     columns = ("value", "argmax_k", "k_truncation", "tail_bound", "value_err")
     rows = [(res.value, res.argmax_k, res.k_truncation, res.tail_bound,
              res.value_err)]
-    md = _metadata(args, spec=spec,
-                   h_equivalent=_h_equivalent(spec, args.iterate),
+    md = _metadata(spec=spec, h_equivalent=_h_equivalent(spec, args.iterate),
                    extra={"iterate": args.iterate, "rho": args.rho})
     _emit(_table(args, columns, rows, md), args.out)
     return 0
@@ -249,8 +230,7 @@ def cmd_norm(args: argparse.Namespace) -> int:
 def cmd_cantor_fn(args: argparse.Namespace) -> int:
     spec = CantorSpec(args.base, args.alphabet)
     value = cantor_function(spec, args.iterate, args.x)
-    md = _metadata(args, spec=spec,
-                   h_equivalent=_h_equivalent(spec, args.iterate),
+    md = _metadata(spec=spec, h_equivalent=_h_equivalent(spec, args.iterate),
                    extra={"iterate": args.iterate})
     _emit(_table(args, ("x", "value"), [(args.x, value)], md), args.out)
     return 0
@@ -261,7 +241,8 @@ def cmd_cantor_fn(args: argparse.Namespace) -> int:
 SWEEP_FLAGS = {
     "precise": {"base": None, "alphabet": None, "nmax": 8, "gamma": 1.0},
     "reverse": {"base": 3, "size": 2, "nmax": 10, "gamma": 1.0},
-    "indexed-decay": {"base": 3, "nmax": 20, "delta": 0.5, "epsilon": 2 / 3, "gamma": 1.0},
+    "indexed-decay": {"base": 3, "nmax": 20, "delta": 0.5, "epsilon": 2 / 3, "gamma": 1.0,
+                      "seed": 0},
     "indexed-counterexample": {"base": 4, "size": 2, "nmax": 5, "gamma": 1.0},
     "positive-measure": {"levels_file": None, "levels": 12, "rho": 1.0},
 }
@@ -297,13 +278,13 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         spec = _spec_from(args)
         rows = sweep_fixed(spec, n_max, gamma)
         columns = SweepRow._fields
-        md = _metadata(args, spec=spec, schedule="power_half", gamma=gamma,
+        md = _metadata(spec=spec, schedule="power_half", gamma=gamma,
                        h_equivalent=_h_equivalent(spec, n_max))
 
     elif exp == "reverse":
         rows = sweep_reverse_counterexample(args.base, args.size, n_max, gamma)
         columns = ("n", "ratio")
-        md = _metadata(args, schedule="power_half", gamma=gamma,
+        md = _metadata(schedule="power_half", gamma=gamma,
                        h_equivalent=float(args.base) ** -n_max,
                        extra={"params": {"base": args.base, "size": args.size}})
 
@@ -312,9 +293,8 @@ def cmd_sweep(args: argparse.Namespace) -> int:
                                      gamma=gamma, n_max=n_max, seed=args.seed)
         rows = result.rows
         columns = ("n", "lambda0", "fitted_beta")
-        md = _metadata(args, spec=result.levels, schedule="indexed_sqrt",
-                       gamma=gamma,
-                       h_equivalent=1.0 / float(result.levels.base_product(n_max)),
+        md = _metadata(spec=result.levels, schedule="indexed_sqrt", gamma=gamma,
+                       h_equivalent=_h_equivalent(result.levels, n_max), seed=args.seed,
                        extra={"fitted_beta": result.fitted_beta,
                               "params": {"M": args.base, "delta": args.delta,
                                          "epsilon": args.epsilon}})
@@ -325,7 +305,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         rows = result.rows
         columns = ("n", "lambda0", "lower_bound_product")
         log_h = -math.fsum(math.log(b) for b in result.bases)
-        md = _metadata(args, schedule="indexed_sqrt", gamma=gamma,
+        md = _metadata(schedule="indexed_sqrt", gamma=gamma,
                        h_equivalent=math.exp(log_h),
                        extra={"lower_bound_product": result.lower_bound_product,
                               "params": {"base": args.base, "size": args.size}})
@@ -338,10 +318,9 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         result = positive_measure_demo(levels, args.rho)
         rows = result.rows
         columns = ("n", "measure", "lambda0", "norm_lower_bound")
-        md = _metadata(
-            args, extra={"measure_limit_estimate": result.measure_limit_estimate,
-                         "norm_lower_bound": result.norm_lower_bound,
-                         "rho": result.rho})
+        md = _metadata(extra={"measure_limit_estimate": result.measure_limit_estimate,
+                              "norm_lower_bound": result.norm_lower_bound,
+                              "rho": result.rho})
 
     _emit(_table(args, columns, rows, md), args.out)
     return 0
@@ -370,8 +349,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
         columns = ("suite", "name", "passed", "worst", "tol", "samples", "note")
         rows = [(c.suite, c.name, c.passed, c.worst, c.tol, c.samples, c.note)
                 for c in checks]
-        md = _metadata(args, extra={"samples": args.samples,
-                                   "suite": args.suite})
+        md = _metadata(seed=args.seed, tol=args.tol,
+                       extra={"samples": args.samples, "suite": args.suite})
         _emit(_table(args, columns, rows, md), args.out)
     return 0 if n_pass == len(checks) else 1
 
@@ -410,10 +389,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="write output here instead of stdout")
     common.add_argument("--format", choices=("csv", "json"), default="csv",
                         dest="fmt", help="output format (default csv)")
-    common.add_argument("--seed", type=int, default=0,
-                        help="seed for randomized drivers, recorded in metadata")
-    common.add_argument("--tol", type=float, default=None,
-                        help="override epsilon tolerances of verify properties")
 
     spec_flags = argparse.ArgumentParser(add_help=False)
     spec_flags.add_argument("--base", type=int, default=None, metavar="M")
@@ -468,6 +443,7 @@ def build_parser() -> argparse.ArgumentParser:
     sweep_flag("--epsilon", "density cap, size_j/M_j <= epsilon", type=float)
     sweep_flag("--rho", "fixed radius", type=float)
     sweep_flag("--levels", "level count", type=int)
+    sweep_flag("--seed", "seed of the drawn levels, recorded in metadata", type=int)
     p_sweep.set_defaults(func=cmd_sweep)
 
     p_verify = sub.add_parser("verify", parents=[common],
@@ -475,6 +451,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--suite", default="all",
                           help="one suite, or all (default)")
     p_verify.add_argument("--samples", type=int, default=300)
+    p_verify.add_argument("--seed", type=int, default=0,
+                          help="seed of the sampled inputs, recorded in metadata")
+    p_verify.add_argument("--tol", type=float, default=None,
+                          help="override the epsilon tolerances of the properties")
     p_verify.set_defaults(func=cmd_verify)
     return parser
 

@@ -434,8 +434,11 @@ def _walk(problems: Sequence[LocalizationProblem]) -> list[NormResult]:
     hold more than RAISE_PAIRS (group, block) pairs, which raises its target
     before the pairs multiply; for any group whose blocks at the next depth
     would cost more than its rows (ROW_COST); and at the problem's depth n,
-    where blocks cannot split, for every group left.  No index past
-    _last_index can exceed the norm.
+    where blocks cannot split, for every group left.  Best first: of these,
+    the group of largest bound takes its rows first, and the rest are held
+    to the fold its rows give, so near-tie sets, where hundreds of groups
+    bound within a rounding of 1, take one group's rows instead of all of
+    them.  No index past _last_index can exceed the norm.
 
     The problems share their first levels, so their blocks split alike and
     their groups go down the tree together; every decision above is taken
@@ -476,23 +479,29 @@ def _walk(problems: Sequence[LocalizationProblem]) -> list[NormResult]:
         leaf = depths[owner] == m
         pairs = live * (deepest.levels[m].size if m < deepest.depth else 0)
         exact = alive & (leaf | (live == 0) | (pairs > ROW_COST * (last - first + 1)))
-        # At a problem's depth n every group alive is exact already, so a
-        # raise there changes nothing.
-        for i in np.flatnonzero(np.bincount(owner[alive], pairs[alive], minlength=len(trees))
-                                > RAISE_PAIRS):
+        # Best first: each problem's group of largest bound among its exact
+        # groups (among all its live ones where it raises) takes its rows,
+        # and the rest are held to the fold they give before taking theirs.
+        raising = np.bincount(owner[alive], pairs[alive], minlength=len(trees)) > RAISE_PAIRS
+        pool = exact | (alive & raising[owner])
+        head = np.zeros(count, dtype=bool)
+        for i in np.flatnonzero(np.bincount(owner[pool], minlength=len(trees))):
             span = slice(starts[i], starts[i + 1])
-            exact[starts[i] + np.argmax(np.where(alive[span], total[span], -np.inf))] = True
-        if exact.any():
+            head[starts[i] + np.argmax(np.where(pool[span], total[span], -np.inf))] = True
+        for take in (head, exact & ~head):
+            take &= alive
+            if not take.any():
+                continue
             ks = np.concatenate([np.arange(a, b + 1) for a, b in
-                                 zip(first[exact].astype(int), last[exact].astype(int))])
-            whose = np.repeat(owner[exact], (last - first + 1)[exact].astype(int))
+                                 zip(first[take].astype(int), last[take].astype(int))])
+            whose = np.repeat(owner[take], (last - first + 1)[take].astype(int))
             for i, row in zip(whose, _rows(trees, whose, ks)):
                 rows[i].append(row)
-            for i in set(owner[exact].tolist()):
+            for i in set(owner[take].tolist()):
                 target[i] = max(r.value - r.err for r in rows[i])
                 best = _select(rows[i])[0]
                 fold[i] = best.value + best.err
-            alive &= ~exact & (np.minimum(total, 1.0) > fold[owner])
+            alive &= ~take & (np.minimum(total, 1.0) > fold[owner])
         keep = alive[group] & ~prune
         if not keep.any():
             break

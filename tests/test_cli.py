@@ -161,9 +161,11 @@ def test_norm_start_at_inner_flag_is_removed(capsys):
 
 
 def test_json_output_shape(capsys):
-    code, out, _ = run_cli(
-        capsys, "eigs", "--base", "3", "--alphabet", "0,2",
-        "--iterate", "1", "--rho", "2", "--format", "json", "--seed", "7")
+    argv = ("eigs", "--base", "3", "--alphabet", "0,2", "--iterate", "1", "--rho", "2",
+            "--format", "json")
+    # eigs reads no seed; it once recorded this one and ignored it.
+    assert run_cli(capsys, *argv, "--seed", "7")[:2] == (2, "")
+    code, out, _ = run_cli(capsys, *argv)
     assert code == 0
     doc = json.loads(out)
     assert doc["columns"] == ["k", "lambda", "err"]
@@ -171,7 +173,8 @@ def test_json_output_shape(capsys):
     for key in ("cap", "gamma", "h_equivalent", "schedule", "seed", "spec",
                 "tolerances", "version"):
         assert key in meta
-    assert meta["seed"] == 7
+    assert meta["seed"] == 0
+    assert meta["tolerances"]["tol_override"] is None
     assert meta["spec"] == {"alphabet": [0, 2], "base": 3}
     assert meta["h_equivalent"] == pytest.approx(3.0**-1)
     assert meta["tolerances"]["tail_absolute"] == 1e-12
@@ -232,13 +235,13 @@ def test_sweep_rejects_alphabet_for_size_experiments(capsys):
 SWEEP_READS = {
     "precise": ("--base", "--alphabet", "--nmax", "--gamma"),
     "reverse": ("--base", "--size", "--nmax", "--gamma"),
-    "indexed-decay": ("--base", "--nmax", "--delta", "--epsilon", "--gamma"),
+    "indexed-decay": ("--base", "--nmax", "--delta", "--epsilon", "--gamma", "--seed"),
     "indexed-counterexample": ("--base", "--size", "--nmax", "--gamma"),
     "positive-measure": ("--levels-file", "--levels", "--rho"),
 }
 SWEEP_VALUES = {"--base": "3", "--alphabet": "0,2", "--levels-file": None, "--nmax": "3",
                 "--gamma": "0.5", "--size": "1", "--delta": "0.5", "--epsilon": "0.5",
-                "--rho": "2", "--levels": "2"}
+                "--rho": "2", "--levels": "2", "--seed": "1"}
 SWEEP_REQUIRED = {"precise": ["--base", "3", "--alphabet", "0,2"]}
 
 
@@ -259,6 +262,23 @@ def test_sweep_takes_only_the_flags_it_reads(capsys, tmp_path, experiment, flag)
         assert err == f"error: {experiment} sweeps do not read {flag}\n"
 
 
+@pytest.mark.parametrize("argv, flag", [
+    *[(argv, flag) for argv in ("eigs --base 3 --alphabet 0,2 --iterate 1 --rho 2",
+                                "norm --base 3 --alphabet 0,2 --iterate 2 --rho 3",
+                                "cantor-fn --base 3 --alphabet 0,2 --iterate 1 --x 0.5")
+      for flag in ("--seed", "--tol")],
+    *[(" ".join(["sweep --experiment", e, *SWEEP_REQUIRED.get(e, [])]), "--tol")
+      for e in SWEEP_READS],
+])
+def test_commands_refuse_a_seed_or_tolerance_they_do_not_read(capsys, argv, flag):
+    # Every command once took both and recorded them in its metadata; only
+    # verify and the indexed-decay sweep read a seed, and only verify a
+    # tolerance.
+    code, out, err = run_cli(capsys, *argv.split(), flag, "1")
+    assert (code, out) == (2, "")
+    assert f"unrecognized arguments: {flag} 1" in err
+
+
 def test_sweep_names_every_refused_flag(capsys):
     code, out, err = run_cli(capsys, "sweep", "--experiment", "positive-measure",
                              "--levels", "3", "--base", "5", "--nmax", "9", "--gamma", "7")
@@ -272,6 +292,7 @@ def test_sweep_names_every_refused_flag(capsys):
     ("reverse --base 3 --size 2 --nmax 3 --gamma 1", "reverse --nmax 3"),
     ("indexed-decay --base 3 --nmax 4 --delta 0.5 --epsilon 0.6666666666666666 --gamma 1",
      "indexed-decay --nmax 4"),
+    ("indexed-decay --seed 0 --nmax 4", "indexed-decay --nmax 4"),
     ("indexed-counterexample --base 4 --size 2 --nmax 3 --gamma 1",
      "indexed-counterexample --nmax 3"),
     ("positive-measure --levels 12 --rho 1", "positive-measure"),
@@ -552,6 +573,29 @@ def test_verify_counts_capped_sweep_depths_as_failures(capsys, monkeypatch):
     assert (code, err) == (1, "")
     assert "FAIL experiments.bounded_ratio_band" in out
     assert "FAIL experiments.reverse_ratio_decreasing" in out
+
+
+def test_verify_writes_its_table_to_out(capsys, tmp_path):
+    # The report stays on stdout; --out takes the checks as a table, with
+    # the suite, samples, seed and tolerance in the JSON metadata.
+    argv = ("verify", "--suite", "cli", "--seed", "5", "--samples", "20", "--tol", "0.5")
+    tables = {}
+    for fmt in ("csv", "json"):
+        path = tmp_path / f"verify.{fmt}"
+        code, out, err = run_cli(capsys, *argv, "--format", fmt, "--out", str(path))
+        assert (code, err) == (0, "")
+        assert out.endswith(" properties passed\n")
+        tables[fmt] = path.read_text()
+    rows = csv_rows(tables["csv"])
+    assert [(r["suite"], r["passed"]) for r in rows] == [("cli", "true")] * 3
+    assert [line.split()[1] for line in out.splitlines()[:-1]] == [
+        f"cli.{r['name']}" for r in rows]
+    # One formatter writes each value, in either format.
+    doc = json.loads(tables["json"])
+    assert cli.render_csv(doc["columns"], doc["rows"]) == tables["csv"]
+    meta = doc["metadata"]
+    assert (meta["suite"], meta["samples"], meta["seed"]) == ("cli", 20, 5)
+    assert meta["tolerances"]["tol_override"] == 0.5
 
 
 def test_verify_unknown_suite_exits_two(capsys):

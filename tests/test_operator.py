@@ -315,6 +315,24 @@ def test_truncation_matches_a_linear_scan():
             assert regularized_lower_gamma(k - 1, rho) >= threshold
 
 
+@pytest.mark.parametrize("shift", [-5.0, 5.0])
+def test_truncation_settles_a_start_off_by_several_indices(monkeypatch, shift):
+    # Scaling the tail sum by e^shift moves the start 6 to 63 indices below
+    # or above the truncation; the search must still settle on the first k
+    # of the linear scan, walking up or down.
+    import cantorloc.operator as op
+
+    log_density = op.log_density
+    monkeypatch.setattr(op, "log_density", lambda k, r: log_density(k, r) + shift)
+    for rho in (30.0, 1e3, 3.0 ** 8):
+        for norm in (1e-6, 0.5):
+            threshold = max(TAIL_ABSOLUTE, TAIL_RELATIVE * norm)
+            k = math.floor(rho) + 1
+            while regularized_lower_gamma(k, rho) >= threshold:
+                k += 1
+            assert _truncation(rho, norm) == k
+
+
 def test_walk_bounds_every_index_past_the_last():
     # The walk bounds k <= _last_index; past it lambda_k <= P(K, rho) with
     # K = _last_index + 1, whose Poisson Chernoff bound
@@ -428,6 +446,28 @@ def test_near_tie_needs_no_row_past_the_first(monkeypatch, rho):
     assert sizes == [1]
     # The norm is lambda_0 = 1 - e^(-rho).
     assert res.value == 1.0 and math.exp(-rho) <= res.value_err
+
+
+@pytest.mark.parametrize("rho, taken", [(3e3, 9), (3e4, 10)])
+def test_near_tie_takes_the_group_of_largest_bound_first(monkeypatch, rho, taken):
+    # {1, 2} at n = 1 is [rho/3, rho], so lambda_k = Q(k+1, rho/3) - Q(k+1,
+    # rho) rounds to 1 for hundreds of k and the groups' bounds tie.  The
+    # exact group of largest bound takes its rows first and its fold
+    # certifies the rest: 9 rows at 3*10^3, where the walk once took 5,177
+    # rows (5.6 s), and 10 at 3*10^4 (35.7 s once).
+    import cantorloc.operator as op
+
+    sizes = []
+    rows = op._rows
+    monkeypatch.setattr(op, "_rows", lambda trees, owner, ks: sizes.append(ks.size)
+                        or rows(trees, owner, ks))
+    res = operator_norm(localization_problem(CantorSpec(3, (1, 2)), 1, rho))
+    assert sum(sizes) == taken
+    # The sup lies between lambda at argmax_k and 1, and so does lambda at
+    # k = 2 rho / (3 ln 3), where f_k(rho/3) = f_k(rho).
+    assert res.value == 1.0
+    for k in (res.argmax_k, round(2.0 * rho / (3.0 * math.log(3.0)))):
+        assert abs(res.value - oracles.segment_mass_mp(k, rho / 3.0, rho)) <= res.value_err
 
 
 def test_table_walks_are_bounded_in_rows(monkeypatch):

@@ -22,13 +22,14 @@ the rest get exact rows.  The walk covers every k up to _last_index, past
 which lambda_k <= P(k+1, rho) is far below the least subnormal; the
 truncation that the norm reports, computed only when read, is the first
 k > rho with a tail under the policy's threshold.  Norms of one spec at
-several depths and radii (operator_norms, for the sweeps) share walks,
+several depths and radii (operator_norms, for the sweeps) share one walk,
 each certified as it would be alone.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Sequence, Union
@@ -375,32 +376,23 @@ def operator_norms(problems: Sequence[LocalizationProblem]) -> list[NormResult |
     """operator_norm of each of several problems of one spec, None where it
     would raise CapExceededError; every other result equals operator_norm's.
 
-    Consecutive problems share one walk (_walk) while their summed group
-    counts (_groups) stay within the largest problem's.  A walk holds its
-    (group, block) pairs, one per group at the root, so the walks are fewer
-    than the problems and none holds more than the largest problem alone.
+    The problems share one walk (_walk), which they join deepest first as
+    its (group, block) pairs leave room, so the walk never holds much more
+    than the largest problem alone.
     """
     if any(p.spec != problems[0].spec for p in problems):
         raise ValueError("the problems of operator_norms must share one spec")
     results: list[NormResult | None] = [None] * len(problems)
-    counts = {}
+    held = []
     for i, problem in enumerate(problems):
         try:
             check_cap(_index_count(problem), "norm indices")
         except CapExceededError:
             continue
-        counts[i] = _groups(problem.rho)[0].size
-    top = held = max(counts.values(), default=0)
-    walks: list[list[int]] = []
-    for i, count in counts.items():
-        if held + count > top:
-            walks.append([])
-            held = 0
-        walks[-1].append(i)
-        held += count
-    for walk in walks:
-        for i, result in zip(walk, _walk([problems[i] for i in walk])):
-            results[i] = result
+        held.append(i)
+    held.sort(key=lambda i: -problems[i].n)
+    for i, result in zip(held, _walk([problems[i] for i in held])):
+        results[i] = result
     return results
 
 
@@ -423,7 +415,7 @@ def _walk(problems: Sequence[LocalizationProblem]) -> list[NormResult]:
     over their block trees; each problem's result is what it gives alone.
 
     For each problem the indices 1 .. _last_index are split into groups
-    (GROUP, SINGLES), and the tree is walked from the root with, per group,
+    (GROUP, SINGLES), and its tree is walked from the root with, per group,
     the blocks still in play, each bounded by group_bound.  Blocks below
     PRUNE_SHARE of the target, the largest value - err of the problem's
     exact rows so far (k = 0 first), move into their group's fixed sum.  A
@@ -440,34 +432,52 @@ def _walk(problems: Sequence[LocalizationProblem]) -> list[NormResult]:
     bound within a rounding of 1, take one group's rows instead of all of
     them.  No index past _last_index can exceed the norm.
 
-    The problems share their first levels, so their blocks split alike and
-    their groups go down the tree together; every decision above is taken
-    per problem from its own target, fold, pairs and depth, and the exact
-    rows of all problems at a depth take one walk of _rows, whose rows
-    depend on their own problem alone.
+    The rows at k = 0 of all problems take one walk of _rows.  The problems
+    then join the walk in the order given, each at the first step where the
+    pairs held plus its groups, one pair each at its root, fit within the
+    largest problem's group count (an empty walk takes the next problem
+    anyway), and each steps through its own depths from there.  Its pairs
+    and groups leave the walk as they are certified, so only groups in play
+    are held.  The problems share their first levels, so their blocks split
+    alike; every decision above is taken per problem from its own target,
+    fold, pairs and depth, and the exact rows of all problems at a step
+    take one walk of _rows, whose rows depend on their own problem alone.
     """
     trees = [p.tree for p in problems]
-    deepest = max(trees, key=lambda t: t.depth)
     measures = [block_measures(t) for t in trees]
     rows = [[row] for row in _rows(trees, np.arange(len(trees)), np.zeros(len(trees), dtype=int))]
     target = np.array([r[0].value - r[0].err for r in rows])
     fold = np.array([r[0].value + r[0].err for r in rows])
-    first, last = map(np.concatenate, zip(*[_groups(p.rho) for p in problems]))
-    # Each problem's groups start at index 1.
-    starts = np.append(np.flatnonzero(first == 1.0), first.size)
-    owner = np.repeat(np.arange(len(trees)), np.diff(starts))
-    depths = np.array([t.depth for t in trees])
-    count = first.size
-    fixed = np.zeros(count)
-    group = np.arange(count)
-    prefixes = np.repeat(deepest.root(), count)
-    for m in range(deepest.depth + 1):
-        # Each tree's block width and measure at depth m; a tree that ends
-        # above m has no pairs left.
-        width = np.array([t.widths[min(m, t.depth)] for t in trees])
-        measure = np.array([mu[min(m, t.depth)] for mu, t in zip(measures, trees)])
+    counts = [_groups(p.rho)[0].size for p in problems]
+    budget = max(counts, default=0)
+    depths = np.array([t.depth for t in trees], dtype=int)
+    join = np.zeros(len(trees), dtype=int)
+    joined = 0
+    # Per group in play, in problem order: its indices, fixed sum and
+    # problem; per pair, in group order: its group and block prefix.
+    first, last, fixed = np.zeros((3, 0))
+    owner = group = np.zeros(0, dtype=int)
+    prefixes = np.zeros(0, dtype=np.int64)
+    for step in itertools.count():
+        while joined < len(trees) and (group.size == 0 or group.size + counts[joined] <= budget):
+            size = counts[joined]
+            group = np.append(group, np.arange(first.size, first.size + size))
+            prefixes = np.concatenate([prefixes, np.repeat(trees[joined].root(), size)])
+            first, last = map(np.append, (first, last), _groups(problems[joined].rho))
+            fixed = np.append(fixed, np.zeros(size))
+            owner = np.append(owner, np.full(size, joined))
+            join[joined] = step
+            joined += 1
+        if group.size == 0:
+            break
+        # Each problem's depth, and its block width and measure there.
+        m = np.minimum(step - join, depths)
+        width = np.array([t.widths[d] for t, d in zip(trees, m)])
+        measure = np.array([mu[d] for mu, d in zip(measures, m)])
+        splits = np.array([t.levels[d].size if d < t.depth else 0 for t, d in zip(trees, m)])
+        count = first.size
         # The pairs are in group order, so each problem's pairs are one run.
-        run = np.diff(np.searchsorted(group, starts))
+        run = np.bincount(owner[group], minlength=len(trees))
         bound = group_bound(np.repeat(width, run), np.repeat(measure, run), prefixes,
                             first[group], last[group])
         prune = bound <= PRUNE_SHARE * np.repeat(target, run)
@@ -476,14 +486,15 @@ def _walk(problems: Sequence[LocalizationProblem]) -> list[NormResult]:
         total = fixed + np.bincount(group[~prune], bound[~prune], minlength=count)
         alive = np.zeros(count, dtype=bool)
         alive[group] = np.minimum(total[group], 1.0) > np.repeat(fold, run)
-        leaf = depths[owner] == m
-        pairs = live * (deepest.levels[m].size if m < deepest.depth else 0)
+        leaf = depths[owner] == m[owner]
+        pairs = live * splits[owner]
         exact = alive & (leaf | (live == 0) | (pairs > ROW_COST * (last - first + 1)))
         # Best first: each problem's group of largest bound among its exact
         # groups (among all its live ones where it raises) takes its rows,
         # and the rest are held to the fold they give before taking theirs.
         raising = np.bincount(owner[alive], pairs[alive], minlength=len(trees)) > RAISE_PAIRS
         pool = exact | (alive & raising[owner])
+        starts = np.searchsorted(owner, np.arange(len(trees) + 1))
         head = np.zeros(count, dtype=bool)
         for i in np.flatnonzero(np.bincount(owner[pool], minlength=len(trees))):
             span = slice(starts[i], starts[i + 1])
@@ -503,10 +514,18 @@ def _walk(problems: Sequence[LocalizationProblem]) -> list[NormResult]:
                 fold[i] = best.value + best.err
             alive &= ~take & (np.minimum(total, 1.0) > fold[owner])
         keep = alive[group] & ~prune
-        if not keep.any():
-            break
-        prefixes = deepest.children(m, prefixes[keep])
-        group = np.repeat(group[keep], deepest.levels[m].size)
+        group, prefixes = group[keep], prefixes[keep]
+        # Each problem's blocks split by its own level.
+        kept = np.bincount(owner[group], minlength=len(trees))
+        ends = np.cumsum(kept)
+        prefixes = np.concatenate([trees[i].children(m[i], prefixes[ends[i] - kept[i]:ends[i]])
+                                   for i in np.flatnonzero(kept)] or [prefixes])
+        group = np.repeat(group, splits[owner[group]])
+        # Groups with no pair left are certified or have their rows.
+        in_play = np.zeros(count, dtype=bool)
+        in_play[group] = True
+        group = np.cumsum(in_play)[group] - 1
+        first, last, fixed, owner = first[in_play], last[in_play], fixed[in_play], owner[in_play]
     results = []
     for problem, found in zip(problems, rows):
         best, value_err = _select(found)

@@ -398,17 +398,12 @@ def _tree_masses(trees: Sequence[BlockTree], owner: np.ndarray, ks: np.ndarray,
     origin, scale, ref = (np.broadcast_to(np.asarray(v, dtype=float), (count,))
                           for v in place or (0.0, 1.0, 0.0))
     deepest = max(trees, key=lambda t: t.depth)
-    depths = np.array([t.depth for t in trees])
-    # Row i stops at depth stop[i], and its moments at depth m are
-    # moments[first_moment[i] + m].
-    stop = depths[owner]
-    first_moment = (np.cumsum(depths + 1) - (depths + 1))[owner]
-    moments = np.concatenate([t.moments for t in trees])
-    moment_err = np.concatenate([t.moment_err for t in trees])
+    # Row i stops at its tree's depth.
+    stop = np.array([t.depth for t in trees])[owner]
     log_acc = np.full(count, -np.inf)
     err = np.zeros(count)
     parts = [(ks[:0], np.zeros(0))]  # (rows, values) of the summed blocks
-    expanded = []  # (rows, centres, widths, moment rows, g0, its error, centre errors / eps)
+    expanded = []  # (rows, centres, widths, depths, g0, its error, centre errors / eps)
     rows = np.arange(count)
     prefixes = np.repeat(deepest.root(), count)
     for m in range(deepest.depth + 1):
@@ -459,7 +454,7 @@ def _tree_masses(trees: Sequence[BlockTree], owner: np.ndarray, ks: np.ndarray,
                 rounding = _EPS * (2.0 * np.abs(gr + dr) + kr * np.abs(dr) / cr + np.abs(gr))
                 reach = np.abs(origin - ref)[er] + 2.0 * pr + np.abs(dr)
                 slack = reach + cr + pr
-            expanded.append((er, cr, w[expand], first_moment[er] + m, gr, rounding,
+            expanded.append((er, cr, w[expand], np.full(er.size, m), gr, rounding,
                              reach, slack))
         ends = split & stopping
         if ends.any():
@@ -484,8 +479,14 @@ def _tree_masses(trees: Sequence[BlockTree], owner: np.ndarray, ks: np.ndarray,
         sums = np.empty((4, rows.size))
         for i in range(0, rows.size, _SUM_PAIRS):
             part = slice(i, i + _SUM_PAIRS)
-            mu = moments[depth[part]]
-            weight = moment_err[depth[part]] + (TAYLOR_ORDER + 2) * _UNIT * np.abs(mu)
+            # Each pair's moments at its depth, from its own row's tree.
+            tree, at = owner[rows[part]], depth[part]
+            mu = np.empty((at.size, TAYLOR_ORDER + 1))
+            weight = np.empty_like(mu)
+            for j in set(tree.tolist()):
+                here = tree == j
+                mu[here], weight[here] = trees[j].moments[at[here]], trees[j].moment_err[at[here]]
+            weight += (TAYLOR_ORDER + 2) * _UNIT * np.abs(mu)
             sums[:, part] = expansion_sums(kp[part], c[part], w[part], mu, weight)
         sums, sums_err, d_centre, d_width = sums
         front = np.exp(g0)

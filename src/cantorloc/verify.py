@@ -495,8 +495,7 @@ def cli_suite(seed: int, samples: int, tol: float | None = None
     out = []
     rng = np.random.default_rng(seed)
 
-    values = rng.uniform(-1.0, 1.0, size=max(samples, 50)) * 10.0 ** rng.integers(
-        -300, 300, size=max(samples, 50))
+    values = rng.uniform(-1.0, 1.0, size=samples) * 10.0 ** rng.integers(-300, 300, size=samples)
     rows = [{"x": float(v)} for v in values]
     text = _cli.render_csv(["x"], [[v["x"]] for v in rows])
     parsed = [float(r["x"]) for r in _csv.DictReader(io.StringIO(text))]

@@ -513,6 +513,10 @@ GOLDEN = Path(__file__).parent / "golden"
     # and 6,563 norm indices).
     ("CTFL_MAX_INTERVALS=3000 sweep --experiment precise --base 3 --alphabet 0,2 --nmax 16",
      "sweep_precise_base3_n16_cap3000.csv"),
+    # The deep regime: 25 depths stream through one walk, the deepest
+    # holding 531,443 norm indices.
+    ("sweep --experiment precise --base 3 --alphabet 0,2 --nmax 24",
+     "sweep_precise_base3_n24.csv"),
 ])
 def test_golden_stdout(capsys, monkeypatch, argv, golden):
     # Leading NAME=value words set the environment, as in a shell.
@@ -595,6 +599,10 @@ def test_verify_writes_its_table_to_out(capsys, tmp_path):
     assert cli.render_csv(doc["columns"], doc["rows"]) == tables["csv"]
     meta = doc["metadata"]
     assert (meta["suite"], meta["samples"], meta["seed"]) == ("cli", 20, 5)
+    # The round trip draws the samples that the metadata records.
+    assert out.splitlines()[0].startswith("PASS cli.csv_round_trip ")
+    assert " samples=20 " in out.splitlines()[0]
+    assert rows[0]["samples"] == "20"
     assert meta["tolerances"]["tol_override"] == 0.5
 
 

@@ -524,17 +524,44 @@ SHARED_WALK_SPECS = [(CantorSpec(3, (1, 2)), [10, 12]), (CantorSpec(3, (0, 1, 2)
                          (4, (0, 3)), (2, (1,)), (3, (0, 1)), (5, (2, 4))))), [])]
 
 
+def _joins(monkeypatch, problems):
+    # The bound pass at which each problem joins a shared walk: the first
+    # that bounds its root block, whose width is its rho.
+    import cantorloc.operator as op
+
+    passes = []
+    bound = op.group_bound
+
+    def recorded(width, *args):
+        passes.append(np.asarray(width))
+        return bound(width, *args)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(op, "group_bound", recorded)
+        op._walk(problems)
+    return [next(i for i, width in enumerate(passes) if p.rho in width) for p in problems]
+
+
 @pytest.mark.parametrize("seed", range(4))
 def test_a_shared_walk_changes_no_problem(monkeypatch, seed):
     # Problems of one spec at random depths and radii share one walk; each
     # must get the value, argmax, value_err and exact rows it gets alone.
+    # The last input is a sweep's depths, deepest first: their root groups
+    # add up to several times the deepest's, so they join at staggered
+    # steps and each steps through its own depths from there.
     import cantorloc.operator as op
 
     rng = np.random.default_rng(seed)
+    inputs = []
     for spec, fixed_depths in SHARED_WALK_SPECS:
         depths = fixed_depths + [int(n) for n in rng.integers(0, 9, size=3)]
-        rhos = [1e3 if spec == CantorSpec(3, (0, 1, 2)) and n == 3 else
-                float(3.0 ** (n / 2) * rng.uniform(0.5, 2.0)) for n in depths]
+        inputs.append((spec, depths, [1e3 if spec == CantorSpec(3, (0, 1, 2)) and n == 3 else
+                                      float(3.0 ** (n / 2) * rng.uniform(0.5, 2.0))
+                                      for n in depths]))
+    depths = list(range(12, -1, -1))
+    inputs.append((MID_THIRD, depths,
+                   [float(3.0 ** (n / 2) * rng.uniform(0.5, 2.0)) for n in depths]))
+    for spec, depths, rhos in inputs:
         problems = [localization_problem(spec, n, rho) for n, rho in zip(depths, rhos)]
         shared, shared_rows = _certified(monkeypatch, op._walk, problems)
         for problem, result, rows in zip(problems, shared, shared_rows):
@@ -544,6 +571,9 @@ def test_a_shared_walk_changes_no_problem(monkeypatch, seed):
             assert (result.value, result.argmax_k, result.value_err) == (
                 single.value, single.argmax_k, single.value_err)
             assert rows == single_rows
+    # The last input, the sweep's depths, joins in order over many steps.
+    joins = _joins(monkeypatch, problems)
+    assert joins == sorted(joins) and len(set(joins)) > 5
 
 
 def test_a_capped_problem_is_blanked_alone(monkeypatch):
@@ -561,16 +591,21 @@ def test_a_capped_problem_is_blanked_alone(monkeypatch):
 
 
 def test_sweep_depths_share_walks(monkeypatch):
-    # Consecutive depths share a walk while their groups, one (group,
-    # block) pair each at the root, stay within the deepest depth's.
+    # The depths of a sweep stream through one walk, deepest first, and
+    # take their rows at k = 0 in one walk of _rows; no other rows are
+    # needed, as each depth's argmax is 0.  They join as the pairs leave
+    # room, so the 17 depths take 14 bound passes.
     import cantorloc.operator as op
     from cantorloc.experiments import sweep_fixed
 
-    walks = []
-    walk = op._walk
-    monkeypatch.setattr(op, "_walk", lambda ps: walks.append([p.n for p in ps]) or walk(ps))
+    calls = {"_walk": [], "_rows": [], "group_bound": []}
+    for name, log in calls.items():
+        monkeypatch.setattr(op, name, lambda *a, f=getattr(op, name), log=log:
+                            log.append(a) or f(*a))
     sweep_fixed(MID_THIRD, 16)
-    assert walks == [list(range(10)), [10, 11, 12, 13], [14], [15], [16]]
+    assert [[p.n for p in ps] for ps, in calls["_walk"]] == [list(range(16, -1, -1))]
+    assert len(calls["_rows"]) == 1
+    assert len(calls["group_bound"]) == 14
     with pytest.raises(ValueError, match="share one spec"):
         operator_norms([localization_problem(MID_THIRD, 2, 3.0),
                         localization_problem(CantorSpec(3, (1, 2)), 2, 3.0)])

@@ -30,7 +30,7 @@ import numpy as np
 from .cantor import (CantorSpec, IndexedCantorSpec, canonical_of, check_depth,
                      reverse_canonical_of)
 from .operator import (
-    lambda0_canonical_levels,
+    _lambda0,
     lambda0_closed_form,
     localization_problem,
     operator_norms,
@@ -130,10 +130,14 @@ def sweep_reverse_counterexample(base: int, size: int, n_max: int, gamma: float 
 @dataclass(frozen=True)
 class IndexedDecayResult:
     """rows = (n, lambda0, fitted_beta) with the common fitted rate; the
-    fit is least squares on ln lambda0 over the last ceil(n_max/2) depths."""
+    fit is least squares on ln lambda0 over the last ceil(n_max/2) depths,
+    fitted_beta is minus its slope and beta_stderr the slope's standard
+    error, from the residuals with n - 2 degrees of freedom; inf when the
+    tail holds fewer than three depths (n_max <= 4)."""
 
     rows: list[tuple[int, float, float]]
     fitted_beta: float
+    beta_stderr: float
     seed: int
     levels: IndexedCantorSpec
 
@@ -173,10 +177,15 @@ def sweep_indexed_decay(M: int = 3, delta: float = 0.5, epsilon: float = 2.0 / 3
     tail = pairs[-math.ceil(n_max / 2):]
     ns = np.array([p[0] for p in tail], dtype=float)
     logs = np.log(np.array([p[1] for p in tail], dtype=float))
-    slope = float(np.polyfit(ns, logs, 1)[0])
-    beta = -slope
+    slope, intercept = np.polyfit(ns, logs, 1)
+    resid = logs - (slope * ns + intercept)
+    dof = len(ns) - 2
+    stderr = (math.sqrt(float(resid @ resid) / dof / float(((ns - ns.mean()) ** 2).sum()))
+              if dof > 0 else math.inf)
+    beta = -float(slope)
     rows = [(n, l0, beta) for n, l0 in pairs]
-    return IndexedDecayResult(rows=rows, fitted_beta=beta, seed=seed, levels=spec)
+    return IndexedDecayResult(rows=rows, fitted_beta=beta, beta_stderr=stderr, seed=seed,
+                              levels=spec)
 
 
 @dataclass(frozen=True)
@@ -222,12 +231,13 @@ def sweep_indexed_counterexample(base: int, size: int, gamma: float = 1.0,
         if factor > 1.0 - 1e-17 or m > 400:
             break
         m += 1
+    canonical = [(b, a, None) for b, a in zip(bases, sizes)]
     rows = []
     running = 1
     for n in range(1, n_max + 1):
         running *= bases[n - 1]
         rho = gamma * math.sqrt(float(running))
-        rows.append((n, lambda0_canonical_levels(bases[:n], sizes[:n], rho), lower))
+        rows.append((n, _lambda0(canonical[:n], rho), lower))
     return IndexedCounterexampleResult(rows=rows, lower_bound_product=lower,
                                        bases=bases, sizes=sizes)
 
@@ -266,11 +276,12 @@ def positive_measure_demo(levels: int | Sequence[CantorSpec],
         for lv in levels:
             if not lv.is_canonical:
                 raise ValueError("positive-measure demo levels must be canonical")
+    canonical = [(b, a, None) for b, a in zip(bases, sizes)]
     rows = []
     measure = rho_fixed
     for n in range(1, len(bases) + 1):
         measure *= sizes[n - 1] / bases[n - 1]
-        l0 = lambda0_canonical_levels(bases[:n], sizes[:n], rho_fixed)
+        l0 = _lambda0(canonical[:n], rho_fixed)
         rows.append((n, measure, l0, math.exp(-rho_fixed) * measure))
     return PositiveMeasureResult(rows=rows, measure_limit_estimate=measure,
                                  norm_lower_bound=math.exp(-rho_fixed) * measure,

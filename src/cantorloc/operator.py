@@ -174,25 +174,6 @@ def lambda0_closed_form(spec: AnySpec, n: int, rho: float) -> float:
                      for lv in _levels_of(spec, n)], rho)
 
 
-def lambda0_canonical_levels(bases: Sequence[int], sizes: Sequence[int],
-                             rho: float) -> float:
-    """lambda_0 for canonical per-level alphabets given as (base, size) pairs.
-
-    For the doubly-exponential constructions, whose alphabets are too large
-    to store as letter tuples.
-    """
-    if len(bases) != len(sizes):
-        raise ValueError("bases and sizes must have equal length")
-    levels = []
-    for b, a in zip(bases, sizes):
-        b = int(b)
-        a = int(a)
-        if b < 2 or not (1 <= a <= b):
-            raise ValueError(f"invalid canonical level (base={b}, size={a})")
-        levels.append((b, a, None))
-    return _lambda0(levels, rho)
-
-
 # ----------------------------------------------------------------------
 # Relative areas
 # ----------------------------------------------------------------------

@@ -202,21 +202,14 @@ def _prefactor_error(k, r, log_f, log_m=None):
     return _EPS * (2.0 + 4.0 * np.abs(log_f) + terms)
 
 
-def _point(x, which: str) -> np.ndarray:
-    x = float(x)
-    if not math.isfinite(x) or x < 0.0:
-        raise ValueError(f"{which} limit must be finite and nonnegative, got {x!r}")
-    return np.array([x])
-
-
 def regularized_lower_gamma(k: int, x: float) -> float:
     """P(k+1, x): mass of f_k on [0, x]; one element of lower_tail_batch."""
-    return float(lower_tail_batch(k, _point(x, "upper"))[0][0])
+    return float(lower_tail_batch(k, [x])[0][0])
 
 
 def gamma_tail_mass(k: int, x: float) -> float:
     """Q(k+1, x): mass of f_k on [x, inf); one element of lower_tail_batch."""
-    return float(lower_tail_batch(k, _point(x, "lower"))[1][0])
+    return float(lower_tail_batch(k, [x])[1][0])
 
 
 # ----------------------------------------------------------------------

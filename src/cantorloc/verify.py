@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import io
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -48,8 +48,6 @@ from .special import (
     segment_mass,
     segment_mass_batch,
 )
-
-SUITE_NAMES = ("special_fn", "cantor", "operator", "experiments", "cli")
 
 
 @dataclass(frozen=True)
@@ -462,16 +460,9 @@ def experiments_suite(seed: int, samples: int, tol: float | None = None
 
     n_max = 20
     result = sweep_indexed_decay(n_max=n_max, seed=seed)
-    tail = result.rows[-math.ceil(n_max / 2):]
-    ns = np.array([r[0] for r in tail], dtype=float)
-    logs = np.log(np.array([r[1] for r in tail], dtype=float))
-    slope, intercept = np.polyfit(ns, logs, 1)
-    resid = logs - (slope * ns + intercept)
-    dof = max(len(ns) - 2, 1)
-    stderr = math.sqrt(float(resid @ resid) / dof / float(((ns - ns.mean()) ** 2).sum()))
-    upper = slope + 2.0 * stderr
+    upper = -result.fitted_beta + 2.0 * result.beta_stderr
     out.append(PropertyCheck("experiments", "indexed_decay_slope",
-                             upper < 0.0, upper, 0.0, len(ns),
+                             upper < 0.0, upper, 0.0, math.ceil(n_max / 2),
                              note="slope + 2 stderr of ln lambda0 fit"))
 
     return out
@@ -552,11 +543,18 @@ _SUITES = {
     "experiments": experiments_suite,
     "cli": cli_suite,
 }
+SUITE_NAMES = tuple(_SUITES)
 
 
 def run_suites(names=("all",), seed: int = 0, samples: int = 300,
                tol: float | None = None) -> list[PropertyCheck]:
-    """Run the named suites (or every suite) and collect their checks."""
+    """Run the named suites (or every suite) and collect their checks; a
+    check that drew no sample fails.  samples must be at least 1 and tol,
+    if given, finite and nonnegative."""
+    if not samples >= 1:
+        raise ValueError(f"samples must be at least 1, got {samples!r}")
+    if tol is not None and not 0.0 <= tol < math.inf:
+        raise ValueError(f"tol must be finite and nonnegative, got {tol!r}")
     chosen = list(SUITE_NAMES) if "all" in names else list(names)
     for name in chosen:
         if name not in _SUITES:
@@ -564,5 +562,6 @@ def run_suites(names=("all",), seed: int = 0, samples: int = 300,
                              f"choose from {', '.join(SUITE_NAMES)} or all")
     checks = []
     for name in chosen:
-        checks.extend(_SUITES[name](seed=seed, samples=samples, tol=tol))
+        checks.extend(replace(c, passed=c.passed and c.samples > 0)
+                      for c in _SUITES[name](seed=seed, samples=samples, tol=tol))
     return checks

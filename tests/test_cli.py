@@ -468,56 +468,22 @@ def test_reruns_are_byte_identical(capsys):
     assert out1 == out2
 
 
-# Exact stdout of sweeps and norms that the benchmark does not run; between
-# them they reach every first-eigenvalue entry point and the metadata that
-# echoes the norm's truncation thresholds.
 GOLDEN = Path(__file__).parent / "golden"
 
 
-@pytest.mark.parametrize("argv, golden", [
-    ("sweep --experiment precise --base 3 --alphabet 0,2 --nmax 6 --format json",
-     "sweep_precise_base3.json"),
-    ("sweep --experiment indexed-decay --nmax 8 --seed 1 --format json",
-     "sweep_indexed_decay_seed1.json"),
-    ("sweep --experiment indexed-counterexample --base 4 --size 2 --nmax 5",
-     "sweep_indexed_counterexample.csv"),
-    ("sweep --experiment positive-measure --levels 8 --rho 1.0",
-     "sweep_positive_measure.csv"),
-    ("sweep --experiment reverse --base 3 --size 2 --nmax 10 --format json",
-     "sweep_reverse_base3.json"),
-    # gamma = 1, the top of the range the fixed-base sweeps accept.
-    ("sweep --experiment reverse --base 3 --size 2 --nmax 10 --format json --gamma 1",
-     "sweep_reverse_base3.json"),
-    ("norm --base 3 --alphabet 1,2 --iterate 6 --rho 27 --format json",
-     "norm_reverse_base3.json"),
-    # Eigenvalue table from the block tree; rows 1 to 7 reach the depth-8
-    # interval at the origin.
-    ("eigs --base 3 --alphabet 0,2 --iterate 8 --rho 81 --kmax auto",
-     "eigs_mid_third_n8.csv"),
-    # Argmax 1967, certified by the branch-and-bound walk over the block
-    # tree; nothing is enumerated.
-    ("norm --base 3 --alphabet 1,2 --iterate 15 --rho 3856.1790282438915",
-     "norm_reverse_n15.csv"),
-    # The benchmark's sweep-precise and eigs-auto commands, pinned bit for
-    # bit: 17 certified norms to n = 16, and 561 rows at n = 11.
-    ("sweep --experiment precise --base 3 --alphabet 0,2 --nmax 16",
-     "sweep_precise_base3_n16.csv"),
-    ("eigs --base 3 --alphabet 0,2 --iterate 11 --rho 420.8883462392372 --kmax auto",
-     "eigs_mid_third_n11.csv"),
-    # The benchmark's other five norm-reverse-radii commands.
-    *[(f"norm --base 3 --alphabet 1,2 --iterate 15 --rho {rho}",
-       f"norm_reverse_n15_rho{rho.split('.')[0]}.csv")
-      for rho in ("3674.3552626685405", "3719.8112040623782", "3765.267145456216",
-                  "3810.7230868500537", "3901.6349696377292")],
-    # Depths that share walks, beside the two that the cap blanks (3,790
-    # and 6,563 norm indices).
-    ("CTFL_MAX_INTERVALS=3000 sweep --experiment precise --base 3 --alphabet 0,2 --nmax 16",
-     "sweep_precise_base3_n16_cap3000.csv"),
-    # The deep regime: 25 depths stream through one walk, the deepest
-    # holding 531,443 norm indices.
-    ("sweep --experiment precise --base 3 --alphabet 0,2 --nmax 24",
-     "sweep_precise_base3_n24.csv"),
-])
+def golden_commands():
+    """(argv, golden) for each line of the golden list, argv being the
+    command without its leading `cantorloc` word."""
+    pairs = []
+    for line in (GOLDEN / "commands.txt").read_text(encoding="utf-8").splitlines():
+        if line and not line.startswith("#"):
+            golden, *words = line.split()
+            words.remove("cantorloc")
+            pairs.append((" ".join(words), golden))
+    return pairs
+
+
+@pytest.mark.parametrize("argv, golden", golden_commands())
 def test_golden_stdout(capsys, monkeypatch, argv, golden):
     # Leading NAME=value words set the environment, as in a shell.
     monkeypatch.delenv("CTFL_MAX_INTERVALS", raising=False)
@@ -577,6 +543,25 @@ def test_verify_counts_capped_sweep_depths_as_failures(capsys, monkeypatch):
     assert (code, err) == (1, "")
     assert "FAIL experiments.bounded_ratio_band" in out
     assert "FAIL experiments.reverse_ratio_decreasing" in out
+
+
+@pytest.mark.parametrize("flags", ["--samples 0", "--samples -3", "--tol inf", "--tol nan",
+                                   "--tol -1"])
+def test_verify_refuses_no_samples_and_a_bad_tolerance(capsys, flags):
+    # --samples 0 once printed PASS lines drawn from nothing, and --tol inf
+    # passed every epsilon property.
+    code, out, err = run_cli(capsys, "verify", "--suite", "special_fn", *flags.split())
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and "Traceback" not in err
+
+
+def test_verify_fails_a_property_that_drew_no_sample(capsys, monkeypatch):
+    # At cap 1 every depth of the sweeps is blank, so the norm against
+    # twice lambda_0 is compared nowhere.
+    monkeypatch.setenv("CTFL_MAX_INTERVALS", "1")
+    code, out, err = run_cli(capsys, "verify", "--suite", "experiments")
+    assert (code, err) == (1, "")
+    assert "FAIL experiments.norm_vs_twice_lambda0 worst=0.000e+00 tol=1.000e-10 samples=0" in out
 
 
 def test_verify_writes_its_table_to_out(capsys, tmp_path):

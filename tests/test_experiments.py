@@ -12,6 +12,7 @@ import oracles
 from cantorloc import (
     CantorSpec,
     HypothesisViolationError,
+    IndexedCantorSpec,
     lambda0_closed_form,
     localization_problem,
     operator_norm,
@@ -239,6 +240,23 @@ def test_indexed_decay_fitted_rate_is_positive():
     assert all(beta == result.fitted_beta for _, _, beta in result.rows)
 
 
+def test_indexed_decay_fit_is_the_least_squares_tail_fit():
+    # The reference refits the last ceil(n_max/2) depths with np.polyfit.
+    n_max = 20
+    result = sweep_indexed_decay(n_max=n_max, seed=3)
+    tail = result.rows[-math.ceil(n_max / 2):]
+    ns = np.array([r[0] for r in tail], dtype=float)
+    logs = np.log(np.array([r[1] for r in tail], dtype=float))
+    slope, intercept = np.polyfit(ns, logs, 1)
+    resid = logs - (slope * ns + intercept)
+    stderr = math.sqrt(float(resid @ resid) / (len(ns) - 2)
+                       / float(((ns - ns.mean()) ** 2).sum()))
+    assert result.fitted_beta == -slope
+    assert result.beta_stderr == stderr
+    # A tail of one or two depths leaves no degree of freedom for the error.
+    assert sweep_indexed_decay(n_max=4, seed=3).beta_stderr == math.inf
+
+
 def test_indexed_decay_rejects_an_epsilon_without_alphabets():
     # floor(0.4 * 2) = 0 letters fit in base 2.
     with pytest.raises(HypothesisViolationError):
@@ -264,6 +282,26 @@ def test_indexed_counterexample_lower_product_converges():
     assert abs(partial(10) - partial(20)) <= 1e-12
     result = sweep_indexed_counterexample(4, 2, n_max=5)
     assert result.lower_bound_product == pytest.approx(partial(20), rel=1e-12)
+
+
+def canonical_levels(bases, sizes):
+    return IndexedCantorSpec(tuple(CantorSpec(b, tuple(range(a)))
+                                   for b, a in zip(bases, sizes)))
+
+
+def test_indexed_lambda0_match_the_closed_form_on_a_spec():
+    # The sweeps take lambda_0 from (base, size) levels; a spec holding the
+    # same canonical levels, at most 255 letters each, gives the same bits.
+    result = sweep_indexed_counterexample(4, 2, n_max=4)
+    spec = canonical_levels(result.bases, result.sizes)
+    for n, l0, _ in result.rows:
+        rho = math.sqrt(float(math.prod(result.bases[:n])))
+        assert l0 == lambda0_closed_form(spec, n, rho)
+    result = positive_measure_demo(8, 1.0)
+    bases = [2 ** j for j in range(1, 9)]
+    spec = canonical_levels(bases, [b - 1 for b in bases])
+    assert [l0 for _, _, l0, _ in result.rows] == [
+        lambda0_closed_form(spec, n, 1.0) for n in range(1, 9)]
 
 
 def test_indexed_counterexample_validation():

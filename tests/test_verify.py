@@ -21,6 +21,13 @@ def test_suite_passes(suite):
     assert not failed, "; ".join(failed)
 
 
+@pytest.mark.parametrize("samples, tol", [(0, None), (-3, None), (300, float("inf")),
+                                          (300, float("nan")), (300, -1.0)])
+def test_run_suites_refuses_no_samples_and_a_bad_tolerance(samples, tol):
+    with pytest.raises(ValueError):
+        run_suites(("special_fn",), samples=samples, tol=tol)
+
+
 def test_cli_exit_codes_without_pythonpath(monkeypatch):
     # The capped run is a child process; it must find the package from a
     # checkout that was never installed.

@@ -59,21 +59,19 @@ def _check_proper_size(base: int, size: int) -> None:
 class SweepRow(NamedTuple):
     """One depth of a fixed-base sweep.
 
-    norm is operator_norm's value.  It and its derived columns are None
-    where the norm's indices pass the cap (operator_norm would raise
-    CapExceededError), which blanks the depth in both fixed-base sweeps;
-    the first-eigenvalue column for the canonical sibling is always
-    present.
+    norm is operator_norm's value, certified at every depth: where the
+    norms would pass the cap, the sweep raises CapExceededError instead of
+    returning rows.
     scaled_norm = norm * (M/|A|)^n * rho^(d-1) with d = ln|A|/ln M;
     thm32_ratio = (rho+1)^d / (|A|^n (1 - e^(-M^-n rho))) * norm.
     """
 
     n: int
     rho: float
-    norm: float | None
+    norm: float
     lambda0_canonical: float
-    scaled_norm: float | None
-    thm32_ratio: float | None
+    scaled_norm: float
+    thm32_ratio: float
 
 
 def sweep_fixed(spec: CantorSpec, n_max: int, gamma: float = 1.0) -> list[SweepRow]:
@@ -95,30 +93,26 @@ def sweep_fixed(spec: CantorSpec, n_max: int, gamma: float = 1.0) -> list[SweepR
     for problem, result in zip(problems, operator_norms(problems)):
         n, rho = problem.n, problem.rho
         l0_can = lambda0_closed_form(canonical_of(spec), n, rho)
-        if result is None:
-            norm = scaled = ratio = None
-        else:
-            norm = result.value
-            scaled = norm * (spec.base / spec.size) ** n * rho ** (dim - 1.0)
-            ratio = ((rho + 1.0) ** dim
-                     / (float(spec.size) ** n * -math.expm1(-rho * float(spec.base) ** -n))
-                     * norm)
+        norm = result.value
+        scaled = norm * (spec.base / spec.size) ** n * rho ** (dim - 1.0)
+        ratio = ((rho + 1.0) ** dim
+                 / (float(spec.size) ** n * -math.expm1(-rho * float(spec.base) ** -n))
+                 * norm)
         rows.append(SweepRow(n=n, rho=rho, norm=norm, lambda0_canonical=l0_can,
                              scaled_norm=scaled, thm32_ratio=ratio))
     return rows
 
 
 def sweep_reverse_counterexample(base: int, size: int, n_max: int, gamma: float = 1.0
-                                 ) -> list[tuple[int, float | None]]:
+                                 ) -> list[tuple[int, float]]:
     """(n, norm ratio reverse-canonical / canonical) at rho(n) = gamma * M^(n/2).
 
-    The ratio of two sweep_fixed norm columns, so it is None where a
-    depth's norms pass the cap.  The ratio tending to zero is what rules
-    out a two-sided sibling comparison at the critical radius.
+    The ratio of two sweep_fixed norm columns.  The ratio tending to zero is
+    what rules out a two-sided sibling comparison at the critical radius.
     """
     _check_proper_size(base, size)
     rev = reverse_canonical_of(CantorSpec(base, tuple(range(size))))
-    return [(r.n, None if r.norm is None else r.norm / c.norm)
+    return [(r.n, r.norm / c.norm)
             for r, c in zip(sweep_fixed(rev, n_max, gamma),
                             sweep_fixed(canonical_of(rev), n_max, gamma))]
 
@@ -132,8 +126,7 @@ class IndexedDecayResult:
     """rows = (n, lambda0, fitted_beta) with the common fitted rate; the
     fit is least squares on ln lambda0 over the last ceil(n_max/2) depths,
     fitted_beta is minus its slope and beta_stderr the slope's standard
-    error, from the residuals with n - 2 degrees of freedom; inf when the
-    tail holds fewer than three depths (n_max <= 4)."""
+    error, from the residuals with n - 2 degrees of freedom."""
 
     rows: list[tuple[int, float, float]]
     fitted_beta: float
@@ -157,8 +150,8 @@ def sweep_indexed_decay(M: int = 3, delta: float = 0.5, epsilon: float = 2.0 / 3
         raise ValueError("epsilon must lie in (0, 1)")
     _check_gamma(gamma)
     n_max = check_depth(n_max)
-    if n_max < 2:
-        raise ValueError("n_max must be at least 2")
+    if n_max < 5:
+        raise ValueError("n_max must be at least 5, so the fit has three depths")
     rng = np.random.default_rng(seed)
     top = int(math.floor(float(M) ** (1.0 + delta)))
     levels = []
@@ -179,9 +172,8 @@ def sweep_indexed_decay(M: int = 3, delta: float = 0.5, epsilon: float = 2.0 / 3
     logs = np.log(np.array([p[1] for p in tail], dtype=float))
     slope, intercept = np.polyfit(ns, logs, 1)
     resid = logs - (slope * ns + intercept)
-    dof = len(ns) - 2
-    stderr = (math.sqrt(float(resid @ resid) / dof / float(((ns - ns.mean()) ** 2).sum()))
-              if dof > 0 else math.inf)
+    stderr = math.sqrt(float(resid @ resid) / (len(ns) - 2)
+                       / float(((ns - ns.mean()) ** 2).sum()))
     beta = -float(slope)
     rows = [(n, l0, beta) for n, l0 in pairs]
     return IndexedDecayResult(rows=rows, fitted_beta=beta, beta_stderr=stderr, seed=seed,

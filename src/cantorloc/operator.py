@@ -11,25 +11,27 @@ self-similarity rather than its |A|^n intervals: special._tree_masses, the
 package's one quadrature, walks the iterate's block tree, expands f_k over
 each block in a Taylor series against the block's centred moments, and
 bounds the error (err).  Nothing is enumerated, so the cap
-(cantor.check_cap) limits the rows and rho, not the depth.
+(cantor.check_cap) limits a table's rows, not the depth.
 
 The first eigenvalue has a closed product form built from per-level
 relative areas.  The operator norm is the supremum over k, certified by
-branch and bound over the same tree: a group of consecutive k is bounded
+branch and bound over the same tree: a range of consecutive k is bounded
 on each block by sup f_k times the block's measure (Part I's estimate),
-groups whose summed bound stays below an exact eigenvalue are dropped, and
-the rest get exact rows.  The walk covers every k up to _last_index, past
-which lambda_k <= P(k+1, rho) is far below the least subnormal; the
-truncation that the norm reports, computed only when read, is the first
-k > rho with a tail under the policy's threshold.  Norms of one spec at
-several depths and radii (operator_norms, for the sweeps) share one walk,
-each certified as it would be alone.
+ranges whose summed bound stays below an exact eigenvalue are dropped, and
+the rest split, in k and in blocks, down to groups that get exact rows.
+The walk covers every k up to _last_index, past which lambda_k <=
+P(k+1, rho) is far below the least subnormal; the truncation that the norm
+reports, computed only when read, is the first k > rho with a tail under
+the policy's threshold.  No array of the norm grows with rho: the cap
+limits the walk's live (range, block) pairs and the truncation's scan of
+about 60 sqrt(rho) entries.  Norms of one spec at several depths and radii
+(operator_norms, for the sweeps) share one walk, each certified as it
+would be alone.
 """
 
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 from dataclasses import dataclass
 from typing import Sequence, Union
@@ -39,7 +41,6 @@ import numpy as np
 from .cantor import (
     BlockTree,
     CantorSpec,
-    CapExceededError,
     IndexedCantorSpec,
     IterateIntervals,
     _levels_of,
@@ -230,18 +231,18 @@ def limit_relative_area(theta: float, a: float, T: float) -> float:
 # P(k+1, rho) is below max(TAIL_ABSOLUTE, TAIL_RELATIVE * norm).
 TAIL_ABSOLUTE = 1e-12
 TAIL_RELATIVE = 1e-9
-# Indices bounded together, as one group, on each block.  Below SINGLES the
-# width sqrt(k) of f_k is under GROUP, so the envelope of a group would be
-# wider than each member; those indices are bounded one by one.
+# Indices that the norm's ranges stop halving at, as one group.  Below
+# SINGLES the width sqrt(k) of f_k is under GROUP, so the envelope of a
+# group would be wider than each member; those indices are one group each.
 GROUP = 8
 SINGLES = GROUP * GROUP
-# A block whose bound is below this share of the target joins its group's
+# A block whose bound is below this share of the target joins its range's
 # fixed sum instead of splitting.
 PRUNE_SHARE = 1e-6
-# One exact row costs about as much as this many (group, block) bounds.
+# One exact row costs about as much as this many (range, block) bounds.
 ROW_COST = 50
-# While the next depth would hold more (group, block) pairs than this, the
-# target is raised by the exact rows of the group of largest bound.
+# While the next step would hold more (range, block) pairs than this, the
+# target is raised by the exact rows of the range of largest bound.
 RAISE_PAIRS = 3000
 # Rows per walk over the block tree.  A walk holds the live (row, block)
 # pairs of all its rows, and rows are independent, so this bounds its
@@ -285,11 +286,18 @@ def _rows(trees: Sequence[BlockTree], owner: np.ndarray, ks: np.ndarray
     """lambda_k for each k in ks over trees[owner[i]], from walks over the
     block trees (special._tree_masses), WALK_ROWS rows at a time.  A value
     that rounds above 1 is set to 1: lambda_k <= 1, as f_k is a probability
-    density, so err still bounds the error."""
+    density, so err still bounds the error.  A value or err that is not
+    finite, as the expansion's error bound overflows on blocks as wide as
+    rho = 2*10^9, raises ArithmeticError rather than pass as a row."""
     rows = []
     for start in range(0, ks.size, WALK_ROWS):
         part = ks[start:start + WALK_ROWS]
         values, errs = _tree_masses(trees, owner[start:start + WALK_ROWS], part)
+        bad = ~(np.isfinite(values) & np.isfinite(errs))
+        if bad.any():
+            i = np.argmax(bad)
+            raise ArithmeticError(f"lambda_{part[i]} has no finite error bound "
+                                  f"(value {float(values[i])!r}, err {float(errs[i])!r})")
         rows += [EigenvalueResult(k=int(k), value=min(float(v), 1.0), err=float(e) + 1e-300)
                  for k, v, e in zip(part, values, errs)]
     return rows
@@ -344,169 +352,171 @@ def operator_norm(problem: LocalizationProblem) -> NormResult:
     """sup_k lambda_k at argmax_k with its value_err (_select), certified
     by branch and bound over the block tree (_walk, on this problem alone).
 
-    Nothing is enumerated, but the walk's arrays grow with rho: floor(rho)
-    + 2 indices are held to the cap, so a larger rho raises
-    CapExceededError.  The truncation report (NormResult.k_truncation,
-    tail_bound) is left to the caller's first read.
+    Nothing is enumerated and no array grows with rho: the cap bounds the
+    walk's live (range, block) pairs and the truncation's scan, about
+    60 sqrt(rho) entries, so a larger problem raises CapExceededError.  The
+    truncation report (NormResult.k_truncation, tail_bound) is left to the
+    caller's first read.
     """
-    check_cap(_index_count(problem), "norm indices")
-    return _walk([problem])[0]
+    return operator_norms([problem])[0]
 
 
-def operator_norms(problems: Sequence[LocalizationProblem]) -> list[NormResult | None]:
-    """operator_norm of each of several problems of one spec, None where it
-    would raise CapExceededError; every other result equals operator_norm's.
-
-    The problems share one walk (_walk), which they join deepest first as
-    its (group, block) pairs leave room, so the walk never holds much more
-    than the largest problem alone.
+def operator_norms(problems: Sequence[LocalizationProblem]) -> list[NormResult]:
+    """operator_norm of each of several problems of one spec, from one walk
+    (_walk); each result equals operator_norm's.  The cap holds each
+    problem's truncation scan, checked before the walk, which keeps every
+    index in int64, and the pairs of all problems in the walk together.
     """
     if any(p.spec != problems[0].spec for p in problems):
         raise ValueError("the problems of operator_norms must share one spec")
-    results: list[NormResult | None] = [None] * len(problems)
-    held = []
-    for i, problem in enumerate(problems):
-        try:
-            check_cap(_index_count(problem), "norm indices")
-        except CapExceededError:
-            continue
-        held.append(i)
-    held.sort(key=lambda i: -problems[i].n)
-    for i, result in zip(held, _walk([problems[i] for i in held])):
-        results[i] = result
-    return results
+    for problem in problems:
+        check_cap(_last_index(problem.rho) - math.floor(problem.rho), "truncation scan entries")
+    return _walk(problems)
 
 
-def _index_count(problem: LocalizationProblem) -> int:
-    """The indices a norm holds to the cap: floor(rho) + 2."""
-    return math.floor(problem.rho) + 2
+def _group_of(k):
+    """Group of index k >= 1 on the norm's grid: one index per group below
+    SINGLES, GROUP per group from there."""
+    return np.where(k < SINGLES, k - 1, SINGLES - 1 + (k - SINGLES) // GROUP)
 
 
-def _groups(rho: float) -> tuple[np.ndarray, np.ndarray]:
-    """First and last index of each group that the norm's walk bounds
-    together: 1 .. _last_index(rho), one index per group below SINGLES and
-    GROUP from there."""
-    k_last = _last_index(rho)
-    first = np.append(np.arange(1.0, SINGLES), np.arange(SINGLES, k_last + 1.0, GROUP))
-    return first, np.append(first[1:] - 1.0, k_last)
+def _group_first(g):
+    """First index of group g on the norm's grid (_group_of)."""
+    return np.where(g < SINGLES - 1, g + 1, SINGLES + GROUP * (g - (SINGLES - 1)))
 
 
 def _walk(problems: Sequence[LocalizationProblem]) -> list[NormResult]:
     """The norm of each problem, all certified by one branch-and-bound walk
     over their block trees; each problem's result is what it gives alone.
 
-    For each problem the indices 1 .. _last_index are split into groups
-    (GROUP, SINGLES), and its tree is walked from the root with, per group,
-    the blocks still in play, each bounded by group_bound.  Blocks below
-    PRUNE_SHARE of the target, the largest value - err of the problem's
-    exact rows so far (k = 0 first), move into their group's fixed sum.  A
-    group whose fixed sum plus block bounds, clamped at 1 (lambda_k <= 1),
-    is at most the fold, value + err of _select's row, is certified within
-    value_err.  Exact rows come from _rows: at each depth for the
-    uncertified group of largest bound while the problem's next depth would
-    hold more than RAISE_PAIRS (group, block) pairs, which raises its target
-    before the pairs multiply; for any group whose blocks at the next depth
-    would cost more than its rows (ROW_COST); and at the problem's depth n,
-    where blocks cannot split, for every group left.  Best first: of these,
-    the group of largest bound takes its rows first, and the rest are held
-    to the fold its rows give, so near-tie sets, where hundreds of groups
-    bound within a rounding of 1, take one group's rows instead of all of
-    them.  No index past _last_index can exceed the norm.
+    A problem's indices 1 .. _last_index lie on a grid of groups (GROUP,
+    SINGLES), held as ranges of consecutive groups, each with its blocks
+    still in play, bounded by group_bound.  Every problem enters at step 0
+    with one range on its root block.  At each step a range of several
+    groups halves, both halves keeping its blocks and fixed sum, and the
+    problem's blocks split by its next level, except at its depth n and
+    while one of its ranges of several groups spans more indices than a
+    block is wide.  As f_k lives near x = k, a pair then spans about as
+    much in k as in x, and the pairs follow the set, not rho.
 
-    The rows at k = 0 of all problems take one walk of _rows.  The problems
-    then join the walk in the order given, each at the first step where the
-    pairs held plus its groups, one pair each at its root, fit within the
-    largest problem's group count (an empty walk takes the next problem
-    anyway), and each steps through its own depths from there.  Its pairs
-    and groups leave the walk as they are certified, so only groups in play
-    are held.  The problems share their first levels, so their blocks split
-    alike; every decision above is taken per problem from its own target,
-    fold, pairs and depth, and the exact rows of all problems at a step
-    take one walk of _rows, whose rows depend on their own problem alone.
+    Blocks below PRUNE_SHARE of the target, the largest value - err of the
+    problem's exact rows so far (k = 0 first), move into their range's
+    fixed sum.  A range whose fixed sum plus block bounds, clamped at 1
+    (lambda_k <= 1), is at most the fold, value + err of _select's row, is
+    certified within value_err.  Only a range of one group takes exact
+    rows from _rows to be done with: at depth n, when no block is left, or
+    when its blocks at the next depth would cost more than its rows
+    (ROW_COST).  While the problem's next step would hold more than
+    RAISE_PAIRS pairs, its live range of largest bound takes rows too, to
+    raise the target before the pairs multiply; a range of several groups
+    takes those of the group at the middle of its block of largest bound,
+    and stays in play.  Best first: of these, the range of largest bound
+    takes its rows first, and the rest are held to the fold its rows give,
+    so near-tie sets, where hundreds of groups bound within a rounding of
+    1, take one group's rows instead of all of them.  No index past
+    _last_index can exceed the norm.
+
+    The problems share their first levels, so their blocks split alike;
+    every decision above is taken per problem from its own target, fold,
+    pairs and depth, and the exact rows of all problems at a step take one
+    walk of _rows, whose rows depend on their own problem alone.
     """
     trees = [p.tree for p in problems]
     measures = [block_measures(t) for t in trees]
     rows = [[row] for row in _rows(trees, np.arange(len(trees)), np.zeros(len(trees), dtype=int))]
     target = np.array([r[0].value - r[0].err for r in rows])
     fold = np.array([r[0].value + r[0].err for r in rows])
-    counts = [_groups(p.rho)[0].size for p in problems]
-    budget = max(counts, default=0)
     depths = np.array([t.depth for t in trees], dtype=int)
-    join = np.zeros(len(trees), dtype=int)
-    joined = 0
-    # Per group in play, in problem order: its indices, fixed sum and
-    # problem; per pair, in group order: its group and block prefix.
-    first, last, fixed = np.zeros((3, 0))
-    owner = group = np.zeros(0, dtype=int)
-    prefixes = np.zeros(0, dtype=np.int64)
-    for step in itertools.count():
-        while joined < len(trees) and (group.size == 0 or group.size + counts[joined] <= budget):
-            size = counts[joined]
-            group = np.append(group, np.arange(first.size, first.size + size))
-            prefixes = np.concatenate([prefixes, np.repeat(trees[joined].root(), size)])
-            first, last = map(np.append, (first, last), _groups(problems[joined].rho))
-            fixed = np.append(fixed, np.zeros(size))
-            owner = np.append(owner, np.full(size, joined))
-            join[joined] = step
-            joined += 1
-        if group.size == 0:
-            break
-        # Each problem's depth, and its block width and measure there.
-        m = np.minimum(step - join, depths)
+    k_last = np.array([_last_index(p.rho) for p in problems], dtype=np.int64)
+    # Per problem, its block depth; per range in play, in problem order: its
+    # first and last group, fixed sum and problem; per pair, in range
+    # order: its range and block prefix.
+    m = np.zeros(len(trees), dtype=int)
+    owner = pair_range = np.arange(len(trees))
+    lo, hi = np.zeros(len(trees), dtype=np.int64), _group_of(k_last)
+    fixed = np.zeros(len(trees))
+    prefixes = np.concatenate([t.root() for t in trees] or [np.zeros(0, dtype=np.int64)])
+    while lo.size:
+        leaf = depths == m
         width = np.array([t.widths[d] for t, d in zip(trees, m)])
         measure = np.array([mu[d] for mu, d in zip(measures, m)])
-        splits = np.array([t.levels[d].size if d < t.depth else 0 for t, d in zip(trees, m)])
-        count = first.size
-        # The pairs are in group order, so each problem's pairs are one run.
-        run = np.bincount(owner[group], minlength=len(trees))
+        count = lo.size
+        first = _group_first(lo).astype(float)
+        last = np.minimum(_group_first(hi + 1) - 1, k_last[owner]).astype(float)
+        # The pairs are in range order, so each problem's pairs are one run.
+        run = np.bincount(owner[pair_range], minlength=len(trees))
         bound = group_bound(np.repeat(width, run), np.repeat(measure, run), prefixes,
-                            first[group], last[group])
+                            first[pair_range], last[pair_range])
         prune = bound <= PRUNE_SHARE * np.repeat(target, run)
-        fixed += np.bincount(group[prune], bound[prune], minlength=count)
-        live = np.bincount(group[~prune], minlength=count)
-        total = fixed + np.bincount(group[~prune], bound[~prune], minlength=count)
-        alive = np.zeros(count, dtype=bool)
-        alive[group] = np.minimum(total[group], 1.0) > np.repeat(fold, run)
-        leaf = depths[owner] == m[owner]
-        pairs = live * splits[owner]
-        exact = alive & (leaf | (live == 0) | (pairs > ROW_COST * (last - first + 1)))
-        # Best first: each problem's group of largest bound among its exact
-        # groups (among all its live ones where it raises) takes its rows,
+        fixed += np.bincount(pair_range[prune], bound[prune], minlength=count)
+        live = np.bincount(pair_range[~prune], minlength=count)
+        total = fixed + np.bincount(pair_range[~prune], bound[~prune], minlength=count)
+        alive = np.minimum(total, 1.0) > fold[owner]
+        multi = lo < hi
+        # A problem's blocks split by its next level, except at its depth n
+        # and while one of its ranges of several groups spans more indices
+        # than a block is wide: those ranges halve first.
+        wide = np.bincount(owner[alive & multi & (last - first + 1 > width[owner])],
+                           minlength=len(trees)) > 0
+        split = ~leaf & ~wide
+        fan = np.array([t.levels[d].size if s else 1 for t, d, s in zip(trees, m, split)])
+        pairs = live * fan[owner] * (1 + multi)
+        exact = alive & ~multi & (leaf[owner] | (live == 0) | (pairs > ROW_COST * (last - first + 1)))
+        # Best first: each problem's range of largest bound among its exact
+        # ranges (among all its live ones where it raises) takes its rows,
         # and the rest are held to the fold they give before taking theirs.
         raising = np.bincount(owner[alive], pairs[alive], minlength=len(trees)) > RAISE_PAIRS
-        pool = exact | (alive & raising[owner])
+        pool = exact | (alive & raising[owner] & (live > 0))
         starts = np.searchsorted(owner, np.arange(len(trees) + 1))
         head = np.zeros(count, dtype=bool)
         for i in np.flatnonzero(np.bincount(owner[pool], minlength=len(trees))):
             span = slice(starts[i], starts[i + 1])
             head[starts[i] + np.argmax(np.where(pool[span], total[span], -np.inf))] = True
+        row_span = np.column_stack([first, last])
+        for r in np.flatnonzero(head & multi):
+            a, b = np.searchsorted(pair_range, [r, r + 1])
+            j = a + np.argmax(np.where(prune[a:b], -np.inf, bound[a:b]))
+            g = _group_of(min(max(math.floor((float(prefixes[j]) + 0.5) * width[owner[r]]), 1),
+                              int(k_last[owner[r]])))
+            row_span[r] = _group_first(g), min(_group_first(g + 1) - 1, k_last[owner[r]])
         for take in (head, exact & ~head):
             take &= alive
             if not take.any():
                 continue
-            ks = np.concatenate([np.arange(a, b + 1) for a, b in
-                                 zip(first[take].astype(int), last[take].astype(int))])
-            whose = np.repeat(owner[take], (last - first + 1)[take].astype(int))
+            a, b = row_span[take].astype(int).T
+            ks = np.concatenate([np.arange(x, y + 1) for x, y in zip(a, b)])
+            whose = np.repeat(owner[take], b - a + 1)
             for i, row in zip(whose, _rows(trees, whose, ks)):
                 rows[i].append(row)
             for i in set(owner[take].tolist()):
                 target[i] = max(r.value - r.err for r in rows[i])
                 best = _select(rows[i])[0]
                 fold[i] = best.value + best.err
-            alive &= ~take & (np.minimum(total, 1.0) > fold[owner])
-        keep = alive[group] & ~prune
-        group, prefixes = group[keep], prefixes[keep]
-        # Each problem's blocks split by its own level.
-        kept = np.bincount(owner[group], minlength=len(trees))
-        ends = np.cumsum(kept)
-        prefixes = np.concatenate([trees[i].children(m[i], prefixes[ends[i] - kept[i]:ends[i]])
-                                   for i in np.flatnonzero(kept)] or [prefixes])
-        group = np.repeat(group, splits[owner[group]])
-        # Groups with no pair left are certified or have their rows.
-        in_play = np.zeros(count, dtype=bool)
-        in_play[group] = True
-        group = np.cumsum(in_play)[group] - 1
-        first, last, fixed, owner = first[in_play], last[in_play], fixed[in_play], owner[in_play]
+            alive &= ~(take & ~multi) & (np.minimum(total, 1.0) > fold[owner])
+        check_cap(int(pairs[alive].sum()), "live (range, block) pairs of the norm's walk")
+        keep = alive[pair_range] & ~prune
+        pair_range, prefixes = pair_range[keep], prefixes[keep]
+        parts = np.split(prefixes, np.cumsum(np.bincount(owner[pair_range],
+                                                         minlength=len(trees)))[:-1])
+        prefixes = np.concatenate([trees[i].children(m[i], part) if split[i] else part
+                                   for i, part in enumerate(parts)])
+        pair_range = np.repeat(pair_range, fan[owner[pair_range]])
+        m += split
+        # Ranges of several groups halve, each half with the range's blocks
+        # and fixed sum; the rest are certified or have their rows.
+        copies = alive * (1 + multi)
+        start = np.cumsum(copies) - copies
+        halved = multi[pair_range]
+        ids = np.concatenate([start[pair_range], start[pair_range[halved]] + 1])
+        order = np.argsort(ids, kind="stable")
+        pair_range, prefixes = ids[order], np.concatenate([prefixes, prefixes[halved]])[order]
+        src = np.repeat(np.arange(count), copies)
+        upper = np.zeros(src.size, dtype=bool)
+        upper[start[alive & multi] + 1] = True
+        mid = (lo + hi) // 2
+        lo, hi = (np.where(upper, mid[src] + 1, lo[src]),
+                  np.where(multi[src] & ~upper, mid[src], hi[src]))
+        fixed, owner = fixed[src], owner[src]
     results = []
     for problem, found in zip(problems, rows):
         best, value_err = _select(found)

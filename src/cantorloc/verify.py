@@ -428,30 +428,24 @@ def experiments_suite(seed: int, samples: int, tol: float | None = None
     eps = tol if tol is not None else 1e-10
 
     specs = [CantorSpec(3, (0, 2)), CantorSpec(5, (0, 2, 3)), CantorSpec(4, (1, 3))]
-    worst = 0.0
-    rows_total = 0
-    for spec in specs:
-        for row in sweep_fixed(spec, 6):
-            if row.norm is not None:
-                worst = max(worst, row.norm - 2.0 * row.lambda0_canonical)
-                rows_total += 1
+    rows = [row for spec in specs for row in sweep_fixed(spec, 6)]
+    worst = max([0.0] + [row.norm - 2.0 * row.lambda0_canonical for row in rows])
     out.append(PropertyCheck("experiments", "norm_vs_twice_lambda0",
-                             worst <= eps, worst, eps, rows_total))
+                             worst <= eps, worst, eps, len(rows)))
 
     # Every row to n = 10 has a finite positive ratio, mid-third included;
     # the band is taken over the canonical set.
     canonical, mid = ([row.thm32_ratio for row in sweep_fixed(spec, 10)]
                       for spec in (CantorSpec(5, (0, 1, 2)), CantorSpec(3, (0, 2))))
     ratios = canonical + mid
-    finite = all(r is not None and math.isfinite(r) and r > 0.0 for r in ratios)
+    finite = all(math.isfinite(r) and r > 0.0 for r in ratios)
     band = max(canonical) / min(canonical) if finite else math.inf
     out.append(PropertyCheck("experiments", "bounded_ratio_band",
                              finite and band <= 10.0, band, 10.0, len(ratios),
                              note="canonical max/min of thm32_ratio"))
 
-    # A depth blanked by the cap (ratio None) fails the check.
     ratios = [r for _, r in sweep_reverse_counterexample(3, 2, 8)]
-    positive = all(r is not None and r > 0.0 for r in ratios)
+    positive = all(r > 0.0 for r in ratios)
     worst = (max([0.0] + [r2 - r1 for r1, r2 in zip(ratios[1:-1], ratios[2:])])
              if positive else math.inf)
     out.append(PropertyCheck("experiments", "reverse_ratio_decreasing",

@@ -275,7 +275,8 @@ DEPTH_ENTRY_POINTS = {
     "sweep_fixed": lambda n: sweep_fixed(MID_THIRD, n),
     "sweep_indexed_counterexample": lambda n: sweep_indexed_counterexample(4, 2, n_max=n),
     "base_product": lambda n: IndexedCantorSpec((MID_THIRD,) * 3).base_product(n),
-    "sweep_indexed_decay": lambda n: sweep_indexed_decay(n_max=n).rows,
+    # Its fit needs n_max >= 5; 3n keeps 2.5 fractional and -1 negative.
+    "sweep_indexed_decay": lambda n: sweep_indexed_decay(n_max=3 * n).rows,
     "positive_measure_demo": lambda n: positive_measure_demo(n, 1.0).rows,
 }
 

@@ -12,7 +12,7 @@ from pathlib import Path
 
 import pytest
 
-from cantorloc import (CantorSpec, cli, lambda0_closed_form,
+from cantorloc import (CantorSpec, CapExceededError, cli, lambda0_closed_form,
                        sweep_reverse_counterexample)
 
 
@@ -85,13 +85,30 @@ def test_enumeration_cap_exits_three(capsys, monkeypatch):
         "--iterate", "3", "--rho", "2", "--kmax", "1000000000000")
     assert (code, out) == (3, "")
     assert "error:" in err and "Traceback" not in err
-    # The norm sizes its arrays by rho: 10^13 indices once died asking for
-    # 9.10 TiB, with a traceback and exit 1.
-    code, out, err = run_cli(
-        capsys, "norm", "--base", "3", "--alphabet", "0,2",
-        "--iterate", "4", "--rho", "1e13")
-    assert (code, out) == (3, "")
-    assert "error:" in err and "Traceback" not in err
+    # 10^13 norm indices once died asking for 9.10 TiB, with a traceback
+    # and exit 1.  No array of the norm grows with rho now, but its
+    # truncation scan, about 60 sqrt(rho) entries, passes the cap.
+    for rho in ("1e13", "1e15"):
+        code, out, err = run_cli(
+            capsys, "norm", "--base", "3", "--alphabet", "0,2",
+            "--iterate", "4", "--rho", rho)
+        assert (code, out) == (3, "")
+        assert "truncation scan entries" in err and "Traceback" not in err
+
+
+def test_a_row_without_an_error_bound_exits_2():
+    # The expansion's error bound overflows on blocks as wide as rho =
+    # 10^10: eigs once printed nan and exited 0, and now that no norm
+    # array grows with rho, the norm reaches such radii too.  A fresh
+    # process, as the overflow warns before the row is refused.
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parent.parent))
+    for argv in (["eigs", "--kmax", "0"], ["norm"]):
+        run = subprocess.run([sys.executable, "-m", "cantorloc.cli", *argv, "--base", "3",
+                              "--alphabet", "0,2", "--iterate", "4", "--rho", "1e10"],
+                             env=env, capture_output=True, text=True)
+        assert (run.returncode, run.stdout) == (2, "")
+        assert "error: lambda_0 has no finite error bound" in run.stderr
+        assert "Traceback" not in run.stderr
 
 
 def test_eigs_past_the_cap_needs_no_enumeration(capsys, monkeypatch):
@@ -239,7 +256,7 @@ SWEEP_READS = {
     "indexed-counterexample": ("--base", "--size", "--nmax", "--gamma"),
     "positive-measure": ("--levels-file", "--levels", "--rho"),
 }
-SWEEP_VALUES = {"--base": "3", "--alphabet": "0,2", "--levels-file": None, "--nmax": "3",
+SWEEP_VALUES = {"--base": "3", "--alphabet": "0,2", "--levels-file": None, "--nmax": "5",
                 "--gamma": "0.5", "--size": "1", "--delta": "0.5", "--epsilon": "0.5",
                 "--rho": "2", "--levels": "2", "--seed": "1"}
 SWEEP_REQUIRED = {"precise": ["--base", "3", "--alphabet", "0,2"]}
@@ -290,9 +307,9 @@ def test_sweep_names_every_refused_flag(capsys):
     ("precise --base 3 --alphabet 0,2 --nmax 3 --gamma 1",
      "precise --base 3 --alphabet 0,2 --nmax 3"),
     ("reverse --base 3 --size 2 --nmax 3 --gamma 1", "reverse --nmax 3"),
-    ("indexed-decay --base 3 --nmax 4 --delta 0.5 --epsilon 0.6666666666666666 --gamma 1",
-     "indexed-decay --nmax 4"),
-    ("indexed-decay --seed 0 --nmax 4", "indexed-decay --nmax 4"),
+    ("indexed-decay --base 3 --nmax 5 --delta 0.5 --epsilon 0.6666666666666666 --gamma 1",
+     "indexed-decay --nmax 5"),
+    ("indexed-decay --seed 0 --nmax 5", "indexed-decay --nmax 5"),
     ("indexed-counterexample --base 4 --size 2 --nmax 3 --gamma 1",
      "indexed-counterexample --nmax 3"),
     ("positive-measure --levels 12 --rho 1", "positive-measure"),
@@ -303,22 +320,24 @@ def test_sweep_defaults_are_the_flags_given(capsys, given, left_out):
     assert outputs[0] == outputs[1] and outputs[0][0] == 0
 
 
-def test_sweep_reverse_blanks_capped_depths(capsys, monkeypatch):
-    # Depths 9 and 10 need 142 and 245 norm indices.  Past a cap of 100 the
-    # reverse sweep blanks them and keeps its other rows, as the precise
-    # sweep does; it once exited 3 and printed no row at all.
-    monkeypatch.setenv("CTFL_MAX_INTERVALS", "100")
-    argv = ("sweep", "--experiment", "reverse", "--base", "3", "--size", "2",
-            "--nmax", "10")
-    code, out, err = run_cli(capsys, *argv)
-    assert (code, err) == (0, "")
-    assert out.endswith("\n9,\n10,\n")
-    code, out, err = run_cli(capsys, *argv, "--format", "json")
-    assert (code, err) == (0, "")
-    golden = json.loads((GOLDEN / "sweep_reverse_base3.json").read_text())
-    assert json.loads(out)["rows"] == golden["rows"][:9] + [[9, None], [10, None]]
-    ratios = dict(sweep_reverse_counterexample(3, 2, 10))
-    assert [n for n, r in ratios.items() if r is None] == [9, 10]
+def test_sweep_past_the_cap_exits_3_without_rows(capsys, monkeypatch):
+    # A sweep certifies every depth or prints no row.  The precise sweep to
+    # n = 16 prints its golden at a cap of 5,260, its deepest norm's
+    # truncation scan (tests/golden/commands.txt), and exits 3 one below;
+    # the reverse sweep to n = 10 scans 1,337 entries at its deepest.  Both
+    # once blanked the depths past the cap and printed the rest.
+    monkeypatch.setenv("CTFL_MAX_INTERVALS", "5259")
+    code, out, err = run_cli(capsys, "sweep", "--experiment", "precise", "--base", "3",
+                             "--alphabet", "0,2", "--nmax", "16")
+    assert (code, out) == (3, "")
+    assert err.startswith("error: 5260 truncation scan entries would pass the cap of 5259")
+    monkeypatch.setenv("CTFL_MAX_INTERVALS", "1336")
+    code, out, err = run_cli(capsys, "sweep", "--experiment", "reverse", "--base", "3",
+                             "--size", "2", "--nmax", "10", "--format", "json")
+    assert (code, out) == (3, "")
+    assert err.startswith("error: 1337 truncation scan entries")
+    with pytest.raises(CapExceededError):
+        sweep_reverse_counterexample(3, 2, 10)
 
 
 @pytest.mark.parametrize("flags", [
@@ -342,6 +361,16 @@ def test_sweep_reverse_checks_the_base_before_the_size(capsys, base):
                              "--size", "2")
     assert (code, out) == (2, "")
     assert err == f"error: base must be at least 2, got {base}\n"
+
+
+@pytest.mark.parametrize("n_max", ["2", "4"])
+def test_sweep_indexed_decay_refuses_fewer_than_five_depths(capsys, n_max):
+    # The fit takes the last ceil(n_max/2) depths: --nmax 2 once fitted a
+    # line through one depth, printed numpy's RankWarning and exited 0.
+    code, out, err = run_cli(capsys, "sweep", "--experiment", "indexed-decay",
+                             "--nmax", n_max)
+    assert (code, out) == (2, "")
+    assert err == "error: n_max must be at least 5, so the fit has three depths\n"
 
 
 def test_sweep_indexed_decay_reports_fit(capsys):
@@ -535,14 +564,14 @@ def test_verify_exit_reflects_failures(capsys):
     assert "FAIL" in out_tight
 
 
-def test_verify_counts_capped_sweep_depths_as_failures(capsys, monkeypatch):
-    # Past a cap of 50 the sweeps blank their deeper rows; the properties
-    # over them fail, where the reverse sweep once ended verify with exit 3.
+def test_verify_exits_3_when_a_sweep_passes_the_cap(capsys, monkeypatch):
+    # Past a cap of 50 no norm fits, so the sweeps print no row and verify
+    # stops with the cap's exit code; it once counted blanked depths as
+    # failed properties.
     monkeypatch.setenv("CTFL_MAX_INTERVALS", "50")
     code, out, err = run_cli(capsys, "verify", "--suite", "experiments")
-    assert (code, err) == (1, "")
-    assert "FAIL experiments.bounded_ratio_band" in out
-    assert "FAIL experiments.reverse_ratio_decreasing" in out
+    assert (code, out) == (3, "")
+    assert err.startswith("error: ") and "would pass the cap of 50" in err
 
 
 @pytest.mark.parametrize("flags", ["--samples 0", "--samples -3", "--tol inf", "--tol nan",
@@ -556,9 +585,11 @@ def test_verify_refuses_no_samples_and_a_bad_tolerance(capsys, flags):
 
 
 def test_verify_fails_a_property_that_drew_no_sample(capsys, monkeypatch):
-    # At cap 1 every depth of the sweeps is blank, so the norm against
-    # twice lambda_0 is compared nowhere.
-    monkeypatch.setenv("CTFL_MAX_INTERVALS", "1")
+    # A check over nothing passes its own test vacuously; verify fails it.
+    import cantorloc.verify as verify
+
+    monkeypatch.setitem(verify._SUITES, "experiments", lambda seed, samples, tol: [
+        verify.PropertyCheck("experiments", "norm_vs_twice_lambda0", True, 0.0, 1e-10, 0)])
     code, out, err = run_cli(capsys, "verify", "--suite", "experiments")
     assert (code, err) == (1, "")
     assert "FAIL experiments.norm_vs_twice_lambda0 worst=0.000e+00 tol=1.000e-10 samples=0" in out

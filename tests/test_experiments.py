@@ -77,26 +77,25 @@ def test_sweep_fixed_row_shape():
         assert r.thm32_ratio is not None and math.isfinite(r.thm32_ratio)
 
 
-def test_sweep_fixed_caps_norm_columns_only(monkeypatch):
-    # The norm sizes its arrays by its floor(rho) + 2 indices: with a cap of
-    # 8, rho = 3^(n/2) admits n <= 3 and blanks n = 4 and 5.
-    monkeypatch.setenv("CTFL_MAX_INTERVALS", "8")
-    rows = sweep_fixed(MID_THIRD, 5)
-    assert [r.norm is not None for r in rows] == [True] * 4 + [False] * 2
-    for r in rows:
-        assert r.lambda0_canonical > 0.0
-        if math.floor(r.rho) + 2 <= 8:
-            assert r.norm is not None
-        else:
-            assert r.norm is None
-            assert r.scaled_norm is None
-            assert r.thm32_ratio is None
+def test_sweep_fixed_certifies_every_depth_or_raises(monkeypatch):
+    # The norm's truncation scan at rho = 3^(n/2) has 943 entries at n = 8
+    # and 1,113 at n = 9: under a cap of 1,000 the sweep to n = 8 certifies
+    # every depth, and the sweep to n = 9 prints none.  It once blanked the
+    # depths past the cap and kept the rest.
+    from cantorloc import CapExceededError
+
+    uncapped = sweep_fixed(MID_THIRD, 8)
+    monkeypatch.setenv("CTFL_MAX_INTERVALS", "1000")
+    assert sweep_fixed(MID_THIRD, 8) == uncapped
+    with pytest.raises(CapExceededError, match="1113 truncation scan entries"):
+        sweep_fixed(MID_THIRD, 9)
 
 
 def test_sweep_fixed_reaches_past_the_old_interval_gate(monkeypatch):
     # 6^9 and 6^10 intervals pass the default cap of 10^7, which once left
-    # these norms blank; the norm enumerates nothing and needs only its
-    # floor(rho) + 2 indices, here under 20,000.
+    # these norms blank; the norm enumerates nothing, and its walk holds
+    # its live (range, block) pairs: ranges halve before blocks narrower
+    # than them split, or six letters would hold 6^10 blocks by n = 10.
     monkeypatch.delenv("CTFL_MAX_INTERVALS", raising=False)
     spec = CantorSpec(7, (0, 1, 2, 3, 4, 5))
     rows = sweep_fixed(spec, 10)
@@ -109,26 +108,23 @@ def test_sweep_fixed_reaches_past_the_old_interval_gate(monkeypatch):
         assert abs(r.norm - exact) <= res.value_err
 
 
-def test_sweep_holds_no_more_than_its_deepest_norm():
-    # Depths share walks, but a walk never holds more than the deepest
-    # depth's norm alone: the traced peak of the whole sweep stays within
-    # 10% of that norm's.  Holding every depth in one walk would triple it.
+def test_sweep_memory_does_not_grow_with_rho():
+    # A sweep's norms share one walk of live (range, block) pairs: from
+    # n_max = 20 to 24 its deepest radius grows 9x, and its traced peak at
+    # most 2x.  It grew about as its deepest norm's, 8.6x, when each norm
+    # held one group per 8 indices up to _last_index.
     import tracemalloc
 
-    def peak(run):
+    def peak(n_max):
         tracemalloc.start()
         try:
-            run()
+            sweep_fixed(MID_THIRD, n_max)
             return tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
 
-    def deepest():
-        operator_norm(localization_problem(MID_THIRD, 14, 3.0 ** 7))
-
-    sweep_fixed(MID_THIRD, 14)
-    deepest()
-    assert peak(lambda: sweep_fixed(MID_THIRD, 14)) <= 1.1 * peak(deepest)
+    sweep_fixed(MID_THIRD, 24)
+    assert peak(24) <= 2.0 * peak(20)
 
 
 def test_sweep_norms_come_from_the_walk_alone(monkeypatch):
@@ -218,8 +214,8 @@ def test_decay_params_validation():
     # An infinite gamma once passed here while the fixed-base radius refused it.
     with pytest.raises(ValueError, match="gamma must be positive and finite"):
         sweep_indexed_decay(gamma=math.inf)
-    with pytest.raises(ValueError, match="n_max must be at least 2"):
-        sweep_indexed_decay(n_max=1)
+    with pytest.raises(ValueError, match="n_max must be at least 5"):
+        sweep_indexed_decay(n_max=4)
     # The checks run in this order: each bad value is named before the next.
     with pytest.raises(ValueError, match="M must be at least 2"):
         sweep_indexed_decay(M=1, delta=-0.1, epsilon=1.0, gamma=0.0, n_max=1)
@@ -253,8 +249,11 @@ def test_indexed_decay_fit_is_the_least_squares_tail_fit():
                        / float(((ns - ns.mean()) ** 2).sum()))
     assert result.fitted_beta == -slope
     assert result.beta_stderr == stderr
-    # A tail of one or two depths leaves no degree of freedom for the error.
-    assert sweep_indexed_decay(n_max=4, seed=3).beta_stderr == math.inf
+    # A tail of one or two depths leaves no degree of freedom for the
+    # error, and one depth fits any slope: n_max below 5 is refused.
+    for n_max in (2, 4):
+        with pytest.raises(ValueError, match="n_max must be at least 5"):
+            sweep_indexed_decay(n_max=n_max, seed=3)
 
 
 def test_indexed_decay_rejects_an_epsilon_without_alphabets():

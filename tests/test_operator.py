@@ -235,17 +235,27 @@ def test_eigenvalues_past_the_enumeration_cap():
 
 def test_table_and_norm_are_held_to_the_cap(monkeypatch):
     # Each refuses before it allocates: the table by its k_max + 1 rows,
-    # the norm by its floor(rho) + 2 indices.
+    # the norm by its truncation scan, _last_index(rho) - floor(rho)
+    # entries, and by the (range, block) pairs its walk would hold next.
     from cantorloc import CapExceededError
 
     monkeypatch.setenv("CTFL_MAX_INTERVALS", "11")
     problem = localization_problem(MID_THIRD, 3, 9.0)
     assert len(eigenvalue_table(problem, 10)) == 11
-    assert operator_norm(problem).argmax_k == 0
     with pytest.raises(CapExceededError):
         eigenvalue_table(problem, 11)
+    # 589 scan entries at rho = 9 and 1,002 at rho = 100; {1, 2} at n = 6
+    # scans 717 entries, but its walk holds more than 1,000 pairs.
+    monkeypatch.setenv("CTFL_MAX_INTERVALS", "1000")
+    assert operator_norm(problem).argmax_k == 0
+    too_wide = localization_problem(MID_THIRD, 3, 100.0)
+    with pytest.raises(CapExceededError, match="1002 truncation scan entries"):
+        operator_norm(too_wide)
+    with pytest.raises(CapExceededError, match="pairs of the norm's walk"):
+        operator_norm(localization_problem(CantorSpec(3, (1, 2)), 6, 27.0))
+    # Problems that share a walk are refused together.
     with pytest.raises(CapExceededError):
-        operator_norm(localization_problem(MID_THIRD, 3, 10.0))
+        operator_norms([problem, too_wide])
 
 
 def test_table_checks_k_max_as_an_index():
@@ -348,6 +358,45 @@ def test_walk_bounds_every_index_past_the_last():
             assert mpmath.gammainc(K, 0, rho, regularized=True) < mpmath.mpf("1e-700")
 
 
+def test_trace_identity_on_random_problems():
+    # sum_k f_k(r) = 1 for every r, so the eigenvalues sum to the measure
+    # |E| = rho (|A|/M)^n of the iterate.  Past _last_index they sum to
+    # less than 10^-703 (test_walk_bounds_every_index_past_the_last), so a
+    # table to there meets |E| within its summed err and the rounding of
+    # the sum and of |E|.
+    rng = np.random.default_rng(27)
+    for _ in range(50):
+        base = int(rng.integers(2, 7))
+        size = int(rng.integers(1, base + 1))
+        spec = CantorSpec(base, tuple(sorted(rng.choice(base, size=size, replace=False).tolist())))
+        n, rho = int(rng.integers(0, 7)), float(rng.uniform(0.5, 60.0))
+        rows = eigenvalue_table(localization_problem(spec, n, rho), _last_index(rho))
+        measure = rho * (size / base) ** n
+        assert abs(math.fsum(r.value for r in rows) - measure) <= (
+            math.fsum(r.err for r in rows) + 4.0 * math.ulp(measure)), (spec, n, rho)
+
+
+def test_norm_memory_does_not_grow_with_rho():
+    # The walk holds live (range, block) pairs, which follow the set, not
+    # rho: from n = 20 to 24 the mid-third radius 3^(n/2) grows 9x, and
+    # the norm's traced peak at most 2x.  Holding one group per 8 indices
+    # up to _last_index from the first step, it grew 8.6x (3.07 to 26.3 MB).
+    import tracemalloc
+
+    def peak(n):
+        problem = localization_problem(MID_THIRD, n, 3.0 ** (n / 2))
+        problem.tree
+        tracemalloc.start()
+        try:
+            operator_norm(problem)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    peak(20)
+    assert peak(24) <= 2.0 * peak(20)
+
+
 def test_norm_scan_beats_nearby_orders():
     problem = localization_problem(CantorSpec(3, (1, 2)), 3, 25.0)
     res = operator_norm(problem)
@@ -448,13 +497,14 @@ def test_near_tie_needs_no_row_past_the_first(monkeypatch, rho):
     assert res.value == 1.0 and math.exp(-rho) <= res.value_err
 
 
-@pytest.mark.parametrize("rho, taken", [(3e3, 9), (3e4, 10)])
+@pytest.mark.parametrize("rho, taken", [(3e3, 9), (3e4, 9)])
 def test_near_tie_takes_the_group_of_largest_bound_first(monkeypatch, rho, taken):
     # {1, 2} at n = 1 is [rho/3, rho], so lambda_k = Q(k+1, rho/3) - Q(k+1,
     # rho) rounds to 1 for hundreds of k and the groups' bounds tie.  The
     # exact group of largest bound takes its rows first and its fold
     # certifies the rest: 9 rows at 3*10^3, where the walk once took 5,177
-    # rows (5.6 s), and 10 at 3*10^4 (35.7 s once).
+    # rows (5.6 s), and 9 at 3*10^4 (35.7 s once, and 10 rows when every
+    # group was bounded from the first step).
     import cantorloc.operator as op
 
     sizes = []
@@ -524,8 +574,8 @@ SHARED_WALK_SPECS = [(CantorSpec(3, (1, 2)), [10, 12]), (CantorSpec(3, (0, 1, 2)
                          (4, (0, 3)), (2, (1,)), (3, (0, 1)), (5, (2, 4))))), [])]
 
 
-def _joins(monkeypatch, problems):
-    # The bound pass at which each problem joins a shared walk: the first
+def _entries(monkeypatch, problems):
+    # The bound pass at which each problem enters a shared walk: the first
     # that bounds its root block, whose width is its rho.
     import cantorloc.operator as op
 
@@ -546,9 +596,8 @@ def _joins(monkeypatch, problems):
 def test_a_shared_walk_changes_no_problem(monkeypatch, seed):
     # Problems of one spec at random depths and radii share one walk; each
     # must get the value, argmax, value_err and exact rows it gets alone.
-    # The last input is a sweep's depths, deepest first: their root groups
-    # add up to several times the deepest's, so they join at staggered
-    # steps and each steps through its own depths from there.
+    # The last input is a sweep's depths, deepest first, at radii that
+    # differ by up to 4x between neighbours.
     import cantorloc.operator as op
 
     rng = np.random.default_rng(seed)
@@ -571,30 +620,16 @@ def test_a_shared_walk_changes_no_problem(monkeypatch, seed):
             assert (result.value, result.argmax_k, result.value_err) == (
                 single.value, single.argmax_k, single.value_err)
             assert rows == single_rows
-    # The last input, the sweep's depths, joins in order over many steps.
-    joins = _joins(monkeypatch, problems)
-    assert joins == sorted(joins) and len(set(joins)) > 5
-
-
-def test_a_capped_problem_is_blanked_alone(monkeypatch):
-    # 202 indices at rho = 200 pass a cap of 100; the problems beside it
-    # keep their norms.
-    monkeypatch.setenv("CTFL_MAX_INTERVALS", "100")
-    problems = [localization_problem(MID_THIRD, n, rho)
-                for n, rho in ((2, 3.0), (8, 200.0), (4, 9.0), (6, 27.0))]
-    results = operator_norms(problems)
-    assert [r is None for r in results] == [False, True, False, False]
-    for problem, result in zip(problems, results):
-        if result is not None:
-            assert result == operator_norm(localization_problem(MID_THIRD, problem.n,
-                                                                problem.rho))
+    # Each problem enters with one pair, its root block, so all of the
+    # sweep's depths enter at the first step; they once joined over many.
+    assert _entries(monkeypatch, problems) == [0] * len(problems)
 
 
 def test_sweep_depths_share_walks(monkeypatch):
-    # The depths of a sweep stream through one walk, deepest first, and
-    # take their rows at k = 0 in one walk of _rows; no other rows are
-    # needed, as each depth's argmax is 0.  They join as the pairs leave
-    # room, so the 17 depths take 14 bound passes.
+    # The depths of a sweep share one walk, and take their rows at k = 0 in
+    # one walk of _rows; no other rows are needed, as each depth's argmax
+    # is 0.  All enter at the first step, so the 17 depths take 12 bound
+    # passes, those of the deepest.
     import cantorloc.operator as op
     from cantorloc.experiments import sweep_fixed
 
@@ -603,9 +638,9 @@ def test_sweep_depths_share_walks(monkeypatch):
         monkeypatch.setattr(op, name, lambda *a, f=getattr(op, name), log=log:
                             log.append(a) or f(*a))
     sweep_fixed(MID_THIRD, 16)
-    assert [[p.n for p in ps] for ps, in calls["_walk"]] == [list(range(16, -1, -1))]
+    assert [[p.n for p in ps] for ps, in calls["_walk"]] == [list(range(17))]
     assert len(calls["_rows"]) == 1
-    assert len(calls["group_bound"]) == 14
+    assert len(calls["group_bound"]) == 12
     with pytest.raises(ValueError, match="share one spec"):
         operator_norms([localization_problem(MID_THIRD, 2, 3.0),
                         localization_problem(CantorSpec(3, (1, 2)), 2, 3.0)])

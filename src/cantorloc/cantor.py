@@ -92,16 +92,8 @@ class CantorSpec:
         return math.log(self.size) / math.log(self.base)
 
     @property
-    def is_proper(self) -> bool:
-        return self.size < self.base
-
-    @property
     def is_canonical(self) -> bool:
         return self.alphabet == tuple(range(self.size))
-
-    @property
-    def is_reverse_canonical(self) -> bool:
-        return self.alphabet == tuple(range(self.base - self.size, self.base))
 
 
 def canonical_of(spec: CantorSpec) -> CantorSpec:

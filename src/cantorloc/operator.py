@@ -34,7 +34,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import Sequence, Union
+from typing import Collection, Sequence, Union
 
 import numpy as np
 
@@ -292,7 +292,8 @@ def _rows(trees: Sequence[BlockTree], owner: np.ndarray, ks: np.ndarray
     rows = []
     for start in range(0, ks.size, WALK_ROWS):
         part = ks[start:start + WALK_ROWS]
-        values, errs = _tree_masses(trees, owner[start:start + WALK_ROWS], part)
+        with np.errstate(over="ignore", invalid="ignore"):
+            values, errs = _tree_masses(trees, owner[start:start + WALK_ROWS], part)
         bad = ~(np.isfinite(values) & np.isfinite(errs))
         if bad.any():
             i = np.argmax(bad)
@@ -303,7 +304,7 @@ def _rows(trees: Sequence[BlockTree], owner: np.ndarray, ks: np.ndarray
     return rows
 
 
-def _select(rows: Sequence[EigenvalueResult]) -> tuple[EigenvalueResult, float]:
+def _select(rows: Collection[EigenvalueResult]) -> tuple[EigenvalueResult, float]:
     """The row of largest value (the least k among equal values) and the
     error bound of the norm when every index outside rows is certified at
     most some row's value + err: the winner's err, or the distance to the
@@ -399,22 +400,23 @@ def _walk(problems: Sequence[LocalizationProblem]) -> list[NormResult]:
     block is wide.  As f_k lives near x = k, a pair then spans about as
     much in k as in x, and the pairs follow the set, not rho.
 
-    Blocks below PRUNE_SHARE of the target, the largest value - err of the
-    problem's exact rows so far (k = 0 first), move into their range's
-    fixed sum.  A range whose fixed sum plus block bounds, clamped at 1
-    (lambda_k <= 1), is at most the fold, value + err of _select's row, is
-    certified within value_err.  Only a range of one group takes exact
-    rows from _rows to be done with: at depth n, when no block is left, or
-    when its blocks at the next depth would cost more than its rows
-    (ROW_COST).  While the problem's next step would hold more than
-    RAISE_PAIRS pairs, its live range of largest bound takes rows too, to
-    raise the target before the pairs multiply; a range of several groups
-    takes those of the group at the middle of its block of largest bound,
-    and stays in play.  Best first: of these, the range of largest bound
-    takes its rows first, and the rest are held to the fold its rows give,
-    so near-tie sets, where hundreds of groups bound within a rounding of
-    1, take one group's rows instead of all of them.  No index past
-    _last_index can exceed the norm.
+    A problem's exact rows, k = 0 first, are held by k, and a range that
+    takes rows sends _rows only the indices not held yet.  Blocks below
+    PRUNE_SHARE of the target, the largest value - err of the problem's
+    exact rows so far, move into their range's fixed sum.  A range whose
+    fixed sum plus block bounds, clamped at 1 (lambda_k <= 1), is at most
+    the fold, value + err of _select's row, is certified within value_err.
+    Only a range of one group takes exact rows from _rows to be done with:
+    at depth n, when no block is left, or when its blocks at the next depth
+    would cost more than its rows (ROW_COST).  While the problem's next step
+    would hold more than RAISE_PAIRS pairs, its live range of largest bound
+    takes rows too, to raise the target before the pairs multiply; a range
+    of several groups takes those of the group at the middle of its block of
+    largest bound, and stays in play.  Best first: of these, the range of
+    largest bound takes its rows first, and the rest are held to the fold
+    its rows give, so near-tie sets, where hundreds of groups bound within a
+    rounding of 1, take one group's rows instead of all of them.  No index
+    past _last_index can exceed the norm.
 
     The problems share their first levels, so their blocks split alike;
     every decision above is taken per problem from its own target, fold,
@@ -423,7 +425,7 @@ def _walk(problems: Sequence[LocalizationProblem]) -> list[NormResult]:
     """
     trees = [p.tree for p in problems]
     measures = [block_measures(t) for t in trees]
-    rows = [[row] for row in _rows(trees, np.arange(len(trees)), np.zeros(len(trees), dtype=int))]
+    rows = [{0: row} for row in _rows(trees, np.arange(len(trees)), np.zeros(len(trees), dtype=int))]
     target = np.array([r[0].value - r[0].err for r in rows])
     fold = np.array([r[0].value + r[0].err for r in rows])
     depths = np.array([t.depth for t in trees], dtype=int)
@@ -443,11 +445,10 @@ def _walk(problems: Sequence[LocalizationProblem]) -> list[NormResult]:
         count = lo.size
         first = _group_first(lo).astype(float)
         last = np.minimum(_group_first(hi + 1) - 1, k_last[owner]).astype(float)
-        # The pairs are in range order, so each problem's pairs are one run.
-        run = np.bincount(owner[pair_range], minlength=len(trees))
-        bound = group_bound(np.repeat(width, run), np.repeat(measure, run), prefixes,
+        pair_owner = owner[pair_range]
+        bound = group_bound(width[pair_owner], measure[pair_owner], prefixes,
                             first[pair_range], last[pair_range])
-        prune = bound <= PRUNE_SHARE * np.repeat(target, run)
+        prune = bound <= PRUNE_SHARE * target[pair_owner]
         fixed += np.bincount(pair_range[prune], bound[prune], minlength=count)
         live = np.bincount(pair_range[~prune], minlength=count)
         total = fixed + np.bincount(pair_range[~prune], bound[~prune], minlength=count)
@@ -462,16 +463,15 @@ def _walk(problems: Sequence[LocalizationProblem]) -> list[NormResult]:
         fan = np.array([t.levels[d].size if s else 1 for t, d, s in zip(trees, m, split)])
         pairs = live * fan[owner] * (1 + multi)
         exact = alive & ~multi & (leaf[owner] | (live == 0) | (pairs > ROW_COST * (last - first + 1)))
-        # Best first: each problem's range of largest bound among its exact
-        # ranges (among all its live ones where it raises) takes its rows,
-        # and the rest are held to the fold they give before taking theirs.
+        # Best first: each problem's first range of largest bound among its
+        # exact ranges (among all its live ones where it raises) takes its
+        # rows, and the rest are held to the fold they give before theirs.
         raising = np.bincount(owner[alive], pairs[alive], minlength=len(trees)) > RAISE_PAIRS
         pool = exact | (alive & raising[owner] & (live > 0))
-        starts = np.searchsorted(owner, np.arange(len(trees) + 1))
+        pick = np.flatnonzero(pool)
+        pick = pick[np.lexsort((-total[pick], owner[pick]))]
         head = np.zeros(count, dtype=bool)
-        for i in np.flatnonzero(np.bincount(owner[pool], minlength=len(trees))):
-            span = slice(starts[i], starts[i + 1])
-            head[starts[i] + np.argmax(np.where(pool[span], total[span], -np.inf))] = True
+        head[pick[np.diff(owner[pick], prepend=-1) != 0]] = True
         row_span = np.column_stack([first, last])
         for r in np.flatnonzero(head & multi):
             a, b = np.searchsorted(pair_range, [r, r + 1])
@@ -483,14 +483,16 @@ def _walk(problems: Sequence[LocalizationProblem]) -> list[NormResult]:
             take &= alive
             if not take.any():
                 continue
-            a, b = row_span[take].astype(int).T
-            ks = np.concatenate([np.arange(x, y + 1) for x, y in zip(a, b)])
-            whose = np.repeat(owner[take], b - a + 1)
-            for i, row in zip(whose, _rows(trees, whose, ks)):
-                rows[i].append(row)
+            # Only the indices that a raise has not already taken.
+            need = [(i, k) for i, x, y in zip(owner[take], *row_span[take].astype(int).T)
+                    for k in range(x, y + 1) if k not in rows[i]]
+            if need:
+                whose, ks = np.array(need).T
+                for i, row in zip(whose, _rows(trees, whose, ks)):
+                    rows[i][row.k] = row
             for i in set(owner[take].tolist()):
-                target[i] = max(r.value - r.err for r in rows[i])
-                best = _select(rows[i])[0]
+                target[i] = max(r.value - r.err for r in rows[i].values())
+                best = _select(rows[i].values())[0]
                 fold[i] = best.value + best.err
             alive &= ~(take & ~multi) & (np.minimum(total, 1.0) > fold[owner])
         check_cap(int(pairs[alive].sum()), "live (range, block) pairs of the norm's walk")
@@ -517,9 +519,5 @@ def _walk(problems: Sequence[LocalizationProblem]) -> list[NormResult]:
         lo, hi = (np.where(upper, mid[src] + 1, lo[src]),
                   np.where(multi[src] & ~upper, mid[src], hi[src]))
         fixed, owner = fixed[src], owner[src]
-    results = []
-    for problem, found in zip(problems, rows):
-        best, value_err = _select(found)
-        results.append(NormResult(value=best.value, argmax_k=best.k, value_err=value_err,
-                                  rho=problem.rho))
-    return results
+    return [NormResult(value=best.value, argmax_k=best.k, value_err=value_err, rho=p.rho)
+            for p, (best, value_err) in zip(problems, (_select(r.values()) for r in rows))]

@@ -203,11 +203,9 @@ def test_spec_validation_and_flags():
     with pytest.raises(ValueError):
         CantorSpec(3, (0, 0))
     assert CantorSpec(3, (0, 1)).is_canonical
-    assert CantorSpec(3, (1, 2)).is_reverse_canonical
     assert not CantorSpec(3, (0, 2)).is_canonical
     assert CantorSpec(4, (0, 2)).dimension == pytest.approx(math.log(2) / math.log(4))
     full = CantorSpec(3, (0, 1, 2))
-    assert not full.is_proper
     assert full.is_canonical
 
 

@@ -646,6 +646,35 @@ def test_sweep_depths_share_walks(monkeypatch):
                         localization_problem(CantorSpec(3, (1, 2)), 2, 3.0)])
 
 
+def test_mid_third_norms_take_their_first_row_alone(monkeypatch):
+    # lambda_0 is the mid-third norm at these depths, and its fold certifies
+    # every other index: no raise takes rows that cannot lift the target.
+    # The raise once took k = 1, 2, 3, ..., one row per depth.
+    import cantorloc.operator as op
+
+    sent, rows = [], op._rows
+    monkeypatch.setattr(op, "_rows", lambda trees, owner, ks:
+                        sent.append(ks.tolist()) or rows(trees, owner, ks))
+    for n in (20, 24, 28):
+        sent.clear()
+        assert operator_norm(localization_problem(MID_THIRD, n, 3.0 ** (n / 2))).argmax_k == 0
+        assert sent == [[0]]
+
+
+@pytest.mark.parametrize("n,rho", [(15, 3.0 ** 7.5 * (0.97 + 0.012 * i)) for i in range(6)]
+                         + [(24, 3.0 ** 12)])
+def test_no_exact_row_is_taken_twice(monkeypatch, n, rho):
+    # A range of several groups that raises takes the rows of the group at
+    # the middle of its block of largest bound; when that group later takes
+    # its rows as a range of its own, the walk holds them already.  Three
+    # of the six bench radii once took 8 rows twice, and n = 24 took 24.
+    problem = localization_problem(CantorSpec(3, (1, 2)), n, rho)
+    _, [rows] = _certified(monkeypatch, lambda ps: [operator_norm(ps[0])], [problem])
+    ks = [row.k for row in rows]
+    assert len(ks) > 1
+    assert len(set(ks)) == len(ks)
+
+
 def test_selection_error_covers_a_close_runner_up():
     # Closer than their errors: either row may hold the norm, so value_err
     # must reach the runner-up's value + err.

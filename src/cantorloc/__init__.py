@@ -24,7 +24,6 @@ from .cantor import (
     continuous_iterate,
     discrete_iterate,
     indexed_intervals,
-    inner_rho,
     resolve_max_intervals,
     reverse_canonical_of,
 )
@@ -33,7 +32,6 @@ from .operator import (
     EigenvalueResult,
     LocalizationProblem,
     NormResult,
-    ball_bound,
     eigenvalue,
     eigenvalue_table,
     lambda0_closed_form,
@@ -100,7 +98,6 @@ __all__ = [
     "PropertyCheck",
     "SegmentMass",
     "SweepRow",
-    "ball_bound",
     "canonical_of",
     "cantor_function",
     "continuous_iterate",
@@ -109,7 +106,6 @@ __all__ = [
     "eigenvalue_table",
     "gamma_tail_mass",
     "indexed_intervals",
-    "inner_rho",
     "lambda0_closed_form",
     "limit_relative_area",
     "localization_problem",

@@ -22,7 +22,8 @@ import math
 import os
 from bisect import bisect_left
 from dataclasses import dataclass, field
-from typing import Sequence, Union
+from itertools import accumulate
+from typing import Iterable, Sequence, Union
 
 import numpy as np
 
@@ -122,9 +123,6 @@ class IndexedCantorSpec:
     def depth(self) -> int:
         return len(self.levels)
 
-    def base_product(self, n: int) -> int:
-        return math.prod(lv.base for lv in _levels_of(self, n))
-
 
 @dataclass(frozen=True, eq=False)
 class IterateIntervals:
@@ -169,10 +167,28 @@ def _levels_of(spec: Union[CantorSpec, IndexedCantorSpec], n) -> list[CantorSpec
     return [spec] * n
 
 
+def level_products(bases: Iterable[int]) -> list[int]:
+    """M_1 ... M_j, j = 0..n, of a sequence of level bases, as exact ints."""
+    return list(accumulate(bases, lambda product, base: product * base, initial=1))
+
+
+def frexp_quotient(x, product: int) -> tuple[float, int]:
+    """math.frexp(x / product) for x >= 0, an int or a double, rounded once
+    and with no exponent range, so a level product never becomes a float
+    (which overflows past 2^1024); ldexp(*frexp_quotient(P, 1)) is float(P)."""
+    num, den = x.as_integer_ratio()
+    den *= product
+    # 55 or 56 bits of the quotient, any remainder folded into the last.
+    shift = den.bit_length() - num.bit_length() + 55
+    top, rest = divmod(num << shift, den) if shift >= 0 else divmod(num, den << -shift)
+    m, e = math.frexp(float(top | (rest != 0)))
+    return m, e - shift
+
+
 def _root_prefix(levels: Sequence[CantorSpec]) -> np.ndarray:
     """The empty digit prefix: int64 when the base product fits, exact
     Python ints in an object array otherwise."""
-    dtype = np.int64 if math.prod(lv.base for lv in levels) <= 2 ** 62 else object
+    dtype = np.int64 if level_products(lv.base for lv in levels)[-1] <= 2 ** 62 else object
     return np.zeros(1, dtype=dtype)
 
 
@@ -204,9 +220,7 @@ def check_scale(levels: Sequence[CantorSpec], scale: float) -> float:
     scale = float(scale)
     if not (scale > 0.0) or not math.isfinite(scale):
         raise ValueError(f"scale must be positive and finite, got {scale!r}")
-    log_width = math.log(scale)
-    if levels:
-        log_width -= math.log(math.prod(lv.base for lv in levels))
+    log_width = math.log(scale) - math.log(level_products(lv.base for lv in levels)[-1])
     if log_width < -708.0:
         raise ValueError("iterate blocks are narrower than the smallest "
                          "representable double; reduce the depth")
@@ -215,9 +229,8 @@ def check_scale(levels: Sequence[CantorSpec], scale: float) -> float:
 
 def _merged_intervals(levels: Sequence[CantorSpec], n: int, scale: float) -> IterateIntervals:
     scale = check_scale(levels, scale)
-    base_product = math.prod(lv.base for lv in levels)
     pts = _enumerate_points(levels)
-    width = scale / base_product
+    width = math.ldexp(*frexp_quotient(scale, level_products(lv.base for lv in levels)[-1]))
     gaps = np.nonzero(np.diff(pts) > 1)[0]
     starts = np.concatenate(([0], gaps + 1))
     ends = np.concatenate((gaps, [pts.size - 1]))
@@ -328,10 +341,8 @@ def block_tree(spec: Union[CantorSpec, IndexedCantorSpec], n: int, scale: float,
     moments to the given order; nothing is enumerated."""
     levels = tuple(_levels_of(spec, n))
     scale = check_scale(levels, scale)
-    products = [1]
-    for lv in levels:
-        products.append(products[-1] * lv.base)
-    widths = np.array([scale / b for b in products])
+    widths = np.array([math.ldexp(*frexp_quotient(scale, product))
+                       for product in level_products(lv.base for lv in levels)])
     moments, moment_err = _block_moments(levels, order)
     return BlockTree(levels=levels, widths=widths, moments=moments,
                      moment_err=moment_err)
@@ -371,12 +382,3 @@ def cantor_function(spec: CantorSpec, n: int, x: float) -> float:
             return rank / size ** depth
     return (rank * den + num) / (size ** n * den)
 
-
-def inner_rho(spec: CantorSpec, n: int, rho: float) -> float:
-    """Radial-squared inner shift rho (M - |A|) sum_{j=1..n} M^-j.
-
-    For reverse-canonical alphabets this is where the n-th iterate starts;
-    the largest eigenvalue then has index at least floor(inner_rho).
-    """
-    geom = (1.0 - float(spec.base) ** -check_depth(n)) / (spec.base - 1)
-    return float(rho) * (spec.base - spec.size) * geom

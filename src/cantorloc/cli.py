@@ -33,7 +33,9 @@ from .cantor import (
     CantorSpec,
     CapExceededError,
     IndexedCantorSpec,
+    _levels_of,
     cantor_function,
+    level_products,
     resolve_max_intervals,
 )
 from .operator import (
@@ -191,10 +193,14 @@ def _spec_from(args: argparse.Namespace):
     return CantorSpec(args.base, args.alphabet)
 
 
-def _h_equivalent(spec, n: int) -> float:
-    if isinstance(spec, IndexedCantorSpec):
-        return 1.0 / float(spec.base_product(n))
-    return float(spec.base) ** -n
+def _h_equivalent(bases) -> float:
+    """1 / (M_1 ... M_n) for level bases M_j, correctly rounded by int
+    division also below the normal range, and 0.0 where it underflows."""
+    return 1 / level_products(bases)[-1]
+
+
+def _spec_bases(spec, n: int) -> list[int]:
+    return [lv.base for lv in _levels_of(spec, n)]
 
 
 # ----------------------------------------------------------------------
@@ -210,7 +216,7 @@ def cmd_eigs(args: argparse.Namespace) -> int:
         k_hi = args.kmax
     table = eigenvalue_table(problem, k_hi)
     rows = [(r.k, r.value, r.err) for r in table]
-    md = _metadata(spec=spec, h_equivalent=_h_equivalent(spec, args.iterate),
+    md = _metadata(spec=spec, h_equivalent=_h_equivalent(_spec_bases(spec, args.iterate)),
                    extra={"iterate": args.iterate, "rho": args.rho})
     _emit(_table(args, ("k", "lambda", "err"), rows, md), args.out)
     return 0
@@ -223,7 +229,7 @@ def cmd_norm(args: argparse.Namespace) -> int:
     columns = ("value", "argmax_k", "k_truncation", "tail_bound", "value_err")
     rows = [(res.value, res.argmax_k, res.k_truncation, res.tail_bound,
              res.value_err)]
-    md = _metadata(spec=spec, h_equivalent=_h_equivalent(spec, args.iterate),
+    md = _metadata(spec=spec, h_equivalent=_h_equivalent(_spec_bases(spec, args.iterate)),
                    extra={"iterate": args.iterate, "rho": args.rho})
     _emit(_table(args, columns, rows, md), args.out)
     return 0
@@ -232,7 +238,7 @@ def cmd_norm(args: argparse.Namespace) -> int:
 def cmd_cantor_fn(args: argparse.Namespace) -> int:
     spec = CantorSpec(args.base, args.alphabet)
     value = cantor_function(spec, args.iterate, args.x)
-    md = _metadata(spec=spec, h_equivalent=_h_equivalent(spec, args.iterate),
+    md = _metadata(spec=spec, h_equivalent=_h_equivalent(_spec_bases(spec, args.iterate)),
                    extra={"iterate": args.iterate})
     _emit(_table(args, ("x", "value"), [(args.x, value)], md), args.out)
     return 0
@@ -281,13 +287,13 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         rows = sweep_fixed(spec, n_max, gamma)
         columns = SweepRow._fields
         md = _metadata(spec=spec, schedule="power_half", gamma=gamma,
-                       h_equivalent=_h_equivalent(spec, n_max))
+                       h_equivalent=_h_equivalent(_spec_bases(spec, n_max)))
 
     elif exp == "reverse":
         rows = sweep_reverse_counterexample(args.base, args.size, n_max, gamma)
         columns = ("n", "ratio")
         md = _metadata(schedule="power_half", gamma=gamma,
-                       h_equivalent=float(args.base) ** -n_max,
+                       h_equivalent=_h_equivalent([args.base] * n_max),
                        extra={"params": {"base": args.base, "size": args.size}})
 
     elif exp == "indexed-decay":
@@ -295,8 +301,8 @@ def cmd_sweep(args: argparse.Namespace) -> int:
                                      gamma=gamma, n_max=n_max, seed=args.seed)
         rows = result.rows
         columns = ("n", "lambda0", "fitted_beta")
-        md = _metadata(spec=result.levels, schedule="indexed_sqrt", gamma=gamma,
-                       h_equivalent=_h_equivalent(result.levels, n_max), seed=args.seed,
+        md = _metadata(spec=result.levels, schedule="indexed_sqrt", gamma=gamma, seed=args.seed,
+                       h_equivalent=_h_equivalent(_spec_bases(result.levels, n_max)),
                        extra={"fitted_beta": result.fitted_beta,
                               "params": {"M": args.base, "delta": args.delta,
                                          "epsilon": args.epsilon}})
@@ -306,9 +312,8 @@ def cmd_sweep(args: argparse.Namespace) -> int:
                                               n_max=n_max)
         rows = result.rows
         columns = ("n", "lambda0", "lower_bound_product")
-        log_h = -math.fsum(math.log(b) for b in result.bases)
         md = _metadata(schedule="indexed_sqrt", gamma=gamma,
-                       h_equivalent=math.exp(log_h),
+                       h_equivalent=_h_equivalent(result.bases),
                        extra={"lower_bound_product": result.lower_bound_product,
                               "params": {"base": args.base, "size": args.size}})
 

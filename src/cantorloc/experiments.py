@@ -28,7 +28,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .cantor import (CantorSpec, IndexedCantorSpec, canonical_of, check_depth,
-                     reverse_canonical_of)
+                     frexp_quotient, level_products, reverse_canonical_of)
 from .operator import (
     _lambda0,
     lambda0_closed_form,
@@ -121,6 +121,12 @@ def sweep_reverse_counterexample(base: int, size: int, n_max: int, gamma: float 
 # Indexed constructions
 # ----------------------------------------------------------------------
 
+def _indexed_radius(gamma: float, product: int) -> float:
+    """gamma sqrt(M_1 ... M_n), as math.sqrt(float(product)) but past 2^1024 too."""
+    m, e = frexp_quotient(product, 1)
+    return gamma * math.ldexp(math.sqrt(math.ldexp(m, e & 1)), e >> 1)
+
+
 @dataclass(frozen=True)
 class IndexedDecayResult:
     """rows = (n, lambda0, fitted_beta) with the common fitted rate; the
@@ -163,10 +169,8 @@ def sweep_indexed_decay(M: int = 3, delta: float = 0.5, epsilon: float = 2.0 / 3
                 f"epsilon={epsilon} admits no alphabet for base {base}")
         levels.append(CantorSpec(base, tuple(range(int(rng.integers(1, largest + 1))))))
     spec = IndexedCantorSpec(tuple(levels))
-    pairs = []
-    for n in range(n_max + 1):
-        rho = gamma * math.sqrt(float(spec.base_product(n)))
-        pairs.append((n, lambda0_closed_form(spec, n, rho)))
+    pairs = [(n, lambda0_closed_form(spec, n, _indexed_radius(gamma, product)))
+             for n, product in enumerate(level_products(lv.base for lv in levels))]
     tail = pairs[-math.ceil(n_max / 2):]
     ns = np.array([p[0] for p in tail], dtype=float)
     logs = np.log(np.array([p[1] for p in tail], dtype=float))
@@ -194,7 +198,7 @@ class IndexedCounterexampleResult:
 
 def sweep_indexed_counterexample(base: int, size: int, gamma: float = 1.0,
                                  n_max: int = 5) -> IndexedCounterexampleResult:
-    """Doubly-exponential bases M_j = M_1 ... M_{j-1} at fixed density.
+    """Doubly-exponential bases M_j = M_1 ... M_{j-1} = M_1^(2^(j-2)) at fixed density.
 
     Every level keeps |A_j| = theta M_j with theta = size/base, an integer
     since every M_j is a multiple of M_1 = base; base products square at
@@ -205,14 +209,8 @@ def sweep_indexed_counterexample(base: int, size: int, gamma: float = 1.0,
     if n_max > 6:
         raise ValueError("n_max must lie in [0, 6]")
     _check_gamma(gamma)
-    bases = []
-    sizes = []
-    prod = 1
-    for j in range(1, n_max + 1):
-        b = base if j == 1 else prod
-        bases.append(b)
-        sizes.append(size * b // base)
-        prod *= b
+    bases = ([base] + [base ** 2 ** i for i in range(n_max - 1)])[:n_max]
+    sizes = [size * b // base for b in bases]
     theta = size / base
     root = math.sqrt(base)
     lower = 1.0
@@ -224,12 +222,9 @@ def sweep_indexed_counterexample(base: int, size: int, gamma: float = 1.0,
             break
         m += 1
     canonical = [(b, a, None) for b, a in zip(bases, sizes)]
-    rows = []
-    running = 1
-    for n in range(1, n_max + 1):
-        running *= bases[n - 1]
-        rho = gamma * math.sqrt(float(running))
-        rows.append((n, _lambda0(canonical[:n], rho), lower))
+    products = level_products(bases)
+    rows = [(n, _lambda0(canonical[:n], _indexed_radius(gamma, products[n])), lower)
+            for n in range(1, n_max + 1)]
     return IndexedCounterexampleResult(rows=rows, lower_bound_product=lower,
                                        bases=bases, sizes=sizes)
 

@@ -49,6 +49,8 @@ from .cantor import (
     check_depth,
     check_scale,
     continuous_iterate,
+    frexp_quotient,
+    level_products,
 )
 from .special import (
     TAYLOR_ORDER,
@@ -67,13 +69,6 @@ AnySpec = Union[CantorSpec, IndexedCantorSpec]
 
 class DegenerateMassError(ArithmeticError):
     """A reference mass underflowed to zero, so a ratio is undefined."""
-
-
-def ball_bound(measure: float) -> float:
-    """Upper bound 1 - e^(-m) on every eigenvalue of a set of measure m."""
-    if measure < 0.0:
-        raise ValueError("measure must be nonnegative")
-    return -math.expm1(-measure)
 
 
 @dataclass(frozen=True, eq=False)
@@ -143,24 +138,29 @@ def _lambda0(levels, rho: float) -> float:
     A level's factor is sum_{a in A} e^(-a t), t = rho / (M_1 ... M_j); a
     canonical alphabet uses (1 - e^(-|A| t)) / (1 - e^(-t)), so alphabets
     too large to enumerate stay cheap, and its factor is 1.0 to double
-    precision once t > 745.
+    precision once t > 745.  Each t comes from the exact product
+    (cantor.level_products, frexp_quotient) and the value keeps its binary
+    exponent apart, so products past 2^1024 give neither 0 nor nan.
     """
     if rho < 0.0 or not math.isfinite(rho):
         raise ValueError(f"rho must be finite and nonnegative, got {rho!r}")
-    if rho == 0.0:
-        return 0.0
-    prod = 1.0
-    value = 1.0
-    for base, size, letters in levels:
-        prod *= base
-        t = rho / prod
+    rho = float(rho)
+    products = level_products(base for base, _, _ in levels)
+    value, exponent = 1.0, 0  # lambda_0 = value 2^exponent
+    for (_, size, letters), product in zip(levels, products[1:]):
+        t = math.ldexp(*frexp_quotient(rho, product))
         if t <= 0.0:
             value *= size
         elif letters is not None:
             value *= math.fsum(math.exp(-a * t) for a in letters)
         elif t <= 745.0:
             value *= math.expm1(-size * t) / math.expm1(-t)
-    return value * -math.expm1(-rho / prod)
+        value, shift = math.frexp(value)
+        exponent += shift
+    mantissa, shift = frexp_quotient(rho, products[-1])
+    if shift < -60:  # 1 - e^(-t_n) = t_n to double precision below 2^-61
+        return math.ldexp(value * mantissa, exponent + shift)
+    return math.ldexp(value * -math.expm1(-math.ldexp(mantissa, shift)), exponent)
 
 
 def lambda0_closed_form(spec: AnySpec, n: int, rho: float) -> float:
@@ -169,7 +169,8 @@ def lambda0_closed_form(spec: AnySpec, n: int, rho: float) -> float:
     (1 - e^(-rho M^-n)) * prod_{j=1..n} sum_{a in A} e^(-a rho M^-j),
 
     with level j's base and alphabet in place of M and A for an indexed
-    spec, whose first n stored levels are used.
+    spec, whose first n stored levels are used; _lambda0 forms the level
+    products exactly, so depths with M^n past 2^1024 hold too.
     """
     return _lambda0([(lv.base, lv.size, None if lv.is_canonical else lv.alphabet)
                      for lv in _levels_of(spec, n)], rho)

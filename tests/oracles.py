@@ -6,7 +6,8 @@ adaptive quadrature on a peak-shifted integrand or from mpmath's
 incomplete gamma function, Cantor iterates from direct recursive
 subdivision in plain floats, the distribution function from a digit walk
 in rational arithmetic, the first eigenvalue from exponential sums over
-those blocks, and any eigenvalue from mpmath's incomplete gamma function
+those blocks or, past the double range, from its level product with
+exact integer level products in mpmath, and any eigenvalue from mpmath's incomplete gamma function
 over the exact blocks around the mode.  The one exception is
 lower_tail_loop, the term-by-term form of cantorloc's own series, which
 lower_tail_batch must match bit for bit.
@@ -221,6 +222,38 @@ def lambda0_iterate(base: int, alphabet, n: int, rho: float) -> float:
     q = rho / float(base) ** n
     terms = np.exp(-(ints * q)) * -math.expm1(-q)
     return float(math.fsum(terms.tolist()))
+
+
+def lambda0_mp(levels, rho: float, dps: int = 40) -> float:
+    """(1 - e^(-t_n)) prod_j sum_{a in A_j} e^(-a t_j), t_j = rho / (M_1 ... M_j),
+    at dps digits with the level products exact integers, so no depth
+    overflows.  levels is a list of (base, alphabet) pairs, top level first;
+    an alphabet range(size) is summed as (1 - e^(-size t)) / (1 - e^(-t))."""
+    with mpmath.workdps(dps):
+        rho = mpmath.mpf(rho)
+        value = mpmath.mpf(1)
+        product = 1
+        for base, alphabet in levels:
+            product *= base
+            t = rho / product
+            if alphabet == range(len(alphabet)):
+                value *= mpmath.expm1(-len(alphabet) * t) / mpmath.expm1(-t)
+            else:
+                value *= mpmath.fsum(mpmath.exp(-a * t) for a in alphabet)
+        return float(value * -mpmath.expm1(-rho / product))
+
+
+def inner_rho(base: int, size: int, n: int, rho: float) -> float:
+    """rho (M - |A|) sum_{j=1..n} M^-j, exact until one rounding: where the
+    n-th reverse-canonical iterate scaled to [0, rho] starts."""
+    return float(Fraction(rho) * (base - size) * sum(Fraction(1, base ** j)
+                                                     for j in range(1, n + 1)))
+
+
+def ball_bound(measure: float) -> float:
+    """1 - e^(-m), the mass of f_0 over [0, m]: no eigenvalue of a set of
+    measure m exceeds it."""
+    return -math.expm1(-measure)
 
 
 def eigenvalue_blocks(k: int, lows: np.ndarray, highs: np.ndarray) -> float:

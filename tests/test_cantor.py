@@ -2,6 +2,7 @@
 distribution function, sibling alphabets, and the enumeration cap."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -18,7 +19,6 @@ from cantorloc import (
     continuous_iterate,
     discrete_iterate,
     indexed_intervals,
-    inner_rho,
     lambda0_closed_form,
     localization_problem,
     operator_norm,
@@ -29,7 +29,12 @@ from cantorloc import (
     sweep_indexed_counterexample,
     sweep_indexed_decay,
 )
-from cantorloc.cantor import DEFAULT_MAX_INTERVALS, MAX_INTERVALS_ENV
+from cantorloc.cantor import (
+    DEFAULT_MAX_INTERVALS,
+    MAX_INTERVALS_ENV,
+    frexp_quotient,
+    level_products,
+)
 
 MID_THIRD = CantorSpec(3, (0, 2))
 
@@ -216,7 +221,7 @@ def test_reverse_iterate_is_the_canonical_shifted_by_inner_rho(base, size, n):
     scale = 7.3
     rev_lo, rev_hi = oracles.iterate_blocks(base, range(base - size, base), n, scale)
     can_lo, can_hi = oracles.iterate_blocks(base, range(size), n, scale)
-    shift = inner_rho(CantorSpec(base, tuple(range(base - size, base))), n, scale)
+    shift = oracles.inner_rho(base, size, n, scale)
     assert np.max(np.abs(can_lo + shift - rev_lo)) <= 1e-15 * scale
     assert np.max(np.abs(can_hi + shift - rev_hi)) <= 1e-15 * scale
 
@@ -246,8 +251,25 @@ def test_indexed_constant_levels_match_fixed_spec():
     indexed = indexed_intervals(levels, 4, 2.0)
     assert np.array_equal(fixed.lows, indexed.lows)
     assert np.array_equal(fixed.highs, indexed.highs)
-    assert levels.base_product(4) == 81
     assert levels.depth == 4
+
+
+def test_level_products_convert_with_one_rounding():
+    assert level_products([3, 4, 5]) == [1, 3, 12, 60]
+    assert level_products([]) == [1]
+    # x / P for products well past 2^1024: a mantissa in [0.5, 1) rounded
+    # once from the exact quotient, and no exponent range.
+    rng = np.random.default_rng(5)
+    for _ in range(200):
+        bases = rng.integers(2, 90, size=int(rng.integers(0, 400))).tolist()
+        big = level_products(bases)[-1]
+        for x, product in ((float(rng.uniform(1e-300, 1e300)), big), (1, big), (big, 1)):
+            m, e = frexp_quotient(x, product)
+            assert 0.5 <= m < 1.0
+            assert m == float(Fraction(x) / product / Fraction(2) ** e)
+    # Where it is finite, float(P) is the same double.
+    for product in (3 ** 24, 3 ** 40, 2 ** 1000 + 1, 7 ** 360):
+        assert math.ldexp(*frexp_quotient(product, 1)) == float(product)
 
 
 def test_indexed_depth_is_bounded_by_levels():
@@ -268,11 +290,9 @@ DEPTH_ENTRY_POINTS = {
     "continuous_iterate": lambda n: continuous_iterate(MID_THIRD, n, 9.0).lows.tolist(),
     "lambda0_closed_form": lambda n: lambda0_closed_form(MID_THIRD, n, 9.0),
     "cantor_function": lambda n: cantor_function(MID_THIRD, n, 0.3),
-    "inner_rho": lambda n: inner_rho(MID_THIRD, n, 9.0),
     "localization_problem": _problem_at,
     "sweep_fixed": lambda n: sweep_fixed(MID_THIRD, n),
     "sweep_indexed_counterexample": lambda n: sweep_indexed_counterexample(4, 2, n_max=n),
-    "base_product": lambda n: IndexedCantorSpec((MID_THIRD,) * 3).base_product(n),
     # Its fit needs n_max >= 5; 3n keeps 2.5 fractional and -1 negative.
     "sweep_indexed_decay": lambda n: sweep_indexed_decay(n_max=3 * n).rows,
     "positive_measure_demo": lambda n: positive_measure_demo(n, 1.0).rows,
@@ -282,10 +302,8 @@ DEPTH_ENTRY_POINTS = {
 @pytest.mark.parametrize("entry", sorted(DEPTH_ENTRY_POINTS))
 def test_depth_is_a_nonnegative_integer_at_every_entry_point(entry):
     # A depth of 2.5 once built depth 2 in localization_problem, gave a
-    # value in inner_rho and the fixed-base sweep's radius and a TypeError
-    # elsewhere;
-    # 3.0 was a TypeError in most places, and base_product(-1) dropped the
-    # last level.
+    # value in the fixed-base sweep's radius and a TypeError elsewhere;
+    # 3.0 was a TypeError in most places.
     call = DEPTH_ENTRY_POINTS[entry]
     for bad in (2.5, -1):
         with pytest.raises(ValueError, match="iterate depth must be nonnegative"):

@@ -383,6 +383,23 @@ def test_sweep_indexed_decay_reports_fit(capsys):
     assert lambdas[-1] < lambdas[0]
 
 
+@pytest.mark.parametrize("argv,bases", [
+    # 1 / (M_1 ... M_300) underflows, and radii pass 2^700.
+    ("indexed-decay --nmax 300 --delta 3", None),
+    ("indexed-decay --nmax 130 --delta 3", None),
+    # 2^-64, which a sum of logarithms missed by 7 ulps.
+    ("indexed-counterexample --base 4 --size 2 --nmax 6", [4, 4, 16, 256, 4 ** 8, 4 ** 16]),
+])
+def test_indexed_h_equivalent_is_one_over_the_level_product(capsys, argv, bases):
+    code, out, err = run_cli(capsys, "sweep", "--experiment", *argv.split(), "--format", "json")
+    assert (code, err) == (0, "")
+    doc = json.loads(out)
+    meta = doc["metadata"]
+    bases = bases or [lv["base"] for lv in meta["spec"]["levels"]]
+    assert len(doc["rows"]) == len(bases) + argv.startswith("indexed-decay")
+    assert meta["h_equivalent"] == 1 / math.prod(bases)
+
+
 def test_sweep_indexed_counterexample_lower_bound(capsys):
     code, out, _ = run_cli(
         capsys, "sweep", "--experiment", "indexed-counterexample",

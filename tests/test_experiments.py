@@ -3,6 +3,7 @@ constructions, and the positive-measure demonstration."""
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -301,6 +302,27 @@ def test_indexed_lambda0_match_the_closed_form_on_a_spec():
     spec = canonical_levels(bases, [b - 1 for b in bases])
     assert [l0 for _, _, l0, _ in result.rows] == [
         lambda0_closed_form(spec, n, 1.0) for n in range(1, 9)]
+
+
+def test_lambda0_holds_where_the_level_products_pass_the_double_range():
+    # 3^647, 2^(45*46/2) and the 300 bases of the indexed decay run pass
+    # 2^1024; lambda_0 there read 0.0 or nan, and depth 202 of the decay
+    # run raised OverflowError computing its radius.
+    def check(got, levels, rho):
+        assert got == pytest.approx(oracles.lambda0_mp(levels, rho), rel=1e-13, abs=0.0)
+
+    for n in (646, 647, 1100):
+        check(lambda0_closed_form(MID_THIRD, n, 1.0), [(3, (0, 2))] * n, 1.0)
+        check(lambda0_closed_form(IndexedCantorSpec((MID_THIRD,) * n), n, 1.0),
+              [(3, (0, 2))] * n, 1.0)
+    for depth in (45, 60):
+        for n, _, l0, _ in positive_measure_demo(depth, 1.0).rows:
+            check(l0, [(2 ** j, range(2 ** j - 1)) for j in range(1, n + 1)], 1.0)
+    result = sweep_indexed_decay(delta=3, n_max=300)
+    levels = result.levels.levels
+    with mpmath.workdps(40):
+        rho = float(mpmath.sqrt(math.prod(lv.base for lv in levels)))
+    check(result.rows[-1][1], [(lv.base, range(lv.size)) for lv in levels], rho)
 
 
 def test_indexed_counterexample_validation():

@@ -12,10 +12,8 @@ from cantorloc import (
     CantorSpec,
     DegenerateMassError,
     IndexedCantorSpec,
-    ball_bound,
     eigenvalue,
     eigenvalue_table,
-    inner_rho,
     lambda0_closed_form,
     limit_relative_area,
     localization_problem,
@@ -109,15 +107,12 @@ def test_eigenvalues_decrease_for_canonical_alphabets():
 
 
 def test_ball_bound_dominates_eigenvalues():
-    assert ball_bound(0.0) == 0.0
-    with pytest.raises(ValueError):
-        ball_bound(-1.0)
     rng = np.random.default_rng(9)
     for _ in range(10):
         n = int(rng.integers(0, 5))
         rho = float(rng.uniform(0.5, 12.0))
         problem = localization_problem(MID_THIRD, n, rho)
-        cap = ball_bound(problem.intervals.measure)
+        cap = oracles.ball_bound(problem.intervals.measure)
         for k in (0, 1, 3):
             assert eigenvalue(problem, k).value <= cap + 1e-12
 
@@ -405,12 +400,12 @@ def test_norm_scan_beats_nearby_orders():
 
 
 def test_norm_argmax_is_at_least_inner_radius():
-    # Reverse-canonical iterates start at inner_rho, so the full scan never
-    # picks an index below it.
+    # Reverse-canonical iterates start at the inner radius, so the full
+    # scan never picks an index below it.
     for spec, n, rho in ((CantorSpec(4, (2, 3)), 3, 20.0),
                          (CantorSpec(3, (1, 2)), 10, 243.0)):
         res = operator_norm(localization_problem(spec, n, rho))
-        assert res.argmax_k >= math.floor(inner_rho(spec, n, rho))
+        assert res.argmax_k >= math.floor(oracles.inner_rho(spec.base, spec.size, n, rho))
 
 
 # Small problems where the norm is certified from the block tree; {2,3}
@@ -688,14 +683,6 @@ def test_selection_error_covers_a_close_runner_up():
     # Apart by more than their errors: the winner's own err, unchanged.
     best, value_err = _select([far, winner])
     assert (best, value_err) == (winner, winner.err)
-
-
-def test_inner_rho_values():
-    rho = 7.0
-    assert inner_rho(CantorSpec(3, (1, 2)), 2, rho) == pytest.approx(
-        4.0 * rho / 9.0, rel=1e-15)
-    assert inner_rho(CantorSpec(3, (1, 2)), 0, rho) == 0.0
-    assert abs(inner_rho(CantorSpec(3, (1, 2)), 40, rho) - rho / 2.0) <= 1e-9
 
 
 def test_problem_validation():

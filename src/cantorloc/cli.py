@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import gc
 import io
 import math
 import sys
@@ -482,5 +483,19 @@ def main(argv=None) -> int:
         return 2
 
 
+def run() -> int:
+    """The process entry: main() on sys.argv, then gc.freeze().
+
+    Freezing moves every object the collector tracks, numpy's and the
+    package's from import on, into the permanent generation, which the
+    interpreter's full collections at shutdown skip; atexit handlers, the
+    flushing of stdio and module teardown still run.  main() leaves the
+    collector as it finds it, for tests and library callers.
+    """
+    code = main()
+    gc.freeze()
+    return code
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(run())

@@ -30,7 +30,7 @@ import numpy as np
 from .cantor import (CantorSpec, IndexedCantorSpec, canonical_of, check_depth,
                      frexp_quotient, level_products, reverse_canonical_of)
 from .operator import (
-    _lambda0,
+    _lambda0_depths,
     lambda0_closed_form,
     localization_problem,
     operator_norms,
@@ -121,10 +121,18 @@ def sweep_reverse_counterexample(base: int, size: int, n_max: int, gamma: float 
 # Indexed constructions
 # ----------------------------------------------------------------------
 
-def _indexed_radius(gamma: float, product: int) -> float:
-    """gamma sqrt(M_1 ... M_n), as math.sqrt(float(product)) but past 2^1024 too."""
+def _indexed_radius(gamma: float, product: int, n: int) -> float:
+    """gamma sqrt(M_1 ... M_n) for a positive, finite gamma: the double
+    gamma * math.sqrt(float(product)) wherever that is a normal double, with
+    no overflow on the way.  A radius past the largest double is refused."""
     m, e = frexp_quotient(product, 1)
-    return gamma * math.ldexp(math.sqrt(math.ldexp(m, e & 1)), e >> 1)
+    g, shift = math.frexp(gamma)
+    try:
+        return math.ldexp(g * math.sqrt(math.ldexp(m, e & 1)), shift + (e >> 1))
+    except OverflowError:
+        raise ValueError(
+            f"the radius gamma sqrt(M_1 ... M_n) passes the largest double at depth {n}, "
+            f"so n_max must be at most {n - 1}") from None
 
 
 @dataclass(frozen=True)
@@ -169,7 +177,7 @@ def sweep_indexed_decay(M: int = 3, delta: float = 0.5, epsilon: float = 2.0 / 3
                 f"epsilon={epsilon} admits no alphabet for base {base}")
         levels.append(CantorSpec(base, tuple(range(int(rng.integers(1, largest + 1))))))
     spec = IndexedCantorSpec(tuple(levels))
-    pairs = [(n, lambda0_closed_form(spec, n, _indexed_radius(gamma, product)))
+    pairs = [(n, lambda0_closed_form(spec, n, _indexed_radius(gamma, product, n)))
              for n, product in enumerate(level_products(lv.base for lv in levels))]
     tail = pairs[-math.ceil(n_max / 2):]
     ns = np.array([p[0] for p in tail], dtype=float)
@@ -201,15 +209,20 @@ def sweep_indexed_counterexample(base: int, size: int, gamma: float = 1.0,
     """Doubly-exponential bases M_j = M_1 ... M_{j-1} = M_1^(2^(j-2)) at fixed density.
 
     Every level keeps |A_j| = theta M_j with theta = size/base, an integer
-    since every M_j is a multiple of M_1 = base; base products square at
-    each step, so n_max is capped at 6 to stay within float range.
+    since every M_j is a multiple of M_1 = base.  The base products square
+    at each step, so the radius rho(n) = gamma M_1^(2^(n-2)) passes the
+    largest double within a few depths (at n = 11 for base 4 and gamma 1);
+    an n_max that reaches such a depth is refused before any row.
     """
     _check_proper_size(base, size)
     n_max = check_depth(n_max)
-    if n_max > 6:
-        raise ValueError("n_max must lie in [0, 6]")
     _check_gamma(gamma)
-    bases = ([base] + [base ** 2 ** i for i in range(n_max - 1)])[:n_max]
+    bases, radii = [], []
+    product = 1
+    for n in range(1, n_max + 1):
+        bases.append(product if n > 1 else base)
+        product *= bases[-1]
+        radii.append(_indexed_radius(gamma, product, n))
     sizes = [size * b // base for b in bases]
     theta = size / base
     root = math.sqrt(base)
@@ -222,9 +235,8 @@ def sweep_indexed_counterexample(base: int, size: int, gamma: float = 1.0,
             break
         m += 1
     canonical = [(b, a, None) for b, a in zip(bases, sizes)]
-    products = level_products(bases)
-    rows = [(n, _lambda0(canonical[:n], _indexed_radius(gamma, products[n])), lower)
-            for n in range(1, n_max + 1)]
+    rows = [(n, _lambda0_depths(canonical[:n], radius)[-1], lower)
+            for n, radius in enumerate(radii, start=1)]
     return IndexedCounterexampleResult(rows=rows, lower_bound_product=lower,
                                        bases=bases, sizes=sizes)
 
@@ -263,12 +275,12 @@ def positive_measure_demo(levels: int | Sequence[CantorSpec],
         for lv in levels:
             if not lv.is_canonical:
                 raise ValueError("positive-measure demo levels must be canonical")
-    canonical = [(b, a, None) for b, a in zip(bases, sizes)]
+    # One pass over the levels gives lambda_0 at every depth.
+    lambda0s = _lambda0_depths([(b, a, None) for b, a in zip(bases, sizes)], rho_fixed)
     rows = []
     measure = rho_fixed
-    for n in range(1, len(bases) + 1):
-        measure *= sizes[n - 1] / bases[n - 1]
-        l0 = _lambda0(canonical[:n], rho_fixed)
+    for n, (base, size, l0) in enumerate(zip(bases, sizes, lambda0s[1:]), start=1):
+        measure *= size / base
         rows.append((n, measure, l0, math.exp(-rho_fixed) * measure))
     return PositiveMeasureResult(rows=rows, measure_limit_estimate=measure,
                                  norm_lower_bound=math.exp(-rho_fixed) * measure,

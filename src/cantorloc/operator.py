@@ -131,36 +131,47 @@ def eigenvalue_table(problem: LocalizationProblem, k_max: int) -> list[Eigenvalu
 # First eigenvalue in closed form
 # ----------------------------------------------------------------------
 
-def _lambda0(levels, rho: float) -> float:
-    """Level product for lambda_0; each level is (base, size, letters), with
-    letters None for a canonical alphabet {0, ..., size-1}.
+def _lambda0_depths(levels, rho: float) -> list[float]:
+    """lambda_0 at depths 0 .. n of a level list, from one pass over the
+    levels; each level is (base, size, letters), with letters None for a
+    canonical alphabet {0, ..., size-1}.
 
-    A level's factor is sum_{a in A} e^(-a t), t = rho / (M_1 ... M_j); a
+    Depth n's value is (1 - e^(-t_n)) prod_{j<=n} (level j's factor), where
+    a level's factor is sum_{a in A} e^(-a t), t = rho / (M_1 ... M_j); a
     canonical alphabet uses (1 - e^(-|A| t)) / (1 - e^(-t)), so alphabets
     too large to enumerate stay cheap, and its factor is 1.0 to double
     precision once t > 745.  Each t comes from the exact product
-    (cantor.level_products, frexp_quotient) and the value keeps its binary
-    exponent apart, so products past 2^1024 give neither 0 nor nan.
+    (cantor.level_products, frexp_quotient) and the product keeps its binary
+    exponent apart, so products past 2^1024 give neither 0 nor nan.  Depth
+    n's running product is the prefix of depth n + 1's, so every entry is
+    bit for bit the value of its own prefix of the levels.
     """
     if rho < 0.0 or not math.isfinite(rho):
         raise ValueError(f"rho must be finite and nonnegative, got {rho!r}")
     rho = float(rho)
-    products = level_products(base for base, _, _ in levels)
-    value, exponent = 1.0, 0  # lambda_0 = value 2^exponent
-    for (_, size, letters), product in zip(levels, products[1:]):
-        t = math.ldexp(*frexp_quotient(rho, product))
-        if t <= 0.0:
-            value *= size
-        elif letters is not None:
-            value *= math.fsum(math.exp(-a * t) for a in letters)
-        elif t <= 745.0:
-            value *= math.expm1(-size * t) / math.expm1(-t)
-        value, shift = math.frexp(value)
-        exponent += shift
-    mantissa, shift = frexp_quotient(rho, products[-1])
-    if shift < -60:  # 1 - e^(-t_n) = t_n to double precision below 2^-61
-        return math.ldexp(value * mantissa, exponent + shift)
-    return math.ldexp(value * -math.expm1(-math.ldexp(mantissa, shift)), exponent)
+    value, exponent = 1.0, 0  # the level product = value 2^exponent
+    depths = []
+    for j, product in enumerate(level_products(base for base, _, _ in levels)):
+        mantissa, shift = frexp_quotient(rho, product)  # t_j = mantissa 2^shift
+        if j:
+            _, size, letters = levels[j - 1]
+            t = math.ldexp(mantissa, shift)
+            if t <= 0.0:
+                mantissa_a, shift_a = frexp_quotient(size, 1)  # sizes past 2^1024 too
+                value *= mantissa_a
+                exponent += shift_a
+            elif letters is not None:
+                value *= math.fsum(math.exp(-a * t) for a in letters)
+            elif t <= 745.0:
+                value *= math.expm1(-size * t) / math.expm1(-t)
+            value, scale = math.frexp(value)
+            exponent += scale
+        if shift < -60:  # 1 - e^(-t_j) = t_j to double precision below 2^-61
+            depths.append(math.ldexp(value * mantissa, exponent + shift))
+        else:
+            depths.append(math.ldexp(value * -math.expm1(-math.ldexp(mantissa, shift)),
+                                     exponent))
+    return depths
 
 
 def lambda0_closed_form(spec: AnySpec, n: int, rho: float) -> float:
@@ -169,11 +180,11 @@ def lambda0_closed_form(spec: AnySpec, n: int, rho: float) -> float:
     (1 - e^(-rho M^-n)) * prod_{j=1..n} sum_{a in A} e^(-a rho M^-j),
 
     with level j's base and alphabet in place of M and A for an indexed
-    spec, whose first n stored levels are used; _lambda0 forms the level
-    products exactly, so depths with M^n past 2^1024 hold too.
+    spec, whose first n stored levels are used; _lambda0_depths forms the
+    level products exactly, so depths with M^n past 2^1024 hold too.
     """
-    return _lambda0([(lv.base, lv.size, None if lv.is_canonical else lv.alphabet)
-                     for lv in _levels_of(spec, n)], rho)
+    return _lambda0_depths([(lv.base, lv.size, None if lv.is_canonical else lv.alphabet)
+                            for lv in _levels_of(spec, n)], rho)[-1]
 
 
 # ----------------------------------------------------------------------

@@ -236,8 +236,9 @@ def lambda0_mp(levels, rho: float, dps: int = 40) -> float:
         for base, alphabet in levels:
             product *= base
             t = rho / product
-            if alphabet == range(len(alphabet)):
-                value *= mpmath.expm1(-len(alphabet) * t) / mpmath.expm1(-t)
+            if isinstance(alphabet, range) and alphabet == range(alphabet.stop):
+                # stop, not len(): a range past 2^63 letters has no len()
+                value *= mpmath.expm1(-alphabet.stop * t) / mpmath.expm1(-t)
             else:
                 value *= mpmath.fsum(mpmath.exp(-a * t) for a in alphabet)
         return float(value * -mpmath.expm1(-rho / product))

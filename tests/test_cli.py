@@ -2,6 +2,7 @@
 byte-level determinism of reruns."""
 
 import csv
+import gc
 import io
 import json
 import math
@@ -672,3 +673,58 @@ def test_cli_runs_without_scipy():
     run = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
                          env=dict(os.environ, PYTHONPATH=src), check=True)
     assert run.stdout.splitlines()[-1] == "[]"
+
+
+def run_module(*argv, env=None):
+    """`python -m cantorloc.cli` in a fresh process, the entry the benchmark
+    starts; stdout and stderr as bytes."""
+    src = str(Path(cli.__file__).resolve().parent.parent)
+    base_env = {k: v for k, v in os.environ.items() if k != "CTFL_MAX_INTERVALS"}
+    return subprocess.run([sys.executable, "-m", "cantorloc.cli", *argv], capture_output=True,
+                          timeout=120, env=dict(base_env, PYTHONPATH=src, **(env or {})))
+
+
+def test_module_entry_prints_the_golden_bytes_to_stdout_and_out(tmp_path):
+    golden = "norm_reverse_base3.json"
+    argv = next(a for a, g in golden_commands() if g == golden)
+    run = run_module(*argv.split())
+    assert (run.returncode, run.stderr) == (0, b"")
+    assert run.stdout == (GOLDEN / golden).read_bytes()
+    path = tmp_path / "norm.json"
+    to_file = run_module(*argv.split(), "--out", str(path))
+    assert (to_file.returncode, to_file.stdout, to_file.stderr) == (0, b"", b"")
+    assert path.read_bytes() == run.stdout
+
+
+def test_module_entry_exit_codes():
+    bad = run_module("eigs", "--base", "3", "--alphabet", "0,5", "--iterate", "1", "--rho", "1")
+    assert (bad.returncode, bad.stdout) == (2, b"")
+    assert bad.stderr == b"error: alphabet letters must lie in [0, 2], got (0, 5)\n"
+    capped = run_module("eigs", "--base", "3", "--alphabet", "0,2", "--iterate", "3",
+                        "--rho", "2", env={"CTFL_MAX_INTERVALS": "4"})
+    assert (capped.returncode, capped.stdout) == (3, b"")
+    assert capped.stderr.startswith(b"error: ") and capped.stderr.count(b"\n") == 1
+
+
+def test_main_leaves_the_collector_alone(capsys):
+    # Only the process entry run() freezes the collector; tests and library
+    # callers of main keep a normal one.
+    before = (gc.isenabled(), gc.get_freeze_count())
+    code, _, _ = run_cli(capsys, "norm", "--base", "3", "--alphabet", "1,2",
+                         "--iterate", "6", "--rho", "27")
+    assert code == 0
+    assert (gc.isenabled(), gc.get_freeze_count()) == before
+
+
+def test_run_returns_the_code_of_main_and_freezes_the_collector():
+    # run() is called in a fresh interpreter only: frozen objects would stay
+    # out of every later collection of the test process.
+    src = str(Path(cli.__file__).resolve().parent.parent)
+    script = ("import gc, sys\n"
+              "from cantorloc import cli\n"
+              "sys.argv = ['cantorloc', '--no-such-flag']\n"
+              "code = cli.run()\n"
+              "print(code, gc.get_freeze_count() > 0)\n")
+    run = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                         timeout=120, env=dict(os.environ, PYTHONPATH=src), check=True)
+    assert run.stdout == "2 True\n"

@@ -318,6 +318,12 @@ def test_lambda0_holds_where_the_level_products_pass_the_double_range():
     for depth in (45, 60):
         for n, _, l0, _ in positive_measure_demo(depth, 1.0).rows:
             check(l0, [(2 ** j, range(2 ** j - 1)) for j in range(1, n + 1)], 1.0)
+    # Past 1024 levels the sizes 2^j - 1 pass 2^1024 themselves; their
+    # factor, once t underflows, once raised OverflowError.  Each level past
+    # the 100th moves lambda_0 by a factor 1 - 2^-j to double precision, so
+    # 100 levels of the oracle fix its value.
+    check(positive_measure_demo(1030, 1.0).rows[-1][2],
+          [(2 ** j, range(2 ** j - 1)) for j in range(1, 101)], 1.0)
     result = sweep_indexed_decay(delta=3, n_max=300)
     levels = result.levels.levels
     with mpmath.workdps(40):
@@ -332,10 +338,42 @@ def test_indexed_counterexample_validation():
         sweep_indexed_counterexample(4, 0)
     with pytest.raises(ValueError):
         sweep_indexed_counterexample(4, 4)
-    with pytest.raises(ValueError):
-        sweep_indexed_counterexample(4, 2, n_max=7)
+    # At base 4 the radius sqrt(M_1 ... M_n) = 2^(2^(n-1)) passes the
+    # largest double first at n = 11.
+    with pytest.raises(ValueError, match="at depth 11, so n_max must be at most 10"):
+        sweep_indexed_counterexample(4, 2, n_max=11)
     with pytest.raises(ValueError):
         sweep_indexed_counterexample(4, 2, gamma=-1.0)
+
+
+def test_indexed_sweeps_refuse_only_radii_past_the_largest_double():
+    # lambda_0 and the radius take exact level products, so only the radius
+    # leaving the double range bounds the depth.  At base 4 it is
+    # gamma 2^(2^(n-1)): gamma = 0.5 keeps it 2^1023 at n = 11, and 1e-320
+    # reaches n = 12.
+    result = sweep_indexed_counterexample(4, 2, n_max=10)
+    assert [n for n, _, _ in result.rows] == list(range(1, 11))
+    for n, l0, _ in result.rows[6:]:
+        levels = [(b, range(a)) for b, a in zip(result.bases[:n], result.sizes[:n])]
+        rho = math.ldexp(1.0, 2 ** (n - 1))
+        assert l0 == pytest.approx(oracles.lambda0_mp(levels, rho), rel=1e-13, abs=0.0)
+    assert len(sweep_indexed_counterexample(4, 2, gamma=0.5, n_max=11).rows) == 11
+    assert len(sweep_indexed_counterexample(4, 2, gamma=1e-320, n_max=12).rows) == 12
+    with pytest.raises(ValueError, match="at depth 13"):
+        sweep_indexed_counterexample(4, 2, gamma=1e-320, n_max=10 ** 9)
+    # The decay sweep's radius passes 2^1024 at depth 405 of these levels.
+    assert sweep_indexed_decay(delta=3, n_max=404).rows[-1][0] == 404
+    with pytest.raises(ValueError, match="at depth 405, so n_max must be at most 404"):
+        sweep_indexed_decay(delta=3, n_max=405)
+
+
+def test_positive_measure_takes_every_depth_from_one_pass():
+    # Depth n's running product is the prefix of depth n + 1's, so the one
+    # pass gives each row the bits of a call on its own levels.
+    rows = positive_measure_demo(200, 1.0).rows
+    levels = [(2 ** j, 2 ** j - 1, None) for j in range(1, 201)]
+    assert [l0 for _, _, l0, _ in rows] == [
+        op._lambda0_depths(levels[:n], 1.0)[-1] for n in range(1, 201)]
 
 
 def test_positive_measure_single_level():

@@ -17,8 +17,9 @@ The first eigenvalue has a closed product form built from per-level
 relative areas.  The operator norm is the supremum over k, certified by
 branch and bound over the same tree: a range of consecutive k is bounded
 on each block by sup f_k times the block's measure (Part I's estimate),
-ranges whose summed bound stays below an exact eigenvalue are dropped, and
-the rest split, in k and in blocks, down to groups that get exact rows.
+and one of its indices from below by inf f_k times it; ranges whose bound
+stays below an exact eigenvalue or such a floor are dropped, and the rest
+split, in k and in blocks, down to groups that get exact rows.
 The walk covers every k up to _last_index, past which lambda_k <=
 P(k+1, rho) is far below the least subnormal; the truncation that the norm
 reports, computed only when read, is the first k > rho with a tail under
@@ -54,9 +55,11 @@ from .cantor import (
 )
 from .special import (
     TAYLOR_ORDER,
+    _EPS,
     _scaled_masses,
     _tree_masses,
     _validate_k,
+    block_floor,
     block_measures,
     group_bound,
     log_density,
@@ -248,14 +251,11 @@ TAIL_RELATIVE = 1e-9
 # group would be wider than each member; those indices are one group each.
 GROUP = 8
 SINGLES = GROUP * GROUP
-# A block whose bound is below this share of the target joins its range's
+# A block whose bound is below this share of the floor joins its range's
 # fixed sum instead of splitting.
 PRUNE_SHARE = 1e-6
 # One exact row costs about as much as this many (range, block) bounds.
 ROW_COST = 50
-# While the next step would hold more (range, block) pairs than this, the
-# target is raised by the exact rows of the range of largest bound.
-RAISE_PAIRS = 3000
 # Rows per walk over the block tree.  A walk holds the live (row, block)
 # pairs of all its rows, and rows are independent, so this bounds its
 # memory without changing a row.
@@ -363,14 +363,9 @@ def _truncation(rho: float, norm: float) -> int:
 
 def operator_norm(problem: LocalizationProblem) -> NormResult:
     """sup_k lambda_k at argmax_k with its value_err (_select), certified
-    by branch and bound over the block tree (_walk, on this problem alone).
-
-    Nothing is enumerated and no array grows with rho: the cap bounds the
-    walk's live (range, block) pairs and the truncation's scan, about
-    60 sqrt(rho) entries, so a larger problem raises CapExceededError.  The
-    truncation report (NormResult.k_truncation, tail_bound) is left to the
-    caller's first read.
-    """
+    by branch and bound over the block tree (_walk, on this problem alone);
+    the truncation report (NormResult.k_truncation, tail_bound) is left to
+    the caller's first read."""
     return operator_norms([problem])[0]
 
 
@@ -379,6 +374,10 @@ def operator_norms(problems: Sequence[LocalizationProblem]) -> list[NormResult]:
     (_walk); each result equals operator_norm's.  The cap holds each
     problem's truncation scan, checked before the walk, which keeps every
     index in int64, and the pairs of all problems in the walk together.
+    The walk's floor (_walk) keeps its pairs few where the norm lies far
+    from k = 0: on {1, 2} at n = 16 and rho = 3^16 they peak at 173,016,
+    1.76*10^6 when only exact rows lifted the prune threshold, and n = 18 at
+    rho = 3^18 (549,888 pairs) certifies under the default cap.
     """
     if any(p.spec != problems[0].spec for p in problems):
         raise ValueError("the problems of operator_norms must share one spec")
@@ -387,14 +386,9 @@ def operator_norms(problems: Sequence[LocalizationProblem]) -> list[NormResult]:
     return _walk(problems)
 
 
-def _group_of(k):
-    """Group of index k >= 1 on the norm's grid: one index per group below
-    SINGLES, GROUP per group from there."""
-    return np.where(k < SINGLES, k - 1, SINGLES - 1 + (k - SINGLES) // GROUP)
-
-
 def _group_first(g):
-    """First index of group g on the norm's grid (_group_of)."""
+    """First index of group g on the norm's grid: one index per group below
+    SINGLES, GROUP per group from there."""
     return np.where(g < SINGLES - 1, g + 1, SINGLES + GROUP * (g - (SINGLES - 1)))
 
 
@@ -412,59 +406,61 @@ def _walk(problems: Sequence[LocalizationProblem]) -> list[NormResult]:
     block is wide.  As f_k lives near x = k, a pair then spans about as
     much in k as in x, and the pairs follow the set, not rho.
 
-    A problem's exact rows, k = 0 first, are held by k, and a range that
-    takes rows sends _rows only the indices not held yet.  Blocks below
-    PRUNE_SHARE of the target, the largest value - err of the problem's
-    exact rows so far, move into their range's fixed sum.  A range whose
-    fixed sum plus block bounds, clamped at 1 (lambda_k <= 1), is at most
-    the fold, value + err of _select's row, is certified within value_err.
-    Only a range of one group takes exact rows from _rows to be done with:
-    at depth n, when no block is left, or when its blocks at the next depth
-    would cost more than its rows (ROW_COST).  While the problem's next step
-    would hold more than RAISE_PAIRS pairs, its live range of largest bound
-    takes rows too, to raise the target before the pairs multiply; a range
-    of several groups takes those of the group at the middle of its block of
-    largest bound, and stays in play.  Best first: of these, the range of
-    largest bound takes its rows first, and the rest are held to the fold
-    its rows give, so near-tie sets, where hundreds of groups bound within a
-    rounding of 1, take one group's rows instead of all of them.  No index
-    past _last_index can exceed the norm.
+    A problem's floor is a certified lower bound on some lambda_k: the
+    largest of its exact rows' value - err, k = 0 first, and of each
+    range's live blocks at its middle index, summed (block_floor).  Blocks
+    below PRUNE_SHARE of the floor move into their range's fixed sum.  A
+    range whose fixed sum plus block bounds, clamped at 1 (lambda_k <= 1),
+    is at most the fold, value + err of _select's row, is certified within
+    value_err, and one whose sum is below the floor is dropped: the range
+    that holds the floor's index sums to at least the floor at every step,
+    so it is never dropped, and ends by taking that row or by a fold that
+    covers it.  Only a range of one group takes exact rows, to be done
+    with: at depth n, when no block is left, or when its blocks at the next
+    depth would cost more than its rows (ROW_COST).  Best first: of these,
+    the range of largest bound takes its rows first, and the rest are held
+    to the fold its rows give, so near-tie sets, where hundreds of groups
+    bound within a rounding of 1, take one group's rows, not all of them.
 
     The problems share their first levels, so their blocks split alike;
-    every decision above is taken per problem from its own target, fold,
+    every decision above is taken per problem from its own floor, fold,
     pairs and depth, and the exact rows of all problems at a step take one
     walk of _rows, whose rows depend on their own problem alone.
     """
     trees = [p.tree for p in problems]
-    measures = [block_measures(t) for t in trees]
-    rows = [{0: row} for row in _rows(trees, np.arange(len(trees)), np.zeros(len(trees), dtype=int))]
-    target = np.array([r[0].value - r[0].err for r in rows])
+    measures = [np.stack([block_measures(t, 1.0), block_measures(t, -1.0)], 1) for t in trees]
+    rows = [[row] for row in _rows(trees, np.arange(len(trees)), np.zeros(len(trees), dtype=int))]
+    floor = np.array([r[0].value - r[0].err for r in rows])
     fold = np.array([r[0].value + r[0].err for r in rows])
     depths = np.array([t.depth for t in trees], dtype=int)
     k_last = np.array([_last_index(p.rho) for p in problems], dtype=np.int64)
     # Per problem, its block depth; per range in play, in problem order: its
-    # first and last group, fixed sum and problem; per pair, in range
-    # order: its range and block prefix.
+    # first and last group (k_last > SINGLES is in the last), fixed sum and
+    # problem; per pair, in range order: its range and block prefix.
     m = np.zeros(len(trees), dtype=int)
     owner = pair_range = np.arange(len(trees))
-    lo, hi = np.zeros(len(trees), dtype=np.int64), _group_of(k_last)
+    lo, hi = np.zeros(len(trees), dtype=np.int64), SINGLES - 1 + (k_last - SINGLES) // GROUP
     fixed = np.zeros(len(trees))
     prefixes = np.concatenate([t.root() for t in trees] or [np.zeros(0, dtype=np.int64)])
     while lo.size:
         leaf = depths == m
         width = np.array([t.widths[d] for t, d in zip(trees, m)])
-        measure = np.array([mu[d] for mu, d in zip(measures, m)])
+        measure, least_measure = np.array([mu[d] for mu, d in zip(measures, m)]).T
         count = lo.size
         first = _group_first(lo).astype(float)
         last = np.minimum(_group_first(hi + 1) - 1, k_last[owner]).astype(float)
         pair_owner = owner[pair_range]
         bound = group_bound(width[pair_owner], measure[pair_owner], prefixes,
                             first[pair_range], last[pair_range])
-        prune = bound <= PRUNE_SHARE * target[pair_owner]
+        prune = bound <= PRUNE_SHARE * floor[pair_owner]
         fixed += np.bincount(pair_range[prune], bound[prune], minlength=count)
-        live = np.bincount(pair_range[~prune], minlength=count)
-        total = fixed + np.bincount(pair_range[~prune], bound[~prune], minlength=count)
-        alive = np.minimum(total, 1.0) > fold[owner]
+        held = pair_range[~prune]
+        live = np.bincount(held, minlength=count)
+        total = fixed + np.bincount(held, bound[~prune], minlength=count)
+        least = np.bincount(held, block_floor(width[owner[held]], least_measure[owner[held]],
+                            prefixes[~prune], np.floor(0.5 * (first + last))[held]), minlength=count)
+        np.maximum.at(floor, owner, least * (1.0 - (live + 1.0) * _EPS))
+        alive = (np.minimum(total, 1.0) > fold[owner]) & (total >= floor[owner])
         multi = lo < hi
         # A problem's blocks split by its next level, except at its depth n
         # and while one of its ranges of several groups spans more indices
@@ -475,38 +471,25 @@ def _walk(problems: Sequence[LocalizationProblem]) -> list[NormResult]:
         fan = np.array([t.levels[d].size if s else 1 for t, d, s in zip(trees, m, split)])
         pairs = live * fan[owner] * (1 + multi)
         exact = alive & ~multi & (leaf[owner] | (live == 0) | (pairs > ROW_COST * (last - first + 1)))
-        # Best first: each problem's first range of largest bound among its
-        # exact ranges (among all its live ones where it raises) takes its
-        # rows, and the rest are held to the fold they give before theirs.
-        raising = np.bincount(owner[alive], pairs[alive], minlength=len(trees)) > RAISE_PAIRS
-        pool = exact | (alive & raising[owner] & (live > 0))
-        pick = np.flatnonzero(pool)
+        # Best first: each problem's first exact range of largest bound takes
+        # its rows, and the rest are held to the fold they give before theirs.
+        pick = np.flatnonzero(exact)
         pick = pick[np.lexsort((-total[pick], owner[pick]))]
         head = np.zeros(count, dtype=bool)
         head[pick[np.diff(owner[pick], prepend=-1) != 0]] = True
-        row_span = np.column_stack([first, last])
-        for r in np.flatnonzero(head & multi):
-            a, b = np.searchsorted(pair_range, [r, r + 1])
-            j = a + np.argmax(np.where(prune[a:b], -np.inf, bound[a:b]))
-            g = _group_of(min(max(math.floor((float(prefixes[j]) + 0.5) * width[owner[r]]), 1),
-                              int(k_last[owner[r]])))
-            row_span[r] = _group_first(g), min(_group_first(g + 1) - 1, k_last[owner[r]])
         for take in (head, exact & ~head):
             take &= alive
             if not take.any():
                 continue
-            # Only the indices that a raise has not already taken.
-            need = [(i, k) for i, x, y in zip(owner[take], *row_span[take].astype(int).T)
-                    for k in range(x, y + 1) if k not in rows[i]]
-            if need:
-                whose, ks = np.array(need).T
-                for i, row in zip(whose, _rows(trees, whose, ks)):
-                    rows[i][row.k] = row
+            ks = np.concatenate([np.arange(x, y + 1) for x, y in zip(first[take], last[take])])
+            whose = np.repeat(owner[take], (last - first + 1)[take].astype(int))
+            for i, row in zip(whose, _rows(trees, whose, ks.astype(int))):
+                rows[i].append(row)
             for i in set(owner[take].tolist()):
-                target[i] = max(r.value - r.err for r in rows[i].values())
-                best = _select(rows[i].values())[0]
+                floor[i] = max(floor[i], max(r.value - r.err for r in rows[i]))
+                best = _select(rows[i])[0]
                 fold[i] = best.value + best.err
-            alive &= ~(take & ~multi) & (np.minimum(total, 1.0) > fold[owner])
+            alive &= ~take & (np.minimum(total, 1.0) > fold[owner]) & (total >= floor[owner])
         check_cap(int(pairs[alive].sum()), "live (range, block) pairs of the norm's walk")
         keep = alive[pair_range] & ~prune
         pair_range, prefixes = pair_range[keep], prefixes[keep]
@@ -532,4 +515,4 @@ def _walk(problems: Sequence[LocalizationProblem]) -> list[NormResult]:
                   np.where(multi[src] & ~upper, mid[src], hi[src]))
         fixed, owner = fixed[src], owner[src]
     return [NormResult(value=best.value, argmax_k=best.k, value_err=value_err, rho=p.rho)
-            for p, (best, value_err) in zip(problems, (_select(r.values()) for r in rows))]
+            for p, (best, value_err) in zip(problems, map(_select, rows))]

@@ -30,7 +30,8 @@ Eigenvalues walk the Cantor iterate's tree (operator.py); a segment walks
 the tree of the full alphabet {0, 1} in base 2 stretched onto [a, b],
 relative to f_k at its maximum there, so masses below the double range
 keep their digits.  log_density takes an array of k as well as one k.
-group_bound bounds a block's mass over a range of k, for the norm's walk.
+group_bound bounds a block's mass over a range of k from above, and
+block_floor its mass at one k from below, for the norm's walk.
 """
 
 from __future__ import annotations
@@ -503,40 +504,52 @@ def _tree_masses(trees: Sequence[BlockTree], owner: np.ndarray, ks: np.ndarray,
     return values, err + _UNIT * np.abs(values)
 
 
-def block_measures(tree: BlockTree) -> np.ndarray:
-    """Upper bound on the measure W mu_0 of a block, one per depth of a
-    tree: mu_0 widened by its moment_err, and the products rounded
-    outward."""
-    return tree.widths * (tree.moments[:, 0] + tree.moment_err[:, 0]) * (1.0 + 8.0 * _EPS)
+def block_measures(tree: BlockTree, side: float) -> np.ndarray:
+    """Measure W mu_0 of a block at each depth of a tree, moved by mu_0's
+    moment_err and the rounding: up for side 1, down for side -1."""
+    return tree.widths * (tree.moments[:, 0] + side * tree.moment_err[:, 0]) * (1 + side * 8 * _EPS)
+
+
+def _density_bound(k: np.ndarray, x: np.ndarray, measure, side: float) -> np.ndarray:
+    """f_k(x) times measure, moved up for side 1 and down for side -1 by f_k's
+    prefactor error, 3 eps of x through d log f_k / dx = k/x - 1, a factor
+    within 3 eps of 1, the exp and the product, and the least subnormal."""
+    log_m = _log_orders(k + 1.0)
+    log_f = _log_density(k, x, log_m)
+    log_b = (log_f + side * np.log1p(_prefactor_error(k, x, log_f, log_m))
+             + side * _EPS * (4.0 * np.abs(k - x) + 2.0 * np.abs(log_f) + 8.0))
+    return np.maximum(np.exp(log_b) * measure + side * 5e-324, 0.0)
 
 
 def group_bound(width, measure, prefixes: np.ndarray, first: np.ndarray,
                 last: np.ndarray) -> np.ndarray:
-    """Upper bound on the mass of f_k over the block [N W, (N + 1) W] of
-    each digit prefix N, of width W and measure at most `measure`
-    (block_measures), for every k in first .. last; width, measure, first
-    and last broadcast against the prefixes, so each pair may take its own.
-
-    The mass is at most sup f_k on the block [L, L + W] times its measure
-    W mu_0.  With j = floor(L), the sup over the block and the group is
-    f_k(clip(k, L, L + W)) at k = clip(j, first, last): up to j it is
-    f_k(L), which rises with k since f_(k+1)(L) / f_k(L) = L / (k+1); past
-    j no f_k exceeds f_k(k), which falls with k, and f_(j+1)(j+1) =
-    f_j(j+1) <= f_j(L).  A rounded L on the other side of an integer i
-    moves j by one, which changes the sup by a factor L / i within 3 eps
-    of 1.  Rounding goes outward: f_k's prefactor error, the ends' 3 eps
-    through d log f_k / dx = k/x - 1 and that factor, the sums in log
-    space and the last product.
-    """
+    """Upper bound on the mass of f_k over the block [L, L + W] = [N W,
+    (N + 1) W] of each digit prefix N, of measure at most `measure`, for
+    every k in first .. last; the arguments broadcast against the prefixes.
+    The mass is at most sup f_k on the block times its measure.  With
+    j = floor(L), the sup over the block and the group is f_k(clip(k, L,
+    L + W)) at k = clip(j, first, last): up to j it is f_k(L), which rises
+    with k since f_(k+1)(L) / f_k(L) = L / (k+1); past j no f_k exceeds
+    f_k(k), which falls with k, and f_(j+1)(j+1) = f_j(j+1) <= f_j(L).  A
+    rounded L on the other side of an integer i moves j by one, which
+    changes the sup by a factor L / i within 3 eps of 1."""
     low = prefixes.astype(float) * width
     k = np.clip(np.floor(low), first, last)
-    x = np.clip(k, low, (prefixes + 1).astype(float) * width)
-    log_m = _log_orders(k + 1.0)
-    log_f = _log_density(k, x, log_m)
-    log_sup = (log_f + np.log1p(_prefactor_error(k, x, log_f, log_m))
-               + _EPS * (4.0 * np.abs(k - x) + 2.0 * np.abs(log_f) + 8.0))
-    # An exp that underflows is off by at most the least subnormal.
-    return np.exp(log_sup) * measure + 5e-324
+    return _density_bound(k, np.clip(k, low, (prefixes + 1).astype(float) * width), measure, 1.0)
+
+
+def block_floor(width, measure, prefixes: np.ndarray, k: np.ndarray) -> np.ndarray:
+    """Lower bound on the mass of f_k over each block, the arguments as in
+    group_bound: inf f_k on the block [L, L + W] times its measure.  f_k
+    rises up to its mode x = k and falls past it, so that inf is f_k(L)
+    left of k, f_k(L + W) right of it, and the lesser on a block that holds
+    k; an end rounded to the wrong side lies where f_k is flat to eps^2 k."""
+    k, low, high, measure = np.broadcast_arrays(k, prefixes.astype(float) * width,
+                                                (prefixes + 1).astype(float) * width, measure)
+    least = _density_bound(k, np.where(high <= k, low, high), measure, -1.0)
+    mode = (low < k) & (k < high)
+    least[mode] = np.minimum(least[mode], _density_bound(k[mode], low[mode], measure[mode], -1.0))
+    return least
 
 
 def _scaled_masses(k: int, lo: np.ndarray, width: np.ndarray, ref: np.ndarray

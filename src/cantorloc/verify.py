@@ -408,7 +408,7 @@ def operator_suite(seed: int, samples: int, tol: float | None = None
         width = float(tree.widths[n])
         lo = prefixes.astype(float) * width
         hi = (prefixes + 1).astype(float) * width
-        bound = group_bound(width, block_measures(tree)[n], prefixes, float(first), float(last))
+        bound = group_bound(width, block_measures(tree, 1)[n], prefixes, float(first), float(last))
         for k in range(first, last + 1):
             mass, rel = segment_mass_batch(k, lo, hi, np.full(lo.size, width))
             worst = max(worst, float(np.max((mass * (1.0 - rel) - bound) / bound)))

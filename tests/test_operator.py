@@ -21,6 +21,7 @@ from cantorloc import (
     regularized_lower_gamma,
     relative_area,
 )
+from cantorloc.cantor import discrete_iterate
 from cantorloc.operator import (
     TAIL_ABSOLUTE,
     TAIL_RELATIVE,
@@ -30,6 +31,7 @@ from cantorloc.operator import (
     _truncation,
     operator_norms,
 )
+from cantorloc.special import block_floor, block_measures
 
 MID_THIRD = CantorSpec(3, (0, 2))
 
@@ -239,15 +241,17 @@ def test_table_and_norm_are_held_to_the_cap(monkeypatch):
     assert len(eigenvalue_table(problem, 10)) == 11
     with pytest.raises(CapExceededError):
         eigenvalue_table(problem, 11)
-    # 589 scan entries at rho = 9 and 1,002 at rho = 100; {1, 2} at n = 6
-    # scans 717 entries, but its walk holds more than 1,000 pairs.
+    # 589 scan entries at rho = 9 and 1,002 at rho = 100; {1, ..., 6} in
+    # base 7 at n = 3 and rho = 60 scans 868 entries, but its walk peaks at
+    # 1,500 pairs.  ({1, 2} at n = 6 and rho = 27 peaked at 1,660 while only
+    # exact rows lifted the prune threshold; with the floor it peaks at 160.)
     monkeypatch.setenv("CTFL_MAX_INTERVALS", "1000")
     assert operator_norm(problem).argmax_k == 0
     too_wide = localization_problem(MID_THIRD, 3, 100.0)
     with pytest.raises(CapExceededError, match="1002 truncation scan entries"):
         operator_norm(too_wide)
     with pytest.raises(CapExceededError, match="pairs of the norm's walk"):
-        operator_norm(localization_problem(CantorSpec(3, (1, 2)), 6, 27.0))
+        operator_norm(localization_problem(CantorSpec(7, (1, 2, 3, 4, 5, 6)), 3, 60.0))
     # Problems that share a walk are refused together.
     with pytest.raises(CapExceededError):
         operator_norms([problem, too_wide])
@@ -558,9 +562,10 @@ def _certified(monkeypatch, certify, problems):
     return results, [taken[id(p.tree)] for p in problems]
 
 
-# {1, 2} has its argmax past 0 and needs exact rows, with raises at
-# depths 9 to 12; the full alphabet at n = 3 and rho = 10^3 is certified by
-# the fold alone; an indexed spec's trees differ in every level's moments.
+# {1, 2} has its argmax past 0 and needs exact rows, and its floor rises
+# from the ranges' blocks; the full alphabet at n = 3 and rho = 10^3 is
+# certified by the fold alone; an indexed spec's trees differ in every
+# level's moments.
 SHARED_WALK_SPECS = [(CantorSpec(3, (1, 2)), [10, 12]), (CantorSpec(3, (0, 1, 2)), [3]),
                      (MID_THIRD, []), (CantorSpec(4, (1, 3)), []),
                      (CantorSpec(5, (0, 2, 4)), []),
@@ -643,8 +648,8 @@ def test_sweep_depths_share_walks(monkeypatch):
 
 def test_mid_third_norms_take_their_first_row_alone(monkeypatch):
     # lambda_0 is the mid-third norm at these depths, and its fold certifies
-    # every other index: no raise takes rows that cannot lift the target.
-    # The raise once took k = 1, 2, 3, ..., one row per depth.
+    # every other index: the floor takes no rows of its own.  Rows taken to
+    # raise the prune threshold once took k = 1, 2, 3, ..., one per depth.
     import cantorloc.operator as op
 
     sent, rows = [], op._rows
@@ -659,15 +664,68 @@ def test_mid_third_norms_take_their_first_row_alone(monkeypatch):
 @pytest.mark.parametrize("n,rho", [(15, 3.0 ** 7.5 * (0.97 + 0.012 * i)) for i in range(6)]
                          + [(24, 3.0 ** 12)])
 def test_no_exact_row_is_taken_twice(monkeypatch, n, rho):
-    # A range of several groups that raises takes the rows of the group at
-    # the middle of its block of largest bound; when that group later takes
-    # its rows as a range of its own, the walk holds them already.  Three
-    # of the six bench radii once took 8 rows twice, and n = 24 took 24.
+    # Only a range of one group takes rows, and ranges are disjoint, so no
+    # row is taken twice.  While ranges of several groups took rows to raise
+    # the prune threshold, three of the six bench radii took 8 rows twice,
+    # and n = 24 took 24.
     problem = localization_problem(CantorSpec(3, (1, 2)), n, rho)
     _, [rows] = _certified(monkeypatch, lambda ps: [operator_norm(ps[0])], [problem])
     ks = [row.k for row in rows]
     assert len(ks) > 1
     assert len(set(ks)) == len(ks)
+
+
+def test_reverse_norm_at_depth_sixteen_holds_few_pairs(monkeypatch):
+    # {1, 2} at n = 16 and rho = 3^16 has its norm near k = rho / 2.  While
+    # only exact rows lifted the prune threshold, its walk held 1,758,417
+    # pairs (about 430 MB for the CLI process); the floor keeps it near
+    # 173,000.
+    import cantorloc.operator as op
+
+    pairs, check = [], op.check_cap
+    monkeypatch.setattr(op, "check_cap", lambda count, what:
+                        ("pairs" in what and pairs.append(count)) or check(count, what))
+    res = operator_norm(localization_problem(CantorSpec(3, (1, 2)), 16, 3.0 ** 16))
+    assert (res.value, res.argmax_k) == (0.033813259757998065, 21528336)
+    assert max(pairs) < 300_000
+
+
+def _floor_sum(spec, n, rho, m, k):
+    # The sum of block_floor over every block of depth m of the n-th iterate.
+    tree = localization_problem(spec, n, rho).tree
+    return math.fsum(block_floor(tree.widths[m], block_measures(tree, -1.0)[m],
+                                 discrete_iterate(spec, m), float(k)))
+
+
+def test_block_floors_bound_the_eigenvalue_from_below():
+    # The walk's floor sums block_floor over some blocks of one depth at one
+    # index, so over all blocks of a depth m the sum must stay at most
+    # lambda_k.  It is tightest at depth n, where the blocks are intervals:
+    # within 10% of lambda_k in 64 of the 300 draws, and 3*10^-5 relative
+    # below it in the closest.
+    rng = np.random.default_rng(71)
+    close = 0
+    for _ in range(300):
+        base = int(rng.integers(2, 6))
+        size = int(rng.integers(1, base + 1))
+        spec = CantorSpec(base, tuple(sorted(rng.choice(base, size=size, replace=False).tolist())))
+        n = int(rng.integers(0, 7))
+        m = int(rng.integers(0, n + 1))
+        rho = float(10.0 ** rng.uniform(-1.0, 3.0))
+        k = int(rng.integers(0, int(1.5 * rho) + 2))
+        row = eigenvalue(localization_problem(spec, n, rho), k)
+        least = _floor_sum(spec, n, rho, m, k)
+        assert least <= row.value + row.err, (spec, n, rho, m, k)
+        close += least >= 0.9 * row.value > 0.0
+    assert close >= 50
+    # Against the exact iterate: the oracle sums mpmath masses over the
+    # blocks near the mode and bounds what it leaves out.
+    for spec, n, rho, m, k in ((CantorSpec(3, (1, 2)), 4, 60.0, 4, 40),
+                               (CantorSpec(3, (0, 2)), 3, 20.0, 2, 3),
+                               (CantorSpec(4, (0, 1, 3)), 3, 90.0, 3, 70),
+                               (CantorSpec(5, (1, 3)), 2, 200.0, 1, 150)):
+        value, left_out = oracles.eigenvalue_mp([(spec.base, spec.alphabet)] * n, k, rho)
+        assert 0.0 < _floor_sum(spec, n, rho, m, k) <= value + left_out
 
 
 def test_selection_error_covers_a_close_runner_up():

@@ -48,8 +48,8 @@ def resolve_max_intervals() -> int:
 
 def check_cap(count: int, what: str) -> None:
     """The package's one cap on work, checked before anything is allocated:
-    raise CapExceededError when count (iterate intervals, eigenvalue-table
-    rows, a norm's truncation scan or the pairs of its walk) passes it."""
+    raise CapExceededError when count (an enumeration's intervals, an
+    eigenvalue table's rows or the live pairs of a norm's walk) passes it."""
     cap = resolve_max_intervals()
     if count > cap:
         raise CapExceededError(f"{count} {what} would pass the cap of {cap} "

@@ -15,9 +15,8 @@ byte for byte.  Exit codes: 0 success, 1 verification failure, 2 usage or
 validation error, 3 cap exceeded: one cap, set only through the
 CTFL_MAX_INTERVALS environment variable, bounds the intervals of an
 enumeration, the rows of an `eigs` table (whether --kmax is given or auto),
-and a norm's truncation scan (about 60 sqrt(rho) entries) and the live
-(range, block) pairs of its walk.  A sweep certifies every depth or exits 3
-with no row.
+and the live (range, block) pairs of a norm's walk.  A sweep certifies
+every depth or exits 3 with no row.
 """
 
 from __future__ import annotations

@@ -23,9 +23,9 @@ split, in k and in blocks, down to groups that get exact rows.
 The walk covers every k up to _last_index, past which lambda_k <=
 P(k+1, rho) is far below the least subnormal; the truncation that the norm
 reports, computed only when read, is the first k > rho with a tail under
-the policy's threshold.  No array of the norm grows with rho: the cap
-limits the walk's live (range, block) pairs and the truncation's scan of
-about 60 sqrt(rho) entries.  Norms of one spec at several depths and radii
+the policy's threshold, found from a closed-form Poisson quantile.  No
+array of the norm grows with rho: the cap limits the walk's live (range,
+block) pairs alone.  Norms of one spec at several depths and radii
 (operator_norms, for the sweeps) share one walk, each certified as it
 would be alone.
 """
@@ -54,6 +54,7 @@ from .cantor import (
     level_products,
 )
 from .special import (
+    INDEX_LIMIT,
     TAYLOR_ORDER,
     _EPS,
     _scaled_masses,
@@ -62,7 +63,6 @@ from .special import (
     block_floor,
     block_measures,
     group_bound,
-    log_density,
     regularized_lower_gamma,
     segment_mass_batch,
 )
@@ -228,7 +228,7 @@ def limit_relative_area(theta: float, a: float, T: float) -> float:
     """
     if not (0.0 < theta <= 1.0):
         raise ValueError(f"theta must lie in (0, 1], got {theta!r}")
-    if a < 1.0:
+    if not a >= 1.0:
         raise ValueError(f"start multiplier a must be >= 1, got {a!r}")
     if T <= 0.0 or not math.isfinite(T):
         raise ValueError(f"segment length T must be positive, got {T!r}")
@@ -338,27 +338,44 @@ def _last_index(rho: float) -> int:
     return int(rho + 60.0 * math.sqrt(rho + 1.0) + 400.0)
 
 
+def _poisson_quantile(rho: float, tail: float) -> int:
+    """The Cornish-Fisher (1 - tail) quantile of a Poisson(rho) variable,
+    floor(rho + z sqrt(rho) + (z^2 - 1) / 6) with erfc(z / sqrt 2) / 2 =
+    tail, 0 < tail < 1/2.  z comes from Newton's method on log erfc, which
+    is concave: from z = sqrt(-2 ln(2 tail)), at or right of the root, its
+    steps fall monotonically to the root and stop where rounding ends them."""
+    def step(z):
+        q = 0.5 * math.erfc(z / math.sqrt(2.0))
+        return z + math.log(q / tail) * q * math.sqrt(2.0 * math.pi) * math.exp(0.5 * z * z)
+
+    z = math.sqrt(-2.0 * math.log(2.0 * tail))
+    while (nxt := step(z)) < z:
+        z = nxt
+    return math.floor(rho + z * math.sqrt(rho) + (z * z - 1.0) / 6.0)
+
+
 def _truncation(rho: float, norm: float) -> int:
     """First k > rho with P(k+1, rho) < max(TAIL_ABSOLUTE, TAIL_RELATIVE *
-    norm).  The sum of f_j(rho) over j > k, added from the top, gives a
-    start: log f_j(rho) follows from log f_first(rho) by the ratios rho / j.
-    P(k+1, rho) falls with k, so regularized_lower_gamma settles k from the
-    start in either direction: up while P(k+1, rho) is not below the
-    threshold, then down while P(k, rho) is.  A start that rounding puts
-    off by a few indices either way gives the same k."""
+    norm), i.e. the (1 - threshold) quantile of a Poisson(rho) variable.
+    The search starts at _poisson_quantile, clamped to floor(rho) + 1 ..
+    _last_index, and, as P(k+1, rho) falls with k, settles k in one
+    direction, with one regularized_lower_gamma per index: up while P(k+1,
+    rho) is not below the threshold, else down while P(k, rho) is.  At
+    every rho from 50 to 10^10 tried the start is the answer or one below
+    it, so a call takes two evaluations; a start further off either way
+    gives the same k."""
     threshold = max(TAIL_ABSOLUTE, TAIL_RELATIVE * norm)
-    first = math.floor(rho) + 1
     last = _last_index(rho)
-    ratios = np.log(rho / np.arange(first + 1.0, last + 1.0))
-    tails = np.cumsum(np.exp(log_density(first, rho) + np.cumsum(ratios))[::-1])[::-1]
-    k = first + int(np.argmax(np.append(tails, 0.0) < threshold))
-    while regularized_lower_gamma(k, rho) >= threshold:
+    k = min(max(_poisson_quantile(rho, threshold), math.floor(rho) + 1), last)
+    if regularized_lower_gamma(k, rho) < threshold:
+        while k - 1 > rho and regularized_lower_gamma(k - 1, rho) < threshold:
+            k -= 1
+        return k
+    while k < last:
         k += 1
-        if k > last:
-            raise ArithmeticError(f"norm failed to certify truncation by k={last} (rho={rho})")
-    while k - 1 > rho and regularized_lower_gamma(k - 1, rho) < threshold:
-        k -= 1
-    return k
+        if regularized_lower_gamma(k, rho) < threshold:
+            return k
+    raise ArithmeticError(f"norm failed to certify truncation by k={last} (rho={rho})")
 
 
 def operator_norm(problem: LocalizationProblem) -> NormResult:
@@ -371,9 +388,10 @@ def operator_norm(problem: LocalizationProblem) -> NormResult:
 
 def operator_norms(problems: Sequence[LocalizationProblem]) -> list[NormResult]:
     """operator_norm of each of several problems of one spec, from one walk
-    (_walk); each result equals operator_norm's.  The cap holds each
-    problem's truncation scan, checked before the walk, which keeps every
-    index in int64, and the pairs of all problems in the walk together.
+    (_walk); each result equals operator_norm's.  The cap holds the pairs
+    of all problems in the walk together.  A rho whose _last_index reaches
+    INDEX_LIMIT = 2^53 is refused before the walk, which holds indices as
+    doubles (its ranges' ends and the exact rows' k), exact below 2^53.
     The walk's floor (_walk) keeps its pairs few where the norm lies far
     from k = 0: on {1, 2} at n = 16 and rho = 3^16 they peak at 173,016,
     1.76*10^6 when only exact rows lifted the prune threshold, and n = 18 at
@@ -382,7 +400,9 @@ def operator_norms(problems: Sequence[LocalizationProblem]) -> list[NormResult]:
     if any(p.spec != problems[0].spec for p in problems):
         raise ValueError("the problems of operator_norms must share one spec")
     for problem in problems:
-        check_cap(_last_index(problem.rho) - math.floor(problem.rho), "truncation scan entries")
+        if _last_index(problem.rho) >= INDEX_LIMIT:
+            raise ValueError(f"rho = {problem.rho!r} puts the norm's indices past 2^53, "
+                             "where doubles no longer hold every index")
     return _walk(problems)
 
 

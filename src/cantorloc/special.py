@@ -47,6 +47,8 @@ from .cantor import _UNIT, BlockTree, CantorSpec, block_tree
 
 _EPS = 2.220446049250313e-16
 _LOG_SQRT_2PI = 0.9189385332046727
+# Indices from 2^53 on are not all exact as doubles: 2^53 + 1 rounds to 2^53.
+INDEX_LIMIT = 2 ** 53
 # Cancellation guard for cumulative differences: below this ratio of the
 # larger operand the difference has lost ~41 bits and the walk takes over.
 _CANCEL_SWITCH = 2.0 ** -12
@@ -64,14 +66,15 @@ _STEPS = np.arange(float(_CHECK_EVERY))[:, None]
 
 def _validate_orders(k) -> np.ndarray:
     """One index or an array of indices k as floats, checked to be
-    nonnegative integers."""
+    nonnegative integers below INDEX_LIMIT, so that each float is the index
+    given."""
     kf = np.asarray(k, dtype=float)
     if kf.ndim == 0:
-        valid = float(kf).is_integer() and kf >= 0.0
+        valid = float(kf).is_integer() and 0.0 <= kf < INDEX_LIMIT
     else:
-        valid = np.all(kf >= 0.0) and np.all(np.floor(kf) == kf)
+        valid = np.all((kf >= 0.0) & (kf < INDEX_LIMIT)) and np.all(np.floor(kf) == kf)
     if not valid:
-        raise ValueError(f"index k must be a nonnegative integer, got {k!r}")
+        raise ValueError(f"index k must be a nonnegative integer below 2^53, got {k!r}")
     return kf
 
 
@@ -146,8 +149,8 @@ def log_density(k, r):
     the recentered form (_recentred) is used.  Two scalars give a float."""
     kf = _validate_orders(k)
     r = np.asarray(r, dtype=float)
-    if np.any(r < 0.0):
-        raise ValueError("radial argument must be nonnegative")
+    if not np.all(r >= 0.0):
+        raise ValueError("radial argument must be a nonnegative number")
     # log(k + 1) on the indices as given, before broadcasting repeats them.
     out = _log_density(kf, r, _log_orders(kf + 1.0))
     return float(out[0]) if kf.ndim == 0 and r.ndim == 0 else out

@@ -6,13 +6,12 @@ the worst observed slack.  Suites are deterministic in (seed, samples) so a
 verify run can be replayed byte for byte.
 
 The epsilon tolerances can be overridden uniformly (the CLI --tol flag);
-structural checks (band ratios, exit codes, byte comparisons) keep their
+structural checks (band ratios, signs of differences and slopes) keep their
 built-in thresholds because a global epsilon makes no sense for them.
 """
 
 from __future__ import annotations
 
-import io
 import math
 from dataclasses import dataclass, replace
 
@@ -462,80 +461,11 @@ def experiments_suite(seed: int, samples: int, tol: float | None = None
     return out
 
 
-# ----------------------------------------------------------------------
-# cli
-# ----------------------------------------------------------------------
-
-def cli_suite(seed: int, samples: int, tol: float | None = None
-              ) -> list[PropertyCheck]:
-    # imported lazily; the cli module imports this one for the verify command
-    import csv as _csv
-    import os
-    import subprocess
-    import sys
-    import tempfile
-
-    from . import cli as _cli
-
-    out = []
-    rng = np.random.default_rng(seed)
-
-    values = rng.uniform(-1.0, 1.0, size=samples) * 10.0 ** rng.integers(-300, 300, size=samples)
-    rows = [{"x": float(v)} for v in values]
-    text = _cli.render_csv(["x"], [[v["x"]] for v in rows])
-    parsed = [float(r["x"]) for r in _csv.DictReader(io.StringIO(text))]
-    worst = 0.0
-    for have, row in zip(parsed, rows):
-        if have != row["x"]:
-            worst = max(worst, abs(have - row["x"]))
-    out.append(PropertyCheck("cli", "csv_round_trip",
-                             worst <= 0.0, worst, 0.0, len(rows),
-                             note="17 significant digits round-trip"))
-
-    args = ["sweep", "--experiment", "reverse", "--base", "3", "--size", "2",
-            "--nmax", "2", "--format", "csv"]
-    with tempfile.TemporaryDirectory() as tmp:
-        a = os.path.join(tmp, "a.csv")
-        b = os.path.join(tmp, "b.csv")
-        code_a = _cli.main(args + ["--out", a])
-        code_b = _cli.main(args + ["--out", b])
-        with open(a, "rb") as fa, open(b, "rb") as fb:
-            identical = fa.read() == fb.read()
-    ok = identical and code_a == 0 and code_b == 0
-    out.append(PropertyCheck("cli", "deterministic_output",
-                             ok, 0.0 if ok else 1.0, 0.0, 2,
-                             note="same flags, byte-identical files"))
-
-    import contextlib
-
-    with contextlib.redirect_stderr(io.StringIO()):
-        bad = _cli.main(["eigs", "--base", "3", "--alphabet", "0,3",
-                         "--iterate", "1", "--rho", "1"])
-    # The child finds this package from a checkout that was not installed.
-    path = os.pathsep.join(filter(None, (os.path.dirname(os.path.dirname(__file__)),
-                                         os.environ.get("PYTHONPATH"))))
-    env = dict(os.environ, CTFL_MAX_INTERVALS="4", PYTHONPATH=path)
-    capped = subprocess.run(
-        [sys.executable, "-m", "cantorloc.cli", "eigs", "--base", "3",
-         "--alphabet", "0,2", "--iterate", "12", "--rho", "1"],
-        env=env, capture_output=True, text=True).returncode
-    with tempfile.TemporaryDirectory() as tmp:
-        good = _cli.main(["cantor-fn", "--base", "3", "--alphabet", "0,2",
-                          "--iterate", "1", "--x", "0.5",
-                          "--out", os.path.join(tmp, "v.csv")])
-    ok = (bad, capped, good) == (2, 3, 0)
-    out.append(PropertyCheck("cli", "exit_codes",
-                             ok, 0.0 if ok else 1.0, 0.0, 3,
-                             note=f"validation/cap/success = {(bad, capped, good)}"))
-    return out
-
-
 _SUITES = {
     "special_fn": special_suite,
     "cantor": cantor_suite,
     "operator": operator_suite,
     "experiments": experiments_suite,
-    "cli": cli_suite,
 }
 SUITE_NAMES = tuple(_SUITES)
 

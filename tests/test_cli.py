@@ -11,6 +11,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from cantorloc import (CantorSpec, CapExceededError, cli, lambda0_closed_form,
@@ -87,14 +88,16 @@ def test_enumeration_cap_exits_three(capsys, monkeypatch):
     assert (code, out) == (3, "")
     assert "error:" in err and "Traceback" not in err
     # 10^13 norm indices once died asking for 9.10 TiB, with a traceback
-    # and exit 1.  No array of the norm grows with rho now, but its
-    # truncation scan, about 60 sqrt(rho) entries, passes the cap.
-    for rho in ("1e13", "1e15"):
+    # and exit 1.  No array of the norm grows with rho now: these radii stop
+    # at lambda_0, whose expansion overflows, and a rho whose indices reach
+    # 2^53, past which doubles do not hold them all, is refused first.
+    for rho in ("1e13", "1e15", "1e16"):
         code, out, err = run_cli(
             capsys, "norm", "--base", "3", "--alphabet", "0,2",
             "--iterate", "4", "--rho", rho)
-        assert (code, out) == (3, "")
-        assert "truncation scan entries" in err and "Traceback" not in err
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert ("2^53" in err) == (rho == "1e16") and "Traceback" not in err
 
 
 def test_a_row_without_an_error_bound_exits_2(capsys):
@@ -321,20 +324,21 @@ def test_sweep_defaults_are_the_flags_given(capsys, given, left_out):
 
 def test_sweep_past_the_cap_exits_3_without_rows(capsys, monkeypatch):
     # A sweep certifies every depth or prints no row.  The precise sweep to
-    # n = 16 prints its golden at a cap of 5,260, its deepest norm's
-    # truncation scan (tests/golden/commands.txt), and exits 3 one below;
-    # the reverse sweep to n = 10 scans 1,337 entries at its deepest.  Both
-    # once blanked the depths past the cap and printed the rest.
-    monkeypatch.setenv("CTFL_MAX_INTERVALS", "5259")
+    # n = 16 prints its golden at a cap of 244, the peak of its walk's live
+    # pairs (tests/golden/commands.txt), and exits 3 one below; the reverse
+    # sweep to n = 10 peaks at 3,186.  Both once blanked the depths past the
+    # cap and printed the rest.
+    monkeypatch.setenv("CTFL_MAX_INTERVALS", "243")
     code, out, err = run_cli(capsys, "sweep", "--experiment", "precise", "--base", "3",
                              "--alphabet", "0,2", "--nmax", "16")
     assert (code, out) == (3, "")
-    assert err.startswith("error: 5260 truncation scan entries would pass the cap of 5259")
-    monkeypatch.setenv("CTFL_MAX_INTERVALS", "1336")
+    assert err.startswith("error: 244 live (range, block) pairs of the norm's walk would "
+                          "pass the cap of 243")
+    monkeypatch.setenv("CTFL_MAX_INTERVALS", "3185")
     code, out, err = run_cli(capsys, "sweep", "--experiment", "reverse", "--base", "3",
                              "--size", "2", "--nmax", "10", "--format", "json")
     assert (code, out) == (3, "")
-    assert err.startswith("error: 1337 truncation scan entries")
+    assert err.startswith("error: 3186 live (range, block) pairs")
     with pytest.raises(CapExceededError):
         sweep_reverse_counterexample(3, 2, 10)
 
@@ -504,6 +508,14 @@ def test_levels_file_conflicts_with_inline_spec(capsys, tmp_path):
     assert "error:" in err
 
 
+def test_csv_cells_round_trip_every_double():
+    # 17 significant digits give back each double, from 1e-300 to 1e300.
+    rng = np.random.default_rng(20240818)
+    values = rng.uniform(-1.0, 1.0, 300) * 10.0 ** rng.integers(-300, 300, 300)
+    text = cli.render_csv(["x"], [[float(v)] for v in values])
+    assert [float(r["x"]) for r in csv_rows(text)] == values.tolist()
+
+
 def test_reruns_are_byte_identical(capsys):
     argv = ("sweep", "--experiment", "reverse", "--base", "3", "--size", "2",
             "--nmax", "2", "--format", "json")
@@ -614,7 +626,7 @@ def test_verify_fails_a_property_that_drew_no_sample(capsys, monkeypatch):
 def test_verify_writes_its_table_to_out(capsys, tmp_path):
     # The report stays on stdout; --out takes the checks as a table, with
     # the suite, samples, seed and tolerance in the JSON metadata.
-    argv = ("verify", "--suite", "cli", "--seed", "5", "--samples", "20", "--tol", "0.5")
+    argv = ("verify", "--suite", "cantor", "--seed", "5", "--samples", "20", "--tol", "0.5")
     tables = {}
     for fmt in ("csv", "json"):
         path = tmp_path / f"verify.{fmt}"
@@ -623,17 +635,17 @@ def test_verify_writes_its_table_to_out(capsys, tmp_path):
         assert out.endswith(" properties passed\n")
         tables[fmt] = path.read_text()
     rows = csv_rows(tables["csv"])
-    assert [(r["suite"], r["passed"]) for r in rows] == [("cli", "true")] * 3
+    assert [(r["suite"], r["passed"]) for r in rows] == [("cantor", "true")] * 6
     assert [line.split()[1] for line in out.splitlines()[:-1]] == [
-        f"cli.{r['name']}" for r in rows]
+        f"cantor.{r['name']}" for r in rows]
     # One formatter writes each value, in either format.
     doc = json.loads(tables["json"])
     assert cli.render_csv(doc["columns"], doc["rows"]) == tables["csv"]
     meta = doc["metadata"]
-    assert (meta["suite"], meta["samples"], meta["seed"]) == ("cli", 20, 5)
-    # The round trip draws the samples that the metadata records.
-    assert out.splitlines()[0].startswith("PASS cli.csv_round_trip ")
-    assert " samples=20 " in out.splitlines()[0]
+    assert (meta["suite"], meta["samples"], meta["seed"]) == ("cantor", 20, 5)
+    # The first property draws the samples that the metadata records.
+    assert out.splitlines()[0].startswith("PASS cantor.weak_subadditivity ")
+    assert "samples=20" in out.splitlines()[0].split()
     assert rows[0]["samples"] == "20"
     assert meta["tolerances"]["tol_override"] == 0.5
 

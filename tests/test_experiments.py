@@ -79,16 +79,16 @@ def test_sweep_fixed_row_shape():
 
 
 def test_sweep_fixed_certifies_every_depth_or_raises(monkeypatch):
-    # The norm's truncation scan at rho = 3^(n/2) has 943 entries at n = 8
-    # and 1,113 at n = 9: under a cap of 1,000 the sweep to n = 8 certifies
-    # every depth, and the sweep to n = 9 prints none.  It once blanked the
-    # depths past the cap and kept the rest.
+    # The shared walk of the depths at rho = 3^(n/2) peaks at 56 live pairs
+    # to n = 8, and to n = 9 it reaches 64 (peak 78): under a cap of 56 the
+    # sweep to n = 8 certifies every depth, and the sweep to n = 9 returns
+    # none.  It once blanked the depths past the cap and kept the rest.
     from cantorloc import CapExceededError
 
     uncapped = sweep_fixed(MID_THIRD, 8)
-    monkeypatch.setenv("CTFL_MAX_INTERVALS", "1000")
+    monkeypatch.setenv("CTFL_MAX_INTERVALS", "56")
     assert sweep_fixed(MID_THIRD, 8) == uncapped
-    with pytest.raises(CapExceededError, match="1113 truncation scan entries"):
+    with pytest.raises(CapExceededError, match="64 live"):
         sweep_fixed(MID_THIRD, 9)
 
 

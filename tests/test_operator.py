@@ -146,6 +146,10 @@ def test_relative_area_validation():
         relative_area(MID_THIRD, 2, -1.0, 1.0)
     with pytest.raises(ValueError):
         relative_area(MID_THIRD, 2, 1.0, 0.0)
+    # A nan start multiplier once returned nan: a < 1 is false for nan.
+    for theta, a, T in ((0.5, math.nan, 1.0), (math.nan, 2.0, 1.0), (0.5, 2.0, math.nan)):
+        with pytest.raises(ValueError):
+            limit_relative_area(theta, a, T)
 
 
 def test_limit_area_recovers_order_zero_form():
@@ -232,8 +236,7 @@ def test_eigenvalues_past_the_enumeration_cap():
 
 def test_table_and_norm_are_held_to_the_cap(monkeypatch):
     # Each refuses before it allocates: the table by its k_max + 1 rows,
-    # the norm by its truncation scan, _last_index(rho) - floor(rho)
-    # entries, and by the (range, block) pairs its walk would hold next.
+    # the norm by the (range, block) pairs its walk would hold next.
     from cantorloc import CapExceededError
 
     monkeypatch.setenv("CTFL_MAX_INTERVALS", "11")
@@ -241,20 +244,23 @@ def test_table_and_norm_are_held_to_the_cap(monkeypatch):
     assert len(eigenvalue_table(problem, 10)) == 11
     with pytest.raises(CapExceededError):
         eigenvalue_table(problem, 11)
-    # 589 scan entries at rho = 9 and 1,002 at rho = 100; {1, ..., 6} in
-    # base 7 at n = 3 and rho = 60 scans 868 entries, but its walk peaks at
-    # 1,500 pairs.  ({1, 2} at n = 6 and rho = 27 peaked at 1,660 while only
-    # exact rows lifted the prune threshold; with the floor it peaks at 160.)
+    # The walk peaks at 8 pairs at rho = 9, 24 at rho = 100 and 28 for the
+    # two together; {1, ..., 6} in base 7 at n = 3 and rho = 60 peaks at
+    # 1,500.  (rho = 100 was once refused under this cap by the truncation
+    # report's scan of 1,002 entries.)
     monkeypatch.setenv("CTFL_MAX_INTERVALS", "1000")
     assert operator_norm(problem).argmax_k == 0
-    too_wide = localization_problem(MID_THIRD, 3, 100.0)
-    with pytest.raises(CapExceededError, match="1002 truncation scan entries"):
-        operator_norm(too_wide)
+    wide = localization_problem(MID_THIRD, 3, 100.0)
+    assert operator_norm(wide).argmax_k == 0
+    many = localization_problem(CantorSpec(7, (1, 2, 3, 4, 5, 6)), 3, 60.0)
     with pytest.raises(CapExceededError, match="pairs of the norm's walk"):
-        operator_norm(localization_problem(CantorSpec(7, (1, 2, 3, 4, 5, 6)), 3, 60.0))
-    # Problems that share a walk are refused together.
-    with pytest.raises(CapExceededError):
-        operator_norms([problem, too_wide])
+        operator_norm(many)
+    # Problems that share a walk are held to the cap together: each of
+    # these fits a cap of 24 alone.
+    monkeypatch.setenv("CTFL_MAX_INTERVALS", "24")
+    assert operator_norm(wide).argmax_k == 0
+    with pytest.raises(CapExceededError, match="28 live"):
+        operator_norms([problem, wide])
 
 
 def test_table_checks_k_max_as_an_index():
@@ -264,6 +270,18 @@ def test_table_checks_k_max_as_an_index():
         with pytest.raises(ValueError, match="index k must be a nonnegative integer"):
             eigenvalue_table(problem, bad)
     assert eigenvalue_table(problem, 3.0) == eigenvalue_table(problem, 3)
+
+
+def test_an_index_from_2_53_on_is_refused():
+    # 2^53 + 1 once rounded to 2^53, and eigenvalue reported that row under
+    # the k that was asked for.
+    from cantorloc.special import _validate_k
+
+    assert _validate_k(2 ** 53 - 1) == 2 ** 53 - 1
+    problem = localization_problem(MID_THIRD, 3, 9.0)
+    for k in (2 ** 53, 2 ** 53 + 1, 2.0 ** 60, math.inf):
+        with pytest.raises(ValueError, match="below 2\\^53"):
+            eigenvalue(problem, k)
 
 
 @pytest.mark.parametrize("spec, n, rho, k_max", [
@@ -324,15 +342,16 @@ def test_truncation_matches_a_linear_scan():
             assert regularized_lower_gamma(k - 1, rho) >= threshold
 
 
-@pytest.mark.parametrize("shift", [-5.0, 5.0])
+@pytest.mark.parametrize("shift", [-60.0, -5.0, 5.0, 60.0])
 def test_truncation_settles_a_start_off_by_several_indices(monkeypatch, shift):
-    # Scaling the tail sum by e^shift moves the start 6 to 63 indices below
-    # or above the truncation; the search must still settle on the first k
-    # of the linear scan, walking up or down.
+    # A start moved 5 or 60 indices below or above the Poisson quantile
+    # (clamped to floor(rho) + 1 at rho = 30) must still settle on the
+    # first k of the linear scan, walking up or down.
     import cantorloc.operator as op
 
-    log_density = op.log_density
-    monkeypatch.setattr(op, "log_density", lambda k, r: log_density(k, r) + shift)
+    quantile = op._poisson_quantile
+    monkeypatch.setattr(op, "_poisson_quantile",
+                        lambda rho, tail: quantile(rho, tail) + int(shift))
     for rho in (30.0, 1e3, 3.0 ** 8):
         for norm in (1e-6, 0.5):
             threshold = max(TAIL_ABSOLUTE, TAIL_RELATIVE * norm)

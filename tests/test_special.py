@@ -374,6 +374,11 @@ def test_validation_rejects_bad_orders_and_arguments():
         log_segment_mass(3, 1.0, math.inf)
     with pytest.raises(ValueError):
         segment_mass_batch(3, np.array([0.0, 2.0]), np.array([1.0]))
+    # nan once passed the sign check: log_density(0, nan) gave 0.0 and
+    # log_density(3, nan) -inf.
+    for k, r in ((0, math.nan), (3, math.nan), (3, np.array([1.0, math.nan]))):
+        with pytest.raises(ValueError):
+            log_density(k, r)
 
 
 @given(

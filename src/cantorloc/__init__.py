@@ -41,13 +41,10 @@ from .operator import (
     relative_area,
 )
 from .special import (
-    SegmentMass,
-    gamma_tail_mass,
     log_density,
     log_segment_mass,
     lower_tail_batch,
     regularized_lower_gamma,
-    segment_mass,
     segment_mass_batch,
 )
 
@@ -96,7 +93,6 @@ __all__ = [
     "NormResult",
     "PositiveMeasureResult",
     "PropertyCheck",
-    "SegmentMass",
     "SweepRow",
     "canonical_of",
     "cantor_function",
@@ -104,7 +100,6 @@ __all__ = [
     "discrete_iterate",
     "eigenvalue",
     "eigenvalue_table",
-    "gamma_tail_mass",
     "indexed_intervals",
     "lambda0_closed_form",
     "limit_relative_area",
@@ -117,7 +112,6 @@ __all__ = [
     "regularized_lower_gamma",
     "relative_area",
     "resolve_max_intervals",
-    "segment_mass",
     "segment_mass_batch",
     "sweep_fixed",
     "sweep_indexed_counterexample",

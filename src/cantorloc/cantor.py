@@ -49,7 +49,8 @@ def resolve_max_intervals() -> int:
 def check_cap(count: int, what: str) -> None:
     """The package's one cap on work, checked before anything is allocated:
     raise CapExceededError when count (an enumeration's intervals, an
-    eigenvalue table's rows or the live pairs of a norm's walk) passes it."""
+    eigenvalue table's rows, the live pairs of a norm's walk or the digits
+    of an alphabet that a sweep builds from a size) passes it."""
     cap = resolve_max_intervals()
     if count > cap:
         raise CapExceededError(f"{count} {what} would pass the cap of {cap} "
@@ -172,6 +173,19 @@ def level_products(bases: Iterable[int]) -> list[int]:
     return list(accumulate(bases, lambda product, base: product * base, initial=1))
 
 
+def level_product(bases: Iterable[int], limit: int) -> int:
+    """M_1 ... M_n of a sequence of level bases, or the first partial
+    product past limit, which the whole product passes too since every base
+    is at least 2: enough for a caller that asks only which side of limit
+    the product lies on, without the O(n^2) bits of every exact prefix."""
+    product = 1
+    for base in bases:
+        product *= base
+        if product > limit:
+            break
+    return product
+
+
 def frexp_quotient(x, product: int) -> tuple[float, int]:
     """math.frexp(x / product) for x >= 0, an int or a double, rounded once
     and with no exponent range, so a level product never becomes a float
@@ -188,7 +202,7 @@ def frexp_quotient(x, product: int) -> tuple[float, int]:
 def _root_prefix(levels: Sequence[CantorSpec]) -> np.ndarray:
     """The empty digit prefix: int64 when the base product fits, exact
     Python ints in an object array otherwise."""
-    dtype = np.int64 if level_products(lv.base for lv in levels)[-1] <= 2 ** 62 else object
+    dtype = np.int64 if level_product((lv.base for lv in levels), 2 ** 62) <= 2 ** 62 else object
     return np.zeros(1, dtype=dtype)
 
 
@@ -220,7 +234,8 @@ def check_scale(levels: Sequence[CantorSpec], scale: float) -> float:
     scale = float(scale)
     if not (scale > 0.0) or not math.isfinite(scale):
         raise ValueError(f"scale must be positive and finite, got {scale!r}")
-    log_width = math.log(scale) - math.log(level_products(lv.base for lv in levels)[-1])
+    # Past 2^2047 no double scale keeps a block above e^-708.
+    log_width = math.log(scale) - math.log(level_product((lv.base for lv in levels), 2 ** 2047))
     if log_width < -708.0:
         raise ValueError("iterate blocks are narrower than the smallest "
                          "representable double; reduce the depth")

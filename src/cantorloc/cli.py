@@ -15,8 +15,9 @@ byte for byte.  Exit codes: 0 success, 1 verification failure, 2 usage or
 validation error, 3 cap exceeded: one cap, set only through the
 CTFL_MAX_INTERVALS environment variable, bounds the intervals of an
 enumeration, the rows of an `eigs` table (whether --kmax is given or auto),
-and the live (range, block) pairs of a norm's walk.  A sweep certifies
-every depth or exits 3 with no row.
+the live (range, block) pairs of a norm's walk, and the digits of each
+alphabet that the reverse and indexed-decay sweeps build from a size.  A
+sweep certifies every depth or exits 3 with no row.
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ from .cantor import (
     IndexedCantorSpec,
     _levels_of,
     cantor_function,
-    level_products,
+    level_product,
     resolve_max_intervals,
 )
 from .operator import (
@@ -195,8 +196,9 @@ def _spec_from(args: argparse.Namespace):
 
 def _h_equivalent(bases) -> float:
     """1 / (M_1 ... M_n) for level bases M_j, correctly rounded by int
-    division also below the normal range, and 0.0 where it underflows."""
-    return 1 / level_products(bases)[-1]
+    division also below the normal range, and 0.0 where it underflows: past
+    2^1075 it rounds to 0.0, so the product is taken no further."""
+    return 1 / level_product(bases, 2 ** 1075)
 
 
 def _spec_bases(spec, n: int) -> list[int]:

@@ -27,7 +27,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .cantor import (CantorSpec, IndexedCantorSpec, canonical_of, check_depth,
+from .cantor import (CantorSpec, IndexedCantorSpec, canonical_of, check_cap, check_depth,
                      frexp_quotient, level_products, reverse_canonical_of)
 from .operator import (
     _lambda0_depths,
@@ -111,6 +111,7 @@ def sweep_reverse_counterexample(base: int, size: int, n_max: int, gamma: float 
     what rules out a two-sided sibling comparison at the critical radius.
     """
     _check_proper_size(base, size)
+    check_cap(size, "alphabet digits")
     rev = reverse_canonical_of(CantorSpec(base, tuple(range(size))))
     return [(r.n, r.norm / c.norm)
             for r, c in zip(sweep_fixed(rev, n_max, gamma),
@@ -166,16 +167,23 @@ def sweep_indexed_decay(M: int = 3, delta: float = 0.5, epsilon: float = 2.0 / 3
     n_max = check_depth(n_max)
     if n_max < 5:
         raise ValueError("n_max must be at least 5, so the fit has three depths")
+    # The bases are drawn as int64, so the top of their range stays below
+    # 2^63; a power past 2^64 is not formed, since it may overflow a double.
+    top = float(M) ** (1.0 + delta) if (1.0 + delta) * math.log2(M) < 64.0 else math.inf
+    if top >= 2.0 ** 63:
+        raise ValueError(f"delta = {delta:g} (--delta) puts the largest base M^(1+delta) "
+                         f"= {M}^{1.0 + delta:g} at or past 2^63, beyond the int64 bases drawn")
     rng = np.random.default_rng(seed)
-    top = int(math.floor(float(M) ** (1.0 + delta)))
     levels = []
     for _ in range(n_max):
-        base = int(rng.integers(M, top + 1))
+        base = int(rng.integers(M, int(top) + 1))
         largest = int(math.floor(epsilon * base))
         if largest < 1:
             raise HypothesisViolationError(
                 f"epsilon={epsilon} admits no alphabet for base {base}")
-        levels.append(CantorSpec(base, tuple(range(int(rng.integers(1, largest + 1))))))
+        size = int(rng.integers(1, largest + 1))
+        check_cap(size, "alphabet digits")
+        levels.append(CantorSpec(base, tuple(range(size))))
     spec = IndexedCantorSpec(tuple(levels))
     pairs = [(n, lambda0_closed_form(spec, n, _indexed_radius(gamma, product, n)))
              for n, product in enumerate(level_products(lv.base for lv in levels))]

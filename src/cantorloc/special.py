@@ -14,9 +14,8 @@ which this module evaluates in log space so it survives x far beyond the
 range where e^(-x) is representable.  One engine, lower_tail_batch, takes
 an array of x at fixed k and computes each entry on the side where it is
 small: the lower series for P below the crossover x = k + 1, the Poisson
-sum for Q above it, and the other one as the complement.  The scalar
-functions regularized_lower_gamma, gamma_tail_mass and segment_mass are
-one-element calls of the batch engines.
+sum for Q above it, and the other one as the complement.  The one scalar,
+regularized_lower_gamma, is a one-element call of it.
 
 Segment masses over [a, b] (segment_mass_batch) are formed from whichever
 cumulative difference (lower masses or tail masses) cancels less.  Where
@@ -38,7 +37,6 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -209,11 +207,6 @@ def _prefactor_error(k, r, log_f, log_m=None):
 def regularized_lower_gamma(k: int, x: float) -> float:
     """P(k+1, x): mass of f_k on [0, x]; one element of lower_tail_batch."""
     return float(lower_tail_batch(k, [x])[0][0])
-
-
-def gamma_tail_mass(k: int, x: float) -> float:
-    """Q(k+1, x): mass of f_k on [x, inf); one element of lower_tail_batch."""
-    return float(lower_tail_batch(k, [x])[1][0])
 
 
 # ----------------------------------------------------------------------
@@ -586,21 +579,6 @@ def log_segment_mass(k: int, a: float, b: float) -> tuple[float, float]:
     log_v = math.log(v)
     return shift + log_v, float(err / v + _prefactor_error(k, ref, shift)
                                  + _EPS * (abs(shift) + 2.0 * abs(log_v)))
-
-
-@dataclass(frozen=True)
-class SegmentMass:
-    """Integral of f_k over one segment with a relative error bound."""
-
-    value: float
-    rel_err_bound: float
-
-
-def segment_mass(k: int, a: float, b: float) -> SegmentMass:
-    """Mass of f_k on [a, b] with a relative error bound; one element of
-    segment_mass_batch."""
-    value, rel = segment_mass_batch(k, np.array([float(a)]), np.array([float(b)]))
-    return SegmentMass(float(value[0]), float(rel[0]))
 
 
 # ----------------------------------------------------------------------

@@ -41,10 +41,8 @@ from .operator import (
 )
 from .special import (
     block_measures,
-    gamma_tail_mass,
     group_bound,
-    regularized_lower_gamma,
-    segment_mass,
+    lower_tail_batch,
     segment_mass_batch,
 )
 
@@ -89,9 +87,8 @@ def special_suite(seed: int, samples: int, tol: float | None = None
     for _ in range(samples):
         k = int(10.0 ** rng.uniform(0.0, 4.0))
         x = 10.0 ** rng.uniform(-2.0, math.log10(3.0 * k + 10.0))
-        p = regularized_lower_gamma(k, x)
-        q = gamma_tail_mass(k, x)
-        worst = max(worst, abs(p + q - 1.0))
+        [p], [q] = lower_tail_batch(k, [x])
+        worst = max(worst, float(abs(p + q - 1.0)))
     out.append(PropertyCheck("special_fn", "complementarity",
                              worst <= eps, worst, eps, samples))
 
@@ -104,11 +101,10 @@ def special_suite(seed: int, samples: int, tol: float | None = None
         lo = max(0.0, k - width)
         cuts = np.sort(rng.uniform(lo, k + width, size=3))
         a, b, c = (float(v) for v in cuts)
-        whole = segment_mass(k, a, c).value
+        (whole, left, right), _ = segment_mass_batch(k, [a, a, b], [c, b, c])
         if whole <= 1e-280:
             continue
-        split = segment_mass(k, a, b).value + segment_mass(k, b, c).value
-        worst = max(worst, abs(split - whole) / whole)
+        worst = max(worst, float(abs(left + right - whole) / whole))
         used += 1
     out.append(PropertyCheck("special_fn", "additivity",
                              worst <= eps, worst, eps, used))
@@ -122,7 +118,7 @@ def special_suite(seed: int, samples: int, tol: float | None = None
         T = float(rng.uniform(0.1, 4.0))
         grid = np.linspace(max(0.0, k - 3.0 * T - 2.0), k + 2.0 * T + 2.0, 41)
         step = grid[1] - grid[0]
-        masses = [segment_mass(k, s, s + T).value for s in grid]
+        masses, _ = segment_mass_batch(k, grid, grid + T)
         s_hat = float(grid[int(np.argmax(masses))])
         excess = max(k - T - step - s_hat, s_hat - (k + step))
         worst = max(worst, excess)
@@ -136,14 +132,14 @@ def special_suite(seed: int, samples: int, tol: float | None = None
     evals = 0
     for eps_rel in (0.1, 0.25, 0.5):
         k = 1
-        while gamma_tail_mass(k, (1.0 + eps_rel) * k) >= 1e-6:
+        while (prev := float(lower_tail_batch(k, [(1.0 + eps_rel) * k])[1][0])) >= 1e-6:
             k *= 2
             if k > 10 ** 7:
                 raise AssertionError("tail never dropped below 1e-6")
-        prev = gamma_tail_mass(k, (1.0 + eps_rel) * k)
         worst = max(worst, prev - 1e-6)
         for mult in (1.25, 1.5, 2.0, 3.0):
-            cur = gamma_tail_mass(int(mult * k), (1.0 + eps_rel) * int(mult * k))
+            j = int(mult * k)
+            cur = float(lower_tail_batch(j, [(1.0 + eps_rel) * j])[1][0])
             worst = max(worst, cur - prev)
             prev = cur
             evals += 1

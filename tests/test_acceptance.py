@@ -16,14 +16,13 @@ from cantorloc import (
     cantor_function,
     canonical_of,
     eigenvalue,
-    gamma_tail_mass,
     lambda0_closed_form,
     localization_problem,
+    lower_tail_batch,
     operator_norm,
     positive_measure_demo,
-    regularized_lower_gamma,
     relative_area,
-    segment_mass,
+    segment_mass_batch,
     sweep_fixed,
     sweep_indexed_counterexample,
     sweep_indexed_decay,
@@ -82,8 +81,7 @@ def test_kernel_complementarity_and_segment_masses():
     factors[far] = rng.uniform(2.5, 8.0, size=int(far.sum()))
     worst_pair = 0.0
     for k, x in zip(ks, factors * (ks + 1.0)):
-        p = regularized_lower_gamma(int(k), float(x))
-        q = gamma_tail_mass(int(k), float(x))
+        [p], [q] = lower_tail_batch(int(k), [x])
         worst_pair = max(worst_pair, abs(p + q - 1.0))
     assert worst_pair <= 1e-13, f"worst |P+Q-1| = {worst_pair:.3e}"
 
@@ -103,7 +101,7 @@ def test_kernel_complementarity_and_segment_masses():
             a = k + rng.uniform(4.0, 11.0) * sig + rng.uniform(0.0, 20.0)
             width = rng.uniform(1e-6, 0.5)
         b = a + width
-        lib = segment_mass(k, a, b).value
+        [lib], _ = segment_mass_batch(k, [a], [b])
         ref = oracles.segment_mass_quad(k, a, b)
         if max(lib, ref) <= 1e-290:
             # Both sides agree the mass sits below the representable range.

@@ -2,6 +2,7 @@
 distribution function, sibling alphabets, and the enumeration cap."""
 
 import math
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -33,6 +34,7 @@ from cantorloc.cantor import (
     DEFAULT_MAX_INTERVALS,
     MAX_INTERVALS_ENV,
     frexp_quotient,
+    level_product,
     level_products,
 )
 
@@ -270,6 +272,22 @@ def test_level_products_convert_with_one_rounding():
     # Where it is finite, float(P) is the same double.
     for product in (3 ** 24, 3 ** 40, 2 ** 1000 + 1, 7 ** 360):
         assert math.ldexp(*frexp_quotient(product, 1)) == float(product)
+
+
+@pytest.mark.parametrize("base, scale, deepest", [(2, sys.float_info.max, 2045),
+                                                   (3, 1.0, 644)])
+def test_scale_check_refuses_the_first_depth_past_the_double_range(base, scale, deepest):
+    # At the largest double scale, base 2 keeps blocks of e^-707.7 at depth
+    # 2045 and e^-708.4 at 2046.  The product is formed only up to 2^2047,
+    # past which no scale passes, so depth 10^6 is refused at once; forming
+    # every prefix of it once ran out of memory.
+    spec = CantorSpec(base, (0,))
+    assert localization_problem(spec, deepest, scale).rho == scale
+    for n in (deepest + 1, 10 ** 6):
+        with pytest.raises(ValueError, match="narrower than the smallest representable"):
+            localization_problem(spec, n, scale)
+    assert level_product([2] * 10, 100) == 128
+    assert level_product([3, 4, 5], 10 ** 9) == 60
 
 
 def test_indexed_depth_is_bounded_by_levels():

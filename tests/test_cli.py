@@ -9,6 +9,7 @@ import math
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -364,6 +365,71 @@ def test_sweep_reverse_checks_the_base_before_the_size(capsys, base):
                              "--size", "2")
     assert (code, out) == (2, "")
     assert err == f"error: base must be at least 2, got {base}\n"
+
+
+def test_sweep_alphabets_are_held_to_the_cap_before_they_are_built(capsys, monkeypatch):
+    # tuple(range(size)) once came first, and a MemoryError traceback ended
+    # the sweep with exit 1, the code of a failed verify property.
+    monkeypatch.delenv("CTFL_MAX_INTERVALS", raising=False)
+    code, out, err = run_cli(capsys, "sweep", "--experiment", "reverse", "--base",
+                             "10000000000", "--size", "5000000000", "--nmax", "2")
+    assert (code, out) == (3, "")
+    assert err == ("error: 5000000000 alphabet digits would pass the cap of 10000000 "
+                   "(set CTFL_MAX_INTERVALS to move it)\n")
+    for delta in ("20", "30", "38"):
+        code, out, err = run_cli(capsys, "sweep", "--experiment", "indexed-decay",
+                                 "--nmax", "6", "--delta", delta)
+        assert (code, out) == (3, "")
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "alphabet digits would pass the cap" in err
+
+
+@pytest.mark.parametrize("delta, power", [("39", "3^40"), ("1000", "3^1001"),
+                                          ("inf", "3^inf")])
+def test_sweep_indexed_decay_refuses_bases_past_int64(capsys, delta, power):
+    # numpy's or float's own words once ended these: "high is out of bounds
+    # for int64", "Numerical result out of range", "cannot convert float
+    # infinity to integer".
+    code, out, err = run_cli(capsys, "sweep", "--experiment", "indexed-decay",
+                             "--nmax", "6", "--delta", delta)
+    assert (code, out) == (2, "")
+    assert err == (f"error: delta = {delta} (--delta) puts the largest base M^(1+delta) "
+                   f"= {power} at or past 2^63, beyond the int64 bases drawn\n")
+
+
+@pytest.mark.parametrize("argv", [
+    "norm --base 3 --alphabet 0,2 --iterate 1000000 --rho 1",
+    "eigs --base 3 --alphabet 0,2 --iterate 1000000 --rho 1 --kmax 0",
+])
+def test_a_deep_iterate_is_refused_at_once(capsys, argv):
+    # The scale check once formed every exact level product, O(n^2) bits,
+    # and was killed for memory at n = 300,000 instead of refusing.
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, *argv.split())
+    assert time.perf_counter() - start < 5.0
+    assert (code, out) == (2, "")
+    assert err == ("error: iterate blocks are narrower than the smallest representable "
+                   "double; reduce the depth\n")
+
+
+def test_cantor_fn_at_a_deep_iterate(capsys):
+    # 0.3 leaves the mid-third iterate within a few dozen digits, and the
+    # metadata's 1 / 3^n underflows to 0 without forming 3^n.
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "cantor-fn", "--base", "3", "--alphabet", "0,2",
+                             "--iterate", "1000000", "--x", "0.3", "--format", "json")
+    assert time.perf_counter() - start < 5.0
+    assert (code, err) == (0, "")
+    doc = json.loads(out)
+    assert doc["rows"] == [[0.3, 0.39999999999417923]]
+    assert doc["metadata"]["h_equivalent"] == 0.0
+
+
+def test_h_equivalent_is_formed_only_until_it_underflows():
+    # Past 2^1075 the product's reciprocal rounds to 0.0.
+    assert cli._h_equivalent([2] * 1074) == 5e-324
+    assert cli._h_equivalent([3] * 678) == 1 / 3 ** 678 == 5e-324
+    assert cli._h_equivalent([2] * 1075) == cli._h_equivalent([3] * 679) == 0.0
 
 
 @pytest.mark.parametrize("n_max", ["2", "4"])

@@ -14,14 +14,12 @@ import oracles
 from cantorloc import (
     CantorSpec,
     eigenvalue_table,
-    gamma_tail_mass,
     localization_problem,
     log_density,
     log_segment_mass,
     lower_tail_batch,
     regularized_lower_gamma,
     relative_area,
-    segment_mass,
     segment_mass_batch,
     special,
 )
@@ -66,12 +64,14 @@ def test_lower_gamma_zero_argument():
 
 def test_tail_mass_zero_argument():
     for k in (0, 1, 7, 100, 10_000):
-        assert gamma_tail_mass(k, 0.0) == 1.0
+        _, [q] = lower_tail_batch(k, [0.0])
+        assert q == 1.0
 
 
 def test_tail_mass_is_exponential_at_order_zero():
     for t in (0.01, 0.5, 3.0, 40.0, 700.0):
-        assert gamma_tail_mass(0, t) == pytest.approx(math.exp(-t), rel=1e-14)
+        _, [q] = lower_tail_batch(0, [t])
+        assert q == pytest.approx(math.exp(-t), rel=1e-14)
 
 
 def test_lower_gamma_frozen_references():
@@ -81,7 +81,8 @@ def test_lower_gamma_frozen_references():
 
 def test_tail_mass_frozen_references():
     for k, x, ref in FROZEN_UPPER:
-        assert gamma_tail_mass(k, x) == pytest.approx(ref, rel=5e-14)
+        _, [q] = lower_tail_batch(k, [x])
+        assert q == pytest.approx(ref, rel=5e-14)
 
 
 def test_lower_gamma_matches_quadrature_at_five_five():
@@ -90,29 +91,28 @@ def test_lower_gamma_matches_quadrature_at_five_five():
 
 
 def test_complement_pair_at_fifty_seventyfive():
-    p = regularized_lower_gamma(50, 75.0)
-    q = gamma_tail_mass(50, 75.0)
+    [p], [q] = lower_tail_batch(50, [75.0])
     assert abs(q - (1.0 - p)) <= 1e-13
 
 
 def test_segment_degenerate_interval_is_zero():
     for k in (0, 3, 250):
-        m = segment_mass(k, 4.0, 4.0)
-        assert m.value == 0.0
-        assert m.rel_err_bound == 0.0
+        [v], [rel] = segment_mass_batch(k, [4.0], [4.0])
+        assert v == 0.0
+        assert rel == 0.0
 
 
 def test_segment_frozen_references():
     for k, a, b, ref in FROZEN_SEGMENT:
-        m = segment_mass(k, a, b)
-        assert m.value == pytest.approx(ref, rel=1e-12)
-        assert m.rel_err_bound < 1e-10
+        [v], [rel] = segment_mass_batch(k, [a], [b])
+        assert v == pytest.approx(ref, rel=1e-12)
+        assert rel < 1e-10
 
 
 def test_segment_far_tail_matches_quadrature():
-    m = segment_mass(200, 190.0, 190.1)
+    [v], _ = segment_mass_batch(200, [190.0], [190.1])
     quad = oracles.segment_mass_quad(200, 190.0, 190.1)
-    assert m.value == pytest.approx(quad, rel=1e-10)
+    assert v == pytest.approx(quad, rel=1e-10)
 
 
 def test_log_segment_frozen_references():
@@ -127,7 +127,8 @@ def test_log_segment_reaches_below_double_range():
     log_v, _ = log_segment_mass(5, 800.0, 820.0)
     assert log_v < -745.0
     assert math.isfinite(log_v)
-    assert segment_mass(5, 800.0, 820.0).value == 0.0
+    [v], _ = segment_mass_batch(5, [800.0], [820.0])
+    assert v == 0.0
 
 
 def test_log_density_frozen_references():
@@ -181,9 +182,9 @@ def test_segment_bound_holds_against_mpmath(seed, k_min, k_max):
         k = int(round(10.0 ** rng.uniform(math.log10(k_min), math.log10(k_max))))
         a = max(0.0, k + rng.normal(0.0, 4.0 * math.sqrt(k)))
         b = a + 10.0 ** rng.uniform(-8.0, 0.0)
-        m = segment_mass(k, a, b)
+        [v], [rel] = segment_mass_batch(k, [a], [b])
         ref = oracles.segment_mass_mp(k, a, b)
-        assert abs(m.value - ref) <= m.value * m.rel_err_bound
+        assert abs(v - ref) <= v * rel
 
 
 @pytest.mark.parametrize("k, a, b", [
@@ -199,11 +200,11 @@ def test_segment_bound_holds_against_mpmath(seed, k_min, k_max):
     (5, 745.0, 745.0001),
 ])
 def test_segment_bound_holds_at_the_ends_of_the_double_range(k, a, b):
-    m = segment_mass(k, a, b)
-    assert m.value > 0.0
+    [v], [rel] = segment_mass_batch(k, [a], [b])
+    assert v > 0.0
     with mpmath.workdps(40):
         ref = oracles.segment_mass_tails_mp(k, a, b)
-        assert abs(mpmath.mpf(m.value) - ref) <= mpmath.mpf(m.value) * m.rel_err_bound
+        assert abs(mpmath.mpf(v) - ref) <= mpmath.mpf(v) * rel
 
 
 def _record_depths(monkeypatch):
@@ -254,9 +255,9 @@ def test_thin_segments_below_mode_need_no_fallback(monkeypatch):
     # to seconds of bisection on noise.  Each is expanded at its root.
     pairs = _record_depths(monkeypatch)
     for a in (0.1753561, 0.18284164):
-        m = segment_mass(100, a, a + 1e-8)
+        [v], [rel] = segment_mass_batch(100, [a], [a + 1e-8])
         ref = oracles.segment_mass_mp(100, a, a + 1e-8)
-        assert abs(m.value - ref) <= m.value * m.rel_err_bound
+        assert abs(v - ref) <= v * rel
     assert pairs == [1, 1]
 
 
@@ -365,11 +366,11 @@ def test_validation_rejects_bad_orders_and_arguments():
     with pytest.raises(ValueError):
         regularized_lower_gamma(2, -0.5)
     with pytest.raises(ValueError):
-        gamma_tail_mass(3, math.inf)
+        lower_tail_batch(3, [math.inf])
     with pytest.raises(ValueError):
-        segment_mass(3, 2.0, 1.0)
+        segment_mass_batch(3, [2.0], [1.0])
     with pytest.raises(ValueError):
-        segment_mass(3, -1.0, 1.0)
+        segment_mass_batch(3, [-1.0], [1.0])
     with pytest.raises(ValueError):
         log_segment_mass(3, 1.0, math.inf)
     with pytest.raises(ValueError):
@@ -387,8 +388,7 @@ def test_validation_rejects_bad_orders_and_arguments():
 )
 @settings(max_examples=300, deadline=None)
 def test_complementarity_property(k, x):
-    p = regularized_lower_gamma(k, x)
-    q = gamma_tail_mass(k, x)
+    [p], [q] = lower_tail_batch(k, [x])
     assert 0.0 <= p <= 1.0
     assert 0.0 <= q <= 1.0
     assert abs(p + q - 1.0) <= 1e-13
@@ -405,13 +405,11 @@ def test_complementarity_property(k, x):
 @settings(max_examples=200, deadline=None)
 def test_segment_additivity_property(k, cuts):
     a, b, c = sorted(cuts)
-    left = segment_mass(k, a, b)
-    right = segment_mass(k, b, c)
-    whole = segment_mass(k, a, c)
-    split = left.value + right.value
-    bound = (left.value * left.rel_err_bound + right.value * right.rel_err_bound
-             + whole.value * whole.rel_err_bound)
-    assert abs(split - whole.value) <= bound + 1e-11 * whole.value + 1e-295
+    [left], [left_rel] = segment_mass_batch(k, [a], [b])
+    [right], [right_rel] = segment_mass_batch(k, [b], [c])
+    [whole], [whole_rel] = segment_mass_batch(k, [a], [c])
+    bound = left * left_rel + right * right_rel + whole * whole_rel
+    assert abs(left + right - whole) <= bound + 1e-11 * whole + 1e-295
 
 
 @given(
@@ -426,15 +424,15 @@ def test_lower_gamma_monotone_property(k, x1, x2):
 
 
 def test_batch_lower_tail_matches_scalar():
-    # Each element is independent of the batch around it, so the scalar
-    # one-element calls reproduce the batch bit for bit.
+    # Each element is independent of the batch around it, so one-element
+    # calls reproduce the batch bit for bit.
     rng = np.random.default_rng(11)
     for k in (0, 1, 19, 400, 9000):
         x = rng.uniform(0.0, 3.0 * (k + 1), size=64)
         p, q = lower_tail_batch(k, x)
         for i, xi in enumerate(x):
-            assert regularized_lower_gamma(k, float(xi)) == p[i]
-            assert gamma_tail_mass(k, float(xi)) == q[i]
+            [pi], [qi] = lower_tail_batch(k, [xi])
+            assert pi == p[i] and qi == q[i]
 
 
 @pytest.mark.parametrize("k", [0, 1, 15, 16, 17, 20, 21, 200, 1967, 6561, 20000])
@@ -471,8 +469,8 @@ def test_batch_segment_mass_matches_scalar(monkeypatch):
         # block each; a segment's mass and bound do not depend on the others.
         assert pairs and pairs[0] >= 12
         for i in range(lo.size):
-            m = segment_mass(k, float(lo[i]), float(hi[i]))
-            assert values[i] == m.value and errs[i] == m.rel_err_bound
+            [v], [rel] = segment_mass_batch(k, [lo[i]], [hi[i]])
+            assert v == values[i] and rel == errs[i]
 
 
 def test_walk_memory_stays_bounded():

@@ -387,13 +387,28 @@ def cantor_function(spec: CantorSpec, n: int, x: float) -> float:
     # The walk steps through the exact ratio num / den = x, so the rank of
     # the block reached and the remainder are exact and the value is divided
     # once: it is the correctly rounded (rank + remainder) / |A|^j, and
-    # rounding cannot break monotonicity.
+    # rounding cannot break monotonicity.  The rank's base-|A| digits are
+    # collected first and joined once.
     num, den = x.as_integer_ratio()
-    rank = 0
+    ranks = []
     for depth in range(1, n + 1):
         digit, num = divmod(num * base, den)
-        rank = rank * size + bisect_left(letters, digit)
+        ranks.append(bisect_left(letters, digit))
         if not member[digit]:
-            return rank / size ** depth
-    return (rank * den + num) / (size ** n * den)
+            return _join_digits(ranks, size) / size ** depth
+    return (_join_digits(ranks, size) * den + num) / (size ** n * den)
+
+
+def _join_digits(digits: list[int], base: int) -> int:
+    """The int with these base-`base` digits, most significant first, joined
+    by halves as left * base^len(right) + right: n digits cost O(M(n) log n)
+    bit operations, where a loop over them grows its int every step, O(n^2)."""
+    if len(digits) <= 64:
+        value = 0
+        for d in digits:
+            value = value * base + d
+        return value
+    half = len(digits) // 2
+    return (_join_digits(digits[:half], base) * base ** (len(digits) - half)
+            + _join_digits(digits[half:], base))
 

@@ -7,8 +7,6 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
-from hypothesis import strategies as st
 
 import oracles
 from cantorloc import (
@@ -33,6 +31,7 @@ from cantorloc import (
 from cantorloc.cantor import (
     DEFAULT_MAX_INTERVALS,
     MAX_INTERVALS_ENV,
+    _join_digits,
     frexp_quotient,
     level_product,
     level_products,
@@ -41,19 +40,18 @@ from cantorloc.cantor import (
 MID_THIRD = CantorSpec(3, (0, 2))
 
 
-def _spec_strategy(max_base=9):
-    def build(base, draw_size, seed):
-        rng = np.random.default_rng(seed)
-        size = 1 + draw_size % (base - 1)
-        letters = tuple(sorted(rng.choice(base, size=size, replace=False).tolist()))
-        return CantorSpec(base, letters)
+def _random_spec(rng, max_base):
+    # A base in 2..max_base and a proper alphabet of 1..base-1 letters.
+    base = int(rng.integers(2, max_base + 1))
+    size = int(rng.integers(1, base))
+    letters = tuple(sorted(rng.choice(base, size=size, replace=False).tolist()))
+    return CantorSpec(base, letters)
 
-    return st.builds(
-        build,
-        st.integers(min_value=2, max_value=max_base),
-        st.integers(min_value=0, max_value=7),
-        st.integers(min_value=0, max_value=10_000),
-    )
+
+# The ends of the bases 2..9 that the Cantor-function loops draw: one letter
+# and all but one, at each end of the alphabet.
+END_SPECS = (CantorSpec(2, (0,)), CantorSpec(2, (1,)), CantorSpec(9, (0,)), CantorSpec(9, (8,)),
+             CantorSpec(9, tuple(range(8))), CantorSpec(9, tuple(range(1, 9))))
 
 
 def test_discrete_iterate_mid_third_depth_two():
@@ -164,19 +162,6 @@ def test_cantor_function_right_closed_blocks():
     assert cantor_function(MID_THIRD, 1, 2.0 / 3.0) == 0.5
 
 
-def test_cantor_function_matches_interval_oracle():
-    rng = np.random.default_rng(5)
-    for _ in range(60):
-        base = int(rng.integers(2, 8))
-        size = int(rng.integers(1, base))
-        letters = tuple(sorted(rng.choice(base, size=size, replace=False).tolist()))
-        n = int(rng.integers(0, 9))
-        xs = rng.uniform(-0.1, 1.1, size=32)
-        ref = oracles.cantor_cdf(base, letters, n, xs)
-        for x, r in zip(xs, ref):
-            assert abs(cantor_function(CantorSpec(base, letters), n, float(x)) - r) <= 1e-12
-
-
 @pytest.mark.parametrize("base, alphabet", [(7, (0, 1)), (7, (0, 6)), (3, (0, 2))])
 @pytest.mark.parametrize("n", [8, 16])
 def test_cantor_function_is_correctly_rounded_inside_iterate(base, alphabet, n):
@@ -191,6 +176,17 @@ def test_cantor_function_is_correctly_rounded_inside_iterate(base, alphabet, n):
         x = (point + rng.uniform(0.0, 1.0)) / base ** n
         exact = oracles.cantor_function_exact(base, alphabet, n, x)
         assert cantor_function(spec, n, x) == float(exact)
+
+
+def test_rank_digits_join_to_the_exact_int():
+    # cantor_function joins the rank's base-|A| digits by halves; the int
+    # must be the one that a loop over the digits builds, on both sides of
+    # the 64 digits where the halving starts.
+    rng = np.random.default_rng(67)
+    for base in (2, 3, 7, 9):
+        for length in (0, 1, 63, 64, 65, 129, 1000, 4097):
+            digits = rng.integers(0, base, length).tolist()
+            assert _join_digits(digits, base) == int("0" + "".join(map(str, digits)), base)
 
 
 def test_sibling_alphabets():
@@ -329,32 +325,35 @@ def test_depth_is_a_nonnegative_integer_at_every_entry_point(entry):
     assert call(3.0) == call(3)
 
 
-@given(
-    spec=_spec_strategy(),
-    n=st.integers(min_value=0, max_value=6),
-    x=st.floats(min_value=-0.2, max_value=1.2),
-    y=st.floats(min_value=0.0, max_value=1.0),
-)
-@settings(max_examples=200, deadline=None)
-def test_weak_subadditivity_property(spec, n, x, y):
+def test_weak_subadditivity_property():
     # Against the canonical sibling, mass of a union of translates bounds
-    # the shifted mass: G(x + y) <= G(x) + Gcan(y) + slack.
-    can = canonical_of(spec)
-    left = cantor_function(spec, n, x + y)
-    right = cantor_function(spec, n, x) + cantor_function(can, n, y)
-    assert left <= right + 1e-12
+    # the shifted mass: G(x + y) <= G(x) + Gcan(y) + 1e-12.  1,000 seeded
+    # draws of bases 2..9, n in 0..6, x in [-0.2, 1.2] and y in [0, 1], and
+    # every corner of that box at END_SPECS; the cantor verify suite draws
+    # bases up to 7 only.
+    rng = np.random.default_rng(61)
+    cases = [(_random_spec(rng, 9), int(rng.integers(0, 7)), float(rng.uniform(-0.2, 1.2)),
+              float(rng.uniform(0.0, 1.0))) for _ in range(1000)]
+    cases += [(spec, n, x, y) for spec in END_SPECS for n in (0, 6)
+              for x in (-0.2, 1.2) for y in (0.0, 1.0)]
+    for spec, n, x, y in cases:
+        left = cantor_function(spec, n, x + y)
+        right = cantor_function(spec, n, x) + cantor_function(canonical_of(spec), n, y)
+        assert left <= right + 1e-12, (spec, n, x, y)
 
 
-@given(
-    spec=_spec_strategy(),
-    n=st.integers(min_value=0, max_value=6),
-    x=st.floats(min_value=-0.2, max_value=1.2),
-    y=st.floats(min_value=-0.2, max_value=1.2),
-)
-@settings(max_examples=200, deadline=None)
-def test_cantor_function_monotone_property(spec, n, x, y):
-    lo, hi = min(x, y), max(x, y)
-    assert cantor_function(spec, n, lo) <= cantor_function(spec, n, hi)
+def test_cantor_function_monotone_property():
+    # 1,000 seeded draws of bases 2..9, n in 0..6 and x, y in [-0.2, 1.2],
+    # and the pairs of ends of that range at END_SPECS; the cantor verify
+    # suite draws bases up to 7 and x in [-0.1, 1.1] only.
+    rng = np.random.default_rng(62)
+    cases = [(_random_spec(rng, 9), int(rng.integers(0, 7)), *rng.uniform(-0.2, 1.2, 2))
+             for _ in range(1000)]
+    cases += [(spec, n, x, y) for spec in END_SPECS for n in (0, 6)
+              for x, y in ((-0.2, -0.2), (-0.2, 1.2), (1.2, 1.2))]
+    for spec, n, x, y in cases:
+        lo, hi = float(min(x, y)), float(max(x, y))
+        assert cantor_function(spec, n, lo) <= cantor_function(spec, n, hi), (spec, n, lo, hi)
 
 
 def test_cantor_function_monotone_in_one_gap():
@@ -367,11 +366,20 @@ def test_cantor_function_monotone_in_one_gap():
     assert left == right == 2.0 / 3.0
 
 
-@given(spec=_spec_strategy(max_base=7), n=st.integers(min_value=0, max_value=10))
-@settings(max_examples=120, deadline=None)
-def test_measure_identity_property(spec, n):
-    # Larger iterates are refused by the cap (test_enumeration_cap_raises).
-    assume(spec.size ** n <= 10_000_000)
-    it = continuous_iterate(spec, n, 1.0)
-    expected = (spec.size / spec.base) ** n
-    assert it.measure == pytest.approx(expected, rel=1e-12)
+def test_measure_identity_property():
+    # The enumeration's measure is (|A|/M)^n within 1e-12 relative: 120
+    # seeded draws of bases 2..7 and n in 0..10 whose |A|^n intervals fit
+    # the default cap (larger iterates are refused by it, see
+    # test_enumeration_cap_raises), and the ends n = 0 and 10 at bases 2 and
+    # 7, with five letters, the most that fit at n = 10.
+    rng = np.random.default_rng(63)
+    cases = [(CantorSpec(2, (1,)), 0), (CantorSpec(2, (0,)), 10),
+             (CantorSpec(7, tuple(range(6))), 0), (CantorSpec(7, (0, 1, 2, 3, 4)), 10)]
+    while len(cases) < 124:
+        spec, n = _random_spec(rng, 7), int(rng.integers(0, 11))
+        if spec.size ** n <= 10_000_000:
+            cases.append((spec, n))
+    for spec, n in cases:
+        it = continuous_iterate(spec, n, 1.0)
+        expected = (spec.size / spec.base) ** n
+        assert it.measure == pytest.approx(expected, rel=1e-12), (spec, n)

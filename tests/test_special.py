@@ -1,14 +1,13 @@
 """Kernel tests: frozen high-precision references, closed-form identities,
-batch/scalar agreement, and hypothesis invariants."""
+batch/scalar agreement, and seeded invariant loops."""
 
+import itertools
 import math
 import tracemalloc
 
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 import oracles
 from cantorloc import (
@@ -264,10 +263,9 @@ def test_thin_segments_below_mode_need_no_fallback(monkeypatch):
 @pytest.mark.parametrize("k, a, b", [(5000, 0.0, 1.0e4), (2000, 1500.0, 2600.0),
                                      (0, 100.0, 1.0e12), (5, 800.0, 1.0e6)])
 def test_wide_segments_bisect_to_mpmath(monkeypatch, k, a, b):
-    # No expansion converges over these whole segments; the walk must
-    # split them.  The last two are e^-100, which Gauss-Legendre panels
-    # once put at zero, and e^-771, whose panels kept bisecting until the
-    # memory ran out.
+    # No expansion converges over these whole segments, so the tree walk
+    # splits them over more than one depth; the log mass, down to e^-100
+    # and e^-771 in the last two, must lie within its bound of mpmath.
     pairs = _record_depths(monkeypatch)
     log_v, rel = log_segment_mass(k, a, b)
     assert len(pairs) > 1
@@ -288,9 +286,9 @@ def test_negligible_blocks_are_pruned(monkeypatch):
 
 @pytest.mark.parametrize("b", [40.0, 800.0])
 def test_wide_segment_bound_holds_at_order_zero(b):
-    # The density falls by e^-b over the segment; panel quadrature with a
-    # flat 4 eps per panel once claimed 5.3e-15 on [0, 40] and 8.9e-15 on
-    # [0, 800] against actual errors of 6.4e-15 and 1.24e-14.
+    # The density falls by e^-b over the segment, which the tree walk
+    # splits; its certified relative bound must cover the error against
+    # 40-digit mpmath on both lengths.
     log_v, rel = log_segment_mass(0, 0.0, b)
     ref = oracles.segment_mass_mp(0, 0.0, b)
     assert abs(math.expm1(log_v - math.log(ref))) <= rel
@@ -302,8 +300,9 @@ def test_wide_segment_bound_holds_at_order_zero(b):
 ])
 def test_far_tail_relative_area_bisects_to_mpmath(monkeypatch, k, s, T, base,
                                                   alphabet):
-    # Every mass here is below 1e-250, so the areas come from the walk,
-    # scaled by f_k at s; the blocks over [s, s+T] need splitting.
+    # Every mass here is below 1e-250, so the area comes from the tree
+    # walk, scaled by f_k at s; the walk splits the blocks over [s, s+T]
+    # over more than one depth, and the area must be within 1e-13 of mpmath.
     pairs = _record_depths(monkeypatch)
     area = relative_area(CantorSpec(base, alphabet), k, s, T)
     assert len(pairs) > 1
@@ -382,45 +381,37 @@ def test_validation_rejects_bad_orders_and_arguments():
             log_density(k, r)
 
 
-@given(
-    k=st.integers(min_value=0, max_value=10_000),
-    x=st.floats(min_value=0.0, max_value=2.0e4, allow_nan=False),
-)
-@settings(max_examples=300, deadline=None)
-def test_complementarity_property(k, x):
-    [p], [q] = lower_tail_batch(k, [x])
-    assert 0.0 <= p <= 1.0
-    assert 0.0 <= q <= 1.0
-    assert abs(p + q - 1.0) <= 1e-13
+def test_segment_additivity_property():
+    # Masses over [a, b] and [b, c] add up to the mass over [a, c] within
+    # their bounds: 300 seeded draws of k in 0..500 and cuts in [0, 1200],
+    # far tails included, and the ends k = 0 and 500 with every sorted
+    # choice of cuts from 0 and 1200.  The special_fn verify suite draws
+    # cuts near the mode only.
+    rng = np.random.default_rng(64)
+    cases = [(int(rng.integers(0, 501)), *rng.uniform(0.0, 1200.0, 3)) for _ in range(300)]
+    cases += [(k, *cuts) for k in (0, 500) for cuts in itertools.combinations_with_replacement(
+        (0.0, 1200.0), 3)]
+    for k, *cuts in cases:
+        a, b, c = sorted(float(v) for v in cuts)
+        [left], [left_rel] = segment_mass_batch(k, [a], [b])
+        [right], [right_rel] = segment_mass_batch(k, [b], [c])
+        [whole], [whole_rel] = segment_mass_batch(k, [a], [c])
+        bound = left * left_rel + right * right_rel + whole * whole_rel
+        assert abs(left + right - whole) <= bound + 1e-11 * whole + 1e-295, (k, a, b, c)
 
 
-@given(
-    k=st.integers(min_value=0, max_value=500),
-    cuts=st.tuples(
-        st.floats(min_value=0.0, max_value=1200.0),
-        st.floats(min_value=0.0, max_value=1200.0),
-        st.floats(min_value=0.0, max_value=1200.0),
-    ),
-)
-@settings(max_examples=200, deadline=None)
-def test_segment_additivity_property(k, cuts):
-    a, b, c = sorted(cuts)
-    [left], [left_rel] = segment_mass_batch(k, [a], [b])
-    [right], [right_rel] = segment_mass_batch(k, [b], [c])
-    [whole], [whole_rel] = segment_mass_batch(k, [a], [c])
-    bound = left * left_rel + right * right_rel + whole * whole_rel
-    assert abs(left + right - whole) <= bound + 1e-11 * whole + 1e-295
-
-
-@given(
-    k=st.integers(min_value=0, max_value=2000),
-    x1=st.floats(min_value=0.0, max_value=4000.0),
-    x2=st.floats(min_value=0.0, max_value=4000.0),
-)
-@settings(max_examples=200, deadline=None)
-def test_lower_gamma_monotone_property(k, x1, x2):
-    lo, hi = min(x1, x2), max(x1, x2)
-    assert regularized_lower_gamma(k, lo) <= regularized_lower_gamma(k, hi) + 2e-16
+def test_lower_gamma_monotone_property():
+    # P(k+1, x) does not decrease in x, within 2e-16: 300 seeded draws of k
+    # in 0..2000 and x1, x2 in [0, 4000], and the ends k = 0 and 2000 with
+    # each pair of 0, the least subnormal and 4000.
+    rng = np.random.default_rng(65)
+    cases = [(int(rng.integers(0, 2001)), *rng.uniform(0.0, 4000.0, 2)) for _ in range(300)]
+    cases += [(k, *ends) for k in (0, 2000)
+              for ends in itertools.combinations_with_replacement((0.0, 5e-324, 4000.0), 2)]
+    for k, x1, x2 in cases:
+        lo, hi = float(min(x1, x2)), float(max(x1, x2))
+        assert regularized_lower_gamma(k, lo) <= regularized_lower_gamma(k, hi) + 2e-16, (
+            k, lo, hi)
 
 
 def test_batch_lower_tail_matches_scalar():

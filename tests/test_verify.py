@@ -1,8 +1,9 @@
 """The seeded `verify` suites, run at a fixed seed.
 
 Every suite here draws at least as many samples as the pytest loops it
-took over.  Six of their properties are sampled in the other test files
-too, over other draws; README's `verify` paragraph names them.
+took over.  Three of their properties are sampled in the other test files
+too, only because those loops draw inputs the suites do not; README's
+`verify` paragraph names them.
 """
 
 import pytest

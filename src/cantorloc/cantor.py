@@ -22,7 +22,7 @@ import math
 import os
 from bisect import bisect_left
 from dataclasses import dataclass, field
-from itertools import accumulate
+from itertools import accumulate, repeat
 from typing import Iterable, Sequence, Union
 
 import numpy as np
@@ -49,8 +49,9 @@ def resolve_max_intervals() -> int:
 def check_cap(count: int, what: str) -> None:
     """The package's one cap on work, checked before anything is allocated:
     raise CapExceededError when count (an enumeration's intervals, an
-    eigenvalue table's rows, the live pairs of a norm's walk or the digits
-    of an alphabet that a sweep builds from a size) passes it."""
+    eigenvalue table's rows, the live pairs of a norm's walk, the digits
+    of an alphabet that a sweep builds from a size, or the digits that a
+    Cantor-function walk takes inside the iterate) passes it."""
     cap = resolve_max_intervals()
     if count > cap:
         raise CapExceededError(f"{count} {what} would pass the cap of {cap} "
@@ -148,7 +149,8 @@ class IterateIntervals:
 def check_depth(n) -> int:
     """An iterate depth as an int, checked to be a nonnegative integer the
     way special._validate_k checks an index (3.0 passes); the package's one
-    check of a depth, called by _levels_of and by entry points with no levels."""
+    check of a depth, called by _levels_of, _level_bases and by entry points
+    with no levels."""
     try:
         depth = int(n)
     except (TypeError, ValueError, OverflowError):
@@ -166,6 +168,16 @@ def _levels_of(spec: Union[CantorSpec, IndexedCantorSpec], n) -> list[CantorSpec
             raise ValueError(f"iterate depth {n} exceeds the {spec.depth} stored levels")
         return list(spec.levels[:n])
     return [spec] * n
+
+
+def _level_bases(spec: Union[CantorSpec, IndexedCantorSpec], n) -> Iterable[int]:
+    """The bases M_1 .. M_n of the n-th iterate, after check_depth, for one
+    pass; a fixed spec repeats its base lazily, so a depth that check_scale
+    refuses, or a product that stops early (level_product), holds no list
+    of n levels."""
+    if isinstance(spec, IndexedCantorSpec):
+        return [lv.base for lv in _levels_of(spec, n)]
+    return repeat(spec.base, check_depth(n))
 
 
 def level_products(bases: Iterable[int]) -> list[int]:
@@ -228,14 +240,14 @@ def discrete_iterate(spec: CantorSpec, n: int) -> np.ndarray:
     return _enumerate_points(_levels_of(spec, n))
 
 
-def check_scale(levels: Sequence[CantorSpec], scale: float) -> float:
+def check_scale(bases: Iterable[int], scale: float) -> float:
     """scale as a float, checked to be positive and finite with blocks of
-    the iterate of these levels still representable."""
+    the iterate of these level bases still representable."""
     scale = float(scale)
     if not (scale > 0.0) or not math.isfinite(scale):
         raise ValueError(f"scale must be positive and finite, got {scale!r}")
     # Past 2^2047 no double scale keeps a block above e^-708.
-    log_width = math.log(scale) - math.log(level_product((lv.base for lv in levels), 2 ** 2047))
+    log_width = math.log(scale) - math.log(level_product(bases, 2 ** 2047))
     if log_width < -708.0:
         raise ValueError("iterate blocks are narrower than the smallest "
                          "representable double; reduce the depth")
@@ -243,7 +255,6 @@ def check_scale(levels: Sequence[CantorSpec], scale: float) -> float:
 
 
 def _merged_intervals(levels: Sequence[CantorSpec], n: int, scale: float) -> IterateIntervals:
-    scale = check_scale(levels, scale)
     pts = _enumerate_points(levels)
     width = math.ldexp(*frexp_quotient(scale, level_products(lv.base for lv in levels)[-1]))
     gaps = np.nonzero(np.diff(pts) > 1)[0]
@@ -262,6 +273,7 @@ def continuous_iterate(spec: Union[CantorSpec, IndexedCantorSpec], n: int,
                        scale: float) -> IterateIntervals:
     """Merged closed intervals of the n-th iterate scaled to [0, scale]; an
     indexed spec uses its first n levels."""
+    scale = check_scale(_level_bases(spec, n), scale)
     return _merged_intervals(_levels_of(spec, n), n, scale)
 
 
@@ -354,8 +366,8 @@ def block_tree(spec: Union[CantorSpec, IndexedCantorSpec], n: int, scale: float,
                order: int) -> BlockTree:
     """Block tree of the n-th iterate scaled to [0, scale], with centred
     moments to the given order; nothing is enumerated."""
+    scale = check_scale(_level_bases(spec, n), scale)
     levels = tuple(_levels_of(spec, n))
-    scale = check_scale(levels, scale)
     widths = np.array([math.ldexp(*frexp_quotient(scale, product))
                        for product in level_products(lv.base for lv in levels)])
     moments, moment_err = _block_moments(levels, order)
@@ -388,14 +400,19 @@ def cantor_function(spec: CantorSpec, n: int, x: float) -> float:
     # the block reached and the remainder are exact and the value is divided
     # once: it is the correctly rounded (rank + remainder) / |A|^j, and
     # rounding cannot break monotonicity.  The rank's base-|A| digits are
-    # collected first and joined once.
+    # collected first and joined once.  They take one list entry per digit,
+    # so a walk of more than 64 digits takes at most as many inside the
+    # iterate as the cap; a point that leaves it earlier works at any depth.
+    limit = n if n <= 64 else min(n, resolve_max_intervals())
     num, den = x.as_integer_ratio()
     ranks = []
-    for depth in range(1, n + 1):
+    for depth in range(1, limit + 1):
         digit, num = divmod(num * base, den)
         ranks.append(bisect_left(letters, digit))
         if not member[digit]:
             return _join_digits(ranks, size) / size ** depth
+    if limit < n:
+        check_cap(limit + 1, "digits of a Cantor-function walk")
     return (_join_digits(ranks, size) * den + num) / (size ** n * den)
 
 

@@ -15,9 +15,10 @@ byte for byte.  Exit codes: 0 success, 1 verification failure, 2 usage or
 validation error, 3 cap exceeded: one cap, set only through the
 CTFL_MAX_INTERVALS environment variable, bounds the intervals of an
 enumeration, the rows of an `eigs` table (whether --kmax is given or auto),
-the live (range, block) pairs of a norm's walk, and the digits of each
-alphabet that the reverse and indexed-decay sweeps build from a size.  A
-sweep certifies every depth or exits 3 with no row.
+the live (range, block) pairs of a norm's walk, the digits of each
+alphabet that the reverse and indexed-decay sweeps build from a size, and
+the digits that a `cantor-fn` walk past 64 digits takes inside the
+iterate.  A sweep certifies every depth or exits 3 with no row.
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ from .cantor import (
     CantorSpec,
     CapExceededError,
     IndexedCantorSpec,
-    _levels_of,
+    _level_bases,
     cantor_function,
     level_product,
     resolve_max_intervals,
@@ -53,8 +54,6 @@ from .operator import (
 # ----------------------------------------------------------------------
 
 def _cell(v) -> str:
-    if v is None:
-        return ""
     if isinstance(v, bool):
         return "true" if v else "false"
     if isinstance(v, int):
@@ -201,10 +200,6 @@ def _h_equivalent(bases) -> float:
     return 1 / level_product(bases, 2 ** 1075)
 
 
-def _spec_bases(spec, n: int) -> list[int]:
-    return [lv.base for lv in _levels_of(spec, n)]
-
-
 # ----------------------------------------------------------------------
 # Subcommands
 # ----------------------------------------------------------------------
@@ -218,7 +213,7 @@ def cmd_eigs(args: argparse.Namespace) -> int:
         k_hi = args.kmax
     table = eigenvalue_table(problem, k_hi)
     rows = [(r.k, r.value, r.err) for r in table]
-    md = _metadata(spec=spec, h_equivalent=_h_equivalent(_spec_bases(spec, args.iterate)),
+    md = _metadata(spec=spec, h_equivalent=_h_equivalent(_level_bases(spec, args.iterate)),
                    extra={"iterate": args.iterate, "rho": args.rho})
     _emit(_table(args, ("k", "lambda", "err"), rows, md), args.out)
     return 0
@@ -231,7 +226,7 @@ def cmd_norm(args: argparse.Namespace) -> int:
     columns = ("value", "argmax_k", "k_truncation", "tail_bound", "value_err")
     rows = [(res.value, res.argmax_k, res.k_truncation, res.tail_bound,
              res.value_err)]
-    md = _metadata(spec=spec, h_equivalent=_h_equivalent(_spec_bases(spec, args.iterate)),
+    md = _metadata(spec=spec, h_equivalent=_h_equivalent(_level_bases(spec, args.iterate)),
                    extra={"iterate": args.iterate, "rho": args.rho})
     _emit(_table(args, columns, rows, md), args.out)
     return 0
@@ -240,7 +235,7 @@ def cmd_norm(args: argparse.Namespace) -> int:
 def cmd_cantor_fn(args: argparse.Namespace) -> int:
     spec = CantorSpec(args.base, args.alphabet)
     value = cantor_function(spec, args.iterate, args.x)
-    md = _metadata(spec=spec, h_equivalent=_h_equivalent(_spec_bases(spec, args.iterate)),
+    md = _metadata(spec=spec, h_equivalent=_h_equivalent(_level_bases(spec, args.iterate)),
                    extra={"iterate": args.iterate})
     _emit(_table(args, ("x", "value"), [(args.x, value)], md), args.out)
     return 0
@@ -289,7 +284,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         rows = sweep_fixed(spec, n_max, gamma)
         columns = SweepRow._fields
         md = _metadata(spec=spec, schedule="power_half", gamma=gamma,
-                       h_equivalent=_h_equivalent(_spec_bases(spec, n_max)))
+                       h_equivalent=_h_equivalent(_level_bases(spec, n_max)))
 
     elif exp == "reverse":
         rows = sweep_reverse_counterexample(args.base, args.size, n_max, gamma)
@@ -304,7 +299,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         rows = result.rows
         columns = ("n", "lambda0", "fitted_beta")
         md = _metadata(spec=result.levels, schedule="indexed_sqrt", gamma=gamma, seed=args.seed,
-                       h_equivalent=_h_equivalent(_spec_bases(result.levels, n_max)),
+                       h_equivalent=_h_equivalent(_level_bases(result.levels, n_max)),
                        extra={"fitted_beta": result.fitted_beta,
                               "params": {"M": args.base, "delta": args.delta,
                                          "epsilon": args.epsilon}})

@@ -35,6 +35,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import Collection, Sequence, Union
 
 import numpy as np
@@ -44,6 +45,7 @@ from .cantor import (
     CantorSpec,
     IndexedCantorSpec,
     IterateIntervals,
+    _level_bases,
     _levels_of,
     block_tree,
     check_cap,
@@ -51,7 +53,6 @@ from .cantor import (
     check_scale,
     continuous_iterate,
     frexp_quotient,
-    level_products,
 )
 from .special import (
     INDEX_LIMIT,
@@ -92,8 +93,7 @@ class LocalizationProblem:
 
     def __post_init__(self):
         object.__setattr__(self, "n", check_depth(self.n))
-        levels = _levels_of(self.spec, self.n)
-        object.__setattr__(self, "rho", check_scale(levels, self.rho))
+        object.__setattr__(self, "rho", check_scale(_level_bases(self.spec, self.n), self.rho))
 
     @functools.cached_property
     def intervals(self) -> IterateIntervals:
@@ -143,18 +143,20 @@ def _lambda0_depths(levels, rho: float) -> list[float]:
     a level's factor is sum_{a in A} e^(-a t), t = rho / (M_1 ... M_j); a
     canonical alphabet uses (1 - e^(-|A| t)) / (1 - e^(-t)), so alphabets
     too large to enumerate stay cheap, and its factor is 1.0 to double
-    precision once t > 745.  Each t comes from the exact product
-    (cantor.level_products, frexp_quotient) and the product keeps its binary
-    exponent apart, so products past 2^1024 give neither 0 nor nan.  Depth
-    n's running product is the prefix of depth n + 1's, so every entry is
-    bit for bit the value of its own prefix of the levels.
+    precision once t > 745.  Each t comes from the exact level product,
+    formed one level at a time and held only for its depth (frexp_quotient),
+    and the running product keeps its binary exponent apart, so products
+    past 2^1024 give neither 0 nor nan.  Depth n's running product is the
+    prefix of depth n + 1's, so every entry is bit for bit the value of its
+    own prefix of the levels.
     """
     if rho < 0.0 or not math.isfinite(rho):
         raise ValueError(f"rho must be finite and nonnegative, got {rho!r}")
     rho = float(rho)
     value, exponent = 1.0, 0  # the level product = value 2^exponent
     depths = []
-    for j, product in enumerate(level_products(base for base, _, _ in levels)):
+    products = accumulate((base for base, _, _ in levels), int.__mul__, initial=1)
+    for j, product in enumerate(products):
         mantissa, shift = frexp_quotient(rho, product)  # t_j = mantissa 2^shift
         if j:
             _, size, letters = levels[j - 1]
@@ -394,8 +396,8 @@ def operator_norms(problems: Sequence[LocalizationProblem]) -> list[NormResult]:
     doubles (its ranges' ends and the exact rows' k), exact below 2^53.
     The walk's floor (_walk) keeps its pairs few where the norm lies far
     from k = 0: on {1, 2} at n = 16 and rho = 3^16 they peak at 173,016,
-    1.76*10^6 when only exact rows lifted the prune threshold, and n = 18 at
-    rho = 3^18 (549,888 pairs) certifies under the default cap.
+    and n = 18 at rho = 3^18 (549,888 pairs) certifies under the default
+    cap.
     """
     if any(p.spec != problems[0].spec for p in problems):
         raise ValueError("the problems of operator_norms must share one spec")

@@ -10,6 +10,7 @@ import os
 import subprocess
 import sys
 import time
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -23,6 +24,16 @@ def run_cli(capsys, *argv):
     code = cli.main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def traced_cli(capsys, *argv):
+    """run_cli, and the peak of the bytes that Python allocated meanwhile."""
+    tracemalloc.start()
+    try:
+        result = run_cli(capsys, *argv)
+        return (*result, tracemalloc.get_traced_memory()[1])
+    finally:
+        tracemalloc.stop()
 
 
 def csv_rows(text):
@@ -68,9 +79,15 @@ def test_invalid_alphabet_exits_two(capsys):
 
 
 def test_unknown_flag_exits_two(capsys):
-    code = cli.main(["eigs", "--no-such-flag"])
-    capsys.readouterr()
-    assert code == 2
+    # --start-at-inner once made the norm skip the indices below a set's
+    # inner radius; the walk drops them at its first depths, and the flag
+    # is gone.
+    for argv in ("eigs --no-such-flag",
+                 "norm --base 3 --alphabet 1,2 --iterate 2 --rho 3 --start-at-inner"):
+        code, out, err = run_cli(capsys, *argv.split())
+        assert (code, out) == (2, "")
+        assert "error:" in err
+    assert "unrecognized arguments: --start-at-inner" in err
 
 
 def test_enumeration_cap_exits_three(capsys, monkeypatch):
@@ -99,6 +116,8 @@ def test_enumeration_cap_exits_three(capsys, monkeypatch):
         assert (code, out) == (2, "")
         assert err.startswith("error: ") and err.count("\n") == 1
         assert ("2^53" in err) == (rho == "1e16") and "Traceback" not in err
+    assert err == ("error: rho = 1e+16 puts the norm's indices past 2^53, where doubles no "
+                   "longer hold every index\n")
 
 
 def test_a_row_without_an_error_bound_exits_2(capsys):
@@ -169,15 +188,6 @@ def test_norm_reports_certificate_columns(capsys):
     assert set(row) == {"value", "argmax_k", "k_truncation", "tail_bound", "value_err"}
     assert row["argmax_k"] == "0"
     assert float(row["tail_bound"]) < max(1e-12, 1e-9 * float(row["value"]))
-
-
-def test_norm_start_at_inner_flag_is_removed(capsys):
-    code, out, err = run_cli(
-        capsys, "norm", "--base", "3", "--alphabet", "1,2",
-        "--iterate", "2", "--rho", "3", "--start-at-inner")
-    assert code == 2
-    assert out == ""
-    assert "--start-at-inner" in err
 
 
 def test_json_output_shape(capsys):
@@ -385,13 +395,16 @@ def test_sweep_indexed_decay_refuses_bases_past_int64(capsys, delta, power):
 @pytest.mark.parametrize("argv", [
     "norm --base 3 --alphabet 0,2 --iterate 1000000 --rho 1",
     "eigs --base 3 --alphabet 0,2 --iterate 1000000 --rho 1 --kmax 0",
+    "norm --base 3 --alphabet 0,2 --iterate 30000000 --rho 1",
 ])
 def test_a_deep_iterate_is_refused_at_once(capsys, argv):
     # The scale check once formed every exact level product, O(n^2) bits,
-    # and was killed for memory at n = 300,000 instead of refusing.
+    # and was killed for memory at n = 300,000 instead of refusing.  Then
+    # it took a list of the n levels first: 258 MB at n = 3*10^7.
     start = time.perf_counter()
-    code, out, err = run_cli(capsys, *argv.split())
+    code, out, err, peak = traced_cli(capsys, *argv.split())
     assert time.perf_counter() - start < 5.0
+    assert peak < 2_000_000
     assert (code, out) == (2, "")
     assert err == ("error: iterate blocks are narrower than the smallest representable "
                    "double; reduce the depth\n")
@@ -399,27 +412,48 @@ def test_a_deep_iterate_is_refused_at_once(capsys, argv):
 
 def test_cantor_fn_at_a_deep_iterate(capsys):
     # 0.3 leaves the mid-third iterate within a few dozen digits, and the
-    # metadata's 1 / 3^n underflows to 0 without forming 3^n.
+    # metadata's 1 / 3^n underflows to 0 without forming 3^n or a list of
+    # the n levels (0.9 s and 487 MB at n = 3*10^7 once).
     start = time.perf_counter()
-    code, out, err = run_cli(capsys, "cantor-fn", "--base", "3", "--alphabet", "0,2",
-                             "--iterate", "1000000", "--x", "0.3", "--format", "json")
+    code, out, err, peak = traced_cli(capsys, "cantor-fn", "--base", "3", "--alphabet", "0,2",
+                                      "--iterate", "30000000", "--x", "0.3", "--format", "json")
     assert time.perf_counter() - start < 5.0
+    assert peak < 2_000_000
     assert (code, err) == (0, "")
     doc = json.loads(out)
     assert doc["rows"] == [[0.3, 0.39999999999417923]]
     assert doc["metadata"]["h_equivalent"] == 0.0
 
 
-def test_cantor_fn_inside_a_deep_iterate(capsys):
+def test_cantor_fn_inside_a_deep_iterate(capsys, monkeypatch):
     # 0.25 is 0.0202... in base 3, so every digit stays in the alphabet and
     # the rank of the block reached has 10^6 digits in base |A| = 2.  Joined
     # one digit at a time it cost O(n^2): 1.3 s at n = 2*10^5.
+    monkeypatch.delenv("CTFL_MAX_INTERVALS", raising=False)
     start = time.perf_counter()
     code, out, err = run_cli(capsys, "cantor-fn", "--base", "3", "--alphabet", "0,2",
                              "--iterate", "1000000", "--x", "0.25")
     assert time.perf_counter() - start < 5.0
     assert (code, err) == (0, "")
     assert out == "x,value\n0.25,0.33333333333333331\n"
+
+
+def test_cantor_fn_walk_is_held_to_the_cap(capsys, monkeypatch):
+    # The walk keeps one rank per digit while the point stays in the
+    # iterate: 0.25 once took 524 MB at n = 3*10^7, and a deeper iterate
+    # ended in an out-of-memory kill.  Past the cap it exits 3; a point
+    # that leaves the iterate earlier is answered at any depth.
+    monkeypatch.setenv("CTFL_MAX_INTERVALS", "1000")
+    fn = ("cantor-fn", "--base", "3", "--alphabet", "0,2", "--iterate")
+    assert run_cli(capsys, *fn, "1000", "--x", "0.25") == (
+        0, "x,value\n0.25,0.33333333333333331\n", "")
+    code, out, err = run_cli(capsys, *fn, "2000", "--x", "0.25")
+    assert (code, out) == (3, "")
+    assert err == ("error: 1001 digits of a Cantor-function walk would pass the cap of 1000 "
+                   "(set CTFL_MAX_INTERVALS to move it)\n")
+    code, out, err = run_cli(capsys, *fn, "30000000", "--x", "0.3")
+    assert (code, err) == (0, "")
+    assert out == "x,value\n0.29999999999999999,0.39999999999417923\n"
 
 
 def test_h_equivalent_is_formed_only_until_it_underflows():
@@ -481,10 +515,14 @@ def test_sweep_indexed_counterexample_lower_bound(capsys):
 
 
 def test_sweep_positive_measure_rows(capsys):
+    # 60 levels put the level product at 2^(60*61/2), past 2^1024: lambda_0
+    # read nan there while the product was a double.
     code, out, _ = run_cli(
-        capsys, "sweep", "--experiment", "positive-measure", "--levels", "6",
+        capsys, "sweep", "--experiment", "positive-measure", "--levels", "60",
         "--rho", "1.5")
     assert code == 0
+    assert "nan" not in out.lower()
+    assert len(csv_rows(out)) == 60
     for row in csv_rows(out):
         measure = float(row["measure"])
         assert float(row["lambda0"]) >= float(row["norm_lower_bound"]) - 1e-15

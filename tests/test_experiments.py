@@ -2,6 +2,7 @@
 constructions, and the positive-measure demonstration."""
 
 import math
+import tracemalloc
 
 import mpmath
 import numpy as np
@@ -340,6 +341,19 @@ def test_positive_measure_takes_every_depth_from_one_pass():
     levels = [(2 ** j, 2 ** j - 1, None) for j in range(1, 201)]
     assert [l0 for _, _, l0, _ in rows] == [
         op._lambda0_depths(levels[:n], 1.0)[-1] for n in range(1, 201)]
+
+
+def test_positive_measure_holds_one_level_product_at_a_time():
+    # The pass once held every exact prefix product, about L^3/6 bits for L
+    # levels of bases 2^j: 5.1 MB at 600 levels, and 611 MB of RSS for the
+    # CLI at 3,000.  Each product now lives for its own depth, about 20 kB.
+    tracemalloc.start()
+    try:
+        positive_measure_demo(600, 1.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000
 
 
 def test_positive_measure_single_level():

@@ -669,7 +669,7 @@ def test_mid_third_norms_take_their_first_row_alone(monkeypatch):
     sent, rows = [], op._rows
     monkeypatch.setattr(op, "_rows", lambda trees, owner, ks:
                         sent.append(ks.tolist()) or rows(trees, owner, ks))
-    for n in (20, 24, 28):
+    for n in (20, 24, 28, 30):
         sent.clear()
         assert operator_norm(localization_problem(MID_THIRD, n, 3.0 ** (n / 2))).argmax_k == 0
         assert sent == [[0]]
@@ -690,18 +690,24 @@ def test_no_exact_row_is_taken_twice(monkeypatch, n, rho):
 
 
 def test_reverse_norm_at_depth_sixteen_holds_few_pairs(monkeypatch):
-    # {1, 2} at n = 16 and rho = 3^16 has its norm near k = rho / 2.  While
-    # only exact rows lifted the prune threshold, its walk held 1,758,417
-    # pairs (about 430 MB for the CLI process); the floor keeps it near
-    # 173,000.
+    # {1, 2} at rho = 3^n has its norm near k = rho / 2.  While only exact
+    # rows lifted the prune threshold, its walk held 1,758,417 pairs at
+    # n = 16 (about 430 MB for the CLI process), and n = 18 passed the
+    # default cap with 15.5*10^6; the floor keeps them near 173,000 and
+    # 550,000, so n = 18 certifies the paper's counterexample under the
+    # default cap.
     import cantorloc.operator as op
 
+    monkeypatch.delenv("CTFL_MAX_INTERVALS", raising=False)
     pairs, check = [], op.check_cap
     monkeypatch.setattr(op, "check_cap", lambda count, what:
                         ("pairs" in what and pairs.append(count)) or check(count, what))
-    res = operator_norm(localization_problem(CantorSpec(3, (1, 2)), 16, 3.0 ** 16))
-    assert (res.value, res.argmax_k) == (0.033813259757998065, 21528336)
-    assert max(pairs) < 300_000
+    for n, value, argmax_k, most in ((16, 0.033813259757998065, 21528336, 300_000),
+                                     (18, 0.022542947071932815, 193725175, 600_000)):
+        pairs.clear()
+        res = operator_norm(localization_problem(CantorSpec(3, (1, 2)), n, 3.0 ** n))
+        assert (res.value, res.argmax_k) == (value, argmax_k)
+        assert max(pairs) < most
 
 
 def _floor_sum(spec, n, rho, m, k):
